@@ -1,18 +1,15 @@
-"""Hot numeric kernels: all-pairs and query-vs-reference Pearson scans.
+"""Hot numeric kernels: all-pairs and query-vs-reference Pearson scans, and
+the connected components of a thresholded correlation graph.
 
-Two interchangeable backends:
+One numpy implementation per scan. The dense scans are one BLAS matmul
+over standardized vectors. The missing-data scan is four matmuls over the
+presence mask and the column-centered, zero-filled values. Centering comes
+first because the uncentered single-pass form (sum x^2 - (sum x)^2 / n)
+cancels catastrophically on raw intensities (Chan, Golub & LeVeque 1983).
 
-* ``numba``: @njit loop kernels (parallel over rows; each output cell is
-  written by exactly one iteration, so results are deterministic).
-* ``numpy``: vectorized fallback, always available.
-
-Selection is made once at import from the ``ARRAYAUDIT_KERNELS``
-environment variable: ``numba`` and ``numpy`` force one backend for every
-kernel; ``auto`` (the default) picks per kernel what benchmarking shows is
-fastest: BLAS matmul for the dense scans, the numba loop for the
-missing-data (pairwise-complete) scan, where masked numpy is 20-40x
-slower. ``benchmarks/bench_kernels.py`` reproduces those measurements and
-the test suite asserts the backends agree numerically.
+The public scans are looked up as module attributes at call time, so a
+caller (or a tracer) that replaces one sees every call to it, including
+the one ``column_correlations`` makes for a matrix with missing values.
 
 Degenerate (zero-variance) rows/columns yield NaN correlations; callers
 decide how to report them.
@@ -20,46 +17,10 @@ decide how to report them.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit, prange
+_EPS = np.finfo(np.float64).eps
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _select_backend() -> str:
-    choice = os.environ.get("ARRAYAUDIT_KERNELS", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"ARRAYAUDIT_KERNELS must be auto|numba|numpy, got {choice!r}"
-        )
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("ARRAYAUDIT_KERNELS=numba but numba is not importable")
-    if choice == "auto" and not HAS_NUMBA:
-        return "numpy"
-    return choice
-
-
-BACKEND = _select_backend()
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
 
 def _standardize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center rows and scale to unit Euclidean norm; flag degenerate rows."""
@@ -71,9 +32,16 @@ def _standardize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centered / safe[:, None], ok
 
 
-def column_correlations_numpy(values: np.ndarray) -> np.ndarray:
-    """Full n_cols x n_cols Pearson matrix; NaN row/col for zero variance."""
-    z, ok = _standardize_rows(np.asarray(values, dtype=np.float64).T)
+def column_correlations(values: np.ndarray) -> np.ndarray:
+    """Full n_cols x n_cols Pearson matrix; NaN row/col for zero variance.
+
+    A matrix with any non-finite entry is scanned over pairwise-complete
+    observations instead (``pairwise_complete_column_correlations``).
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(x).all():
+        return pairwise_complete_column_correlations(x)
+    z, ok = _standardize_rows(x.T)
     corr = np.clip(z @ z.T, -1.0, 1.0)
     corr[~ok, :] = np.nan
     corr[:, ~ok] = np.nan
@@ -81,7 +49,7 @@ def column_correlations_numpy(values: np.ndarray) -> np.ndarray:
     return corr
 
 
-def cross_row_correlations_numpy(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def cross_row_correlations(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Pearson correlation of every query row against every reference row."""
     q, qok = _standardize_rows(query)
     r, rok = _standardize_rows(reference)
@@ -91,227 +59,56 @@ def cross_row_correlations_numpy(query: np.ndarray, reference: np.ndarray) -> np
     return corr
 
 
-def pairwise_complete_column_correlations_numpy(
+def pairwise_complete_column_correlations(
     values: np.ndarray, min_overlap: int = 3
 ) -> np.ndarray:
     """All-pairs column correlations over pairwise-complete observations.
 
-    Pairs with fewer than ``min_overlap`` jointly observed entries, or with
-    zero variance on the overlap, come back NaN.
+    Non-finite entries are missing. Pairs with fewer than ``min_overlap``
+    jointly observed entries, or with zero variance on the overlap, come
+    back NaN. A variance within the rounding-error bound of its own
+    computation (4 * overlap * eps of the overlap's sum of squares) counts
+    as zero, so a column that is constant on the overlap gives NaN however
+    its constant rounds. The diagonal is exactly 1.0, or NaN for a column
+    with too few observations or no variance.
     """
     x = np.asarray(values, dtype=np.float64)
-    n = x.shape[1]
-    corr = np.full((n, n), np.nan)
-    finite = np.isfinite(x)
-    for i in range(n):
-        corr[i, i] = 1.0 if finite[:, i].sum() >= min_overlap and np.nanstd(x[finite[:, i], i]) > 0 else np.nan
-        for j in range(i + 1, n):
-            mask = finite[:, i] & finite[:, j]
-            if int(mask.sum()) < min_overlap:
-                continue
-            a = x[mask, i]
-            b = x[mask, j]
-            a = a - a.mean()
-            b = b - b.mean()
-            na = np.sqrt((a * a).sum())
-            nb = np.sqrt((b * b).sum())
-            if na == 0.0 or nb == 0.0:
-                continue
-            r = float((a * b).sum() / (na * nb))
-            r = min(1.0, max(-1.0, r))
-            corr[i, j] = r
-            corr[j, i] = r
+    present = np.isfinite(x)
+    mask = present.astype(np.float64)
+    count = np.maximum(mask.sum(axis=0), 1.0)
+    x0 = np.where(present, x, 0.0)
+    x0 = np.where(present, x0 - x0.sum(axis=0) / count, 0.0)
+    n = mask.T @ mask  # jointly observed entries per pair
+    s = x0.T @ mask  # s[i, j]: sum of column i over the rows column j has
+    q = (x0 * x0).T @ mask
+    c = x0.T @ x0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = q - s * s / n  # var[i, j]: column i's variance on the overlap
+        flat = var <= 4.0 * n * _EPS * q
+        corr = (c - s * s.T / n) / np.sqrt(var * var.T)
+    corr[(n < min_overlap) | flat | flat.T] = np.nan
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, np.where(np.isnan(np.diag(corr)), np.nan, 1.0))
     return corr
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, parallel=True)
-def _column_correlations_jit(values: np.ndarray) -> np.ndarray:  # pragma: no cover - compiled
-    nfeat, ncol = values.shape
-    norms = np.empty(ncol)
-    centered = np.empty((ncol, nfeat))
-    for j in prange(ncol):
-        s = 0.0
-        for i in range(nfeat):
-            s += values[i, j]
-        m = s / nfeat
-        ss = 0.0
-        for i in range(nfeat):
-            c = values[i, j] - m
-            centered[j, i] = c
-            ss += c * c
-        norms[j] = np.sqrt(ss)
-    corr = np.empty((ncol, ncol))
-    # each (a, b) cell is written by exactly one iteration: deterministic
-    for a in prange(ncol):
-        if norms[a] == 0.0:
-            for b in range(ncol):
-                corr[a, b] = np.nan
+def connected_components(adjacency: np.ndarray) -> list[list[int]]:
+    """Connected components of a symmetric boolean adjacency matrix,
+    singletons included: ordered by smallest member, members ascending."""
+    n = adjacency.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    comps: list[list[int]] = []
+    for start in range(n):
+        if seen[start]:
             continue
-        corr[a, a] = 1.0
-        for b in range(a + 1, ncol):
-            if norms[b] == 0.0:
-                corr[a, b] = np.nan
-                continue
-            dot = 0.0
-            for i in range(nfeat):
-                dot += centered[a, i] * centered[b, i]
-            r = dot / (norms[a] * norms[b])
-            if r > 1.0:
-                r = 1.0
-            elif r < -1.0:
-                r = -1.0
-            corr[a, b] = r
-    for a in range(ncol):
-        for b in range(a + 1, ncol):
-            corr[b, a] = corr[a, b]
-        if norms[a] == 0.0:
-            for b in range(ncol):
-                corr[b, a] = np.nan
-    return corr
-
-
-@njit(cache=True, parallel=True)
-def _cross_row_correlations_jit(query: np.ndarray, reference: np.ndarray) -> np.ndarray:  # pragma: no cover - compiled
-    nq, nc = query.shape
-    nr = reference.shape[0]
-
-    qc = np.empty((nq, nc))
-    qn = np.empty(nq)
-    for i in prange(nq):
-        s = 0.0
-        for k in range(nc):
-            s += query[i, k]
-        m = s / nc
-        ss = 0.0
-        for k in range(nc):
-            c = query[i, k] - m
-            qc[i, k] = c
-            ss += c * c
-        qn[i] = np.sqrt(ss)
-
-    rc = np.empty((nr, nc))
-    rn = np.empty(nr)
-    for i in prange(nr):
-        s = 0.0
-        for k in range(nc):
-            s += reference[i, k]
-        m = s / nc
-        ss = 0.0
-        for k in range(nc):
-            c = reference[i, k] - m
-            rc[i, k] = c
-            ss += c * c
-        rn[i] = np.sqrt(ss)
-
-    corr = np.empty((nq, nr))
-    for i in prange(nq):
-        if qn[i] == 0.0:
-            for j in range(nr):
-                corr[i, j] = np.nan
-            continue
-        for j in range(nr):
-            if rn[j] == 0.0:
-                corr[i, j] = np.nan
-                continue
-            dot = 0.0
-            for k in range(nc):
-                dot += qc[i, k] * rc[j, k]
-            r = dot / (qn[i] * rn[j])
-            if r > 1.0:
-                r = 1.0
-            elif r < -1.0:
-                r = -1.0
-            corr[i, j] = r
-    return corr
-
-
-@njit(cache=True, parallel=True)
-def _pairwise_complete_jit(values: np.ndarray, min_overlap: int) -> np.ndarray:  # pragma: no cover - compiled
-    nfeat, ncol = values.shape
-    corr = np.full((ncol, ncol), np.nan)
-    for a in prange(ncol):
-        n_a = 0
-        sa = 0.0
-        ssa = 0.0
-        for i in range(nfeat):
-            v = values[i, a]
-            if np.isfinite(v):
-                n_a += 1
-                sa += v
-                ssa += v * v
-        if n_a >= min_overlap and ssa - sa * sa / n_a > 0.0:
-            corr[a, a] = 1.0
-        for b in range(a + 1, ncol):
-            n = 0
-            sx = 0.0
-            sy = 0.0
-            sxx = 0.0
-            syy = 0.0
-            sxy = 0.0
-            for i in range(nfeat):
-                x = values[i, a]
-                y = values[i, b]
-                if np.isfinite(x) and np.isfinite(y):
-                    n += 1
-                    sx += x
-                    sy += y
-                    sxx += x * x
-                    syy += y * y
-                    sxy += x * y
-            if n < min_overlap:
-                continue
-            vx = sxx - sx * sx / n
-            vy = syy - sy * sy / n
-            if vx <= 0.0 or vy <= 0.0:
-                continue
-            r = (sxy - sx * sy / n) / np.sqrt(vx * vy)
-            if r > 1.0:
-                r = 1.0
-            elif r < -1.0:
-                r = -1.0
-            corr[a, b] = r
-    for a in range(ncol):
-        for b in range(a + 1, ncol):
-            corr[b, a] = corr[a, b]
-    return corr
-
-
-def column_correlations_numba(values: np.ndarray) -> np.ndarray:
-    return _column_correlations_jit(np.ascontiguousarray(values, dtype=np.float64))
-
-
-def cross_row_correlations_numba(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    return _cross_row_correlations_jit(
-        np.ascontiguousarray(query, dtype=np.float64),
-        np.ascontiguousarray(reference, dtype=np.float64),
-    )
-
-
-def pairwise_complete_column_correlations_numba(
-    values: np.ndarray, min_overlap: int = 3
-) -> np.ndarray:
-    return _pairwise_complete_jit(
-        np.ascontiguousarray(values, dtype=np.float64), min_overlap
-    )
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if BACKEND == "numba":
-    column_correlations = column_correlations_numba
-    cross_row_correlations = cross_row_correlations_numba
-    pairwise_complete_column_correlations = pairwise_complete_column_correlations_numba
-elif BACKEND == "numpy":
-    column_correlations = column_correlations_numpy
-    cross_row_correlations = cross_row_correlations_numpy
-    pairwise_complete_column_correlations = pairwise_complete_column_correlations_numpy
-else:  # auto: fastest measured backend per kernel
-    column_correlations = column_correlations_numpy
-    cross_row_correlations = cross_row_correlations_numpy
-    pairwise_complete_column_correlations = pairwise_complete_column_correlations_numba
+        seen[start] = True
+        stack = [start]
+        members = []
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            new = np.flatnonzero(adjacency[v] & ~seen)
+            seen[new] = True
+            stack.extend(new.tolist())
+        comps.append(sorted(members))
+    return comps

@@ -54,30 +54,9 @@ class DupComponents:
     degenerate_columns: tuple[str, ...] = ()
 
 
-def _connected_components(n: int, adjacency: np.ndarray) -> list[list[int]]:
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in np.nonzero(adjacency[v])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(sorted(members))
-    return comps
-
-
 def _correlation_matrix(values: np.ndarray, cfg: DupScanConfig) -> np.ndarray:
     vals = np.asarray(values, dtype=np.float64)
-    has_missing = bool(np.isnan(vals).any())
-    if has_missing and cfg.missing_policy == "fail":
+    if cfg.missing_policy == "fail" and np.isnan(vals).any():
         raise ValueError("matrix contains missing values and missing_policy is 'fail'")
     if cfg.compare_on == "log":
         bad = (vals <= 0) & np.isfinite(vals)
@@ -87,8 +66,6 @@ def _correlation_matrix(values: np.ndarray, cfg: DupScanConfig) -> np.ndarray:
                 f"compare_on='log' requires positive values; value {vals[i, j]!r} at row {i}, column {j}"
             )
         vals = np.log(vals)
-    if has_missing:
-        return _kernels.pairwise_complete_column_correlations(vals)
     return _kernels.column_correlations(vals)
 
 
@@ -123,8 +100,7 @@ def find_duplicate_columns(m: LabeledMatrix, cfg: DupScanConfig = DupScanConfig(
     for i in degenerate_idx:
         adj[i, :] = False
         adj[:, i] = False
-    comps = [c for c in _connected_components(n, adj) if len(c) >= 2]
-    comps.sort(key=lambda c: c[0])
+    comps = [c for c in _kernels.connected_components(adj) if len(c) >= 2]
     histogram: dict[int, int] = {}
     in_component = set()
     for c in comps:

@@ -107,7 +107,8 @@ def steepest_ascent(
     states each line is not currently in) and moves to the strictly best
     one; ties break by lower line index in panel order, then by state
     order Resistant < Sensitive < Unused. Unscorable or generator-failing
-    neighbors score -1 and can never be selected over a valid state.
+    neighbors score -1 and can never be selected over a valid state; an
+    unscorable or generator-failing start raises instead.
     """
     lines = list(panel.sample_ids)
 
@@ -118,9 +119,7 @@ def steepest_ascent(
             return -1
 
     current = Assignment({line: start.state.get(line, GroupLabel.UNUSED) for line in lines})
-    if not current.scorable():
-        raise UnscorableAssignmentError("start assignment is not scorable")
-    current_score = safe_score(current)
+    current_score = score_assignment(current, panel, target, k, generator)
     start_score = current_score
     trajectory: list[Move] = []
     neighbors_per_step: list[int] = []

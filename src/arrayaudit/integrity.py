@@ -244,34 +244,12 @@ def detect_blocks(m: LabeledMatrix, corr_threshold: float = 0.8) -> BlockReport:
     structure."""
     if m.n_samples < 2:
         raise ValueError("block detection needs at least 2 samples")
-    vals = m.values
-    if np.isnan(vals).any():
-        corr = _kernels.pairwise_complete_column_correlations(vals)
-    else:
-        corr = _kernels.column_correlations(vals)
     with np.errstate(invalid="ignore"):
-        adj = corr >= corr_threshold
+        adj = _kernels.column_correlations(m.values) >= corr_threshold
     np.fill_diagonal(adj, False)
-    n = m.n_samples
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in np.nonzero(adj[v])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(sorted(members))
+    comps = _kernels.connected_components(adj)
     blocks = [c for c in comps if len(c) >= 2]
-    blocks.sort(key=lambda c: c[0])
-    singles = sorted(i for c in comps if len(c) == 1 for i in c)
+    singles = [c[0] for c in comps if len(c) == 1]
     return BlockReport(
         components=tuple(tuple(m.sample_ids[i] for i in c) for c in blocks),
         singletons=tuple(m.sample_ids[i] for i in singles),

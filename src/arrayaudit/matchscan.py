@@ -5,7 +5,7 @@ platform row order.
 The row/column matcher is deliberately exhaustive: at the scales these
 audits run at (thousands of features by tens of samples) an O(Q x R x C)
 scan finishes in seconds, and nothing beats it for explainability. The
-scan itself is a kernel in ``_kernels`` with numba and numpy backends.
+scan itself is one BLAS matmul, ``_kernels.cross_row_correlations``.
 
 Offsets are applied in annotation row space, not list position: a shift
 of +1 replaces each reported id with the id on the next platform row.
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .core import AnnotationIndex, GroupLabel, LabeledMatrix, SignatureList
+from .signature import pooled_t
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,9 @@ def separation_score(
 
     Mean over signature genes (those present in the matrix) of
     |t| / sqrt(t^2 + nu) with nu = n - 2, where t is the pooled-variance
-    two-sample statistic. 0 means no structure, values near 1 mean a
-    clean split.
+    two-sample statistic (``signature.pooled_t``); an infinite t (no
+    within-group variance, distinct means) scores 1. 0 means no
+    structure, values near 1 mean a clean split.
     """
     lab = labels if labels is not None else (m.labels or {})
     groups: dict[GroupLabel, list[int]] = {}
@@ -201,20 +203,8 @@ def separation_score(
     x2 = m.values[np.ix_(rows, idx2)]
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise ValueError("separation scoring requires complete values for the signature genes")
-    n1, n2 = len(idx1), len(idx2)
-    nu = n1 + n2 - 2
-    m1 = x1.mean(axis=1)
-    m2 = x2.mean(axis=1)
-    ss = (x1 - m1[:, None]) ** 2
-    ss2 = (x2 - m2[:, None]) ** 2
-    pooled = (ss.sum(axis=1) + ss2.sum(axis=1)) / nu
-    se = np.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
-    diff = np.abs(m1 - m2)
-    score = np.empty(len(rows))
-    zero_se = se == 0
-    score[zero_se] = np.where(diff[zero_se] > 0, 1.0, 0.0)
-    with np.errstate(divide="ignore"):
-        t = np.where(zero_se, 0.0, diff / np.where(zero_se, 1.0, se))
-    ok = ~zero_se
-    score[ok] = t[ok] / np.sqrt(t[ok] ** 2 + nu)
+    t = np.abs(pooled_t(x1, x2))
+    nu = len(idx1) + len(idx2) - 2
+    with np.errstate(invalid="ignore"):
+        score = np.where(np.isinf(t), 1.0, t / np.sqrt(t * t + nu))
     return float(score.mean())

@@ -46,18 +46,11 @@ def _two_groups(m: LabeledMatrix, min_size: int = 2) -> tuple[GroupLabel, list[i
     return g1, idx1, g2, idx2
 
 
-def pooled_t_statistics(m: LabeledMatrix) -> np.ndarray:
-    """Pooled-variance two-sample t per feature, first group (by label
-    enum order) minus second. Zero pooled variance yields 0 for equal
-    means and +/-inf otherwise. Missing values are rejected: a ranking
-    over silently imputed data is exactly the kind of artifact this tool
-    exists to catch."""
-    _, idx1, _, idx2 = _two_groups(m)
-    x1 = m.values[:, idx1]
-    x2 = m.values[:, idx2]
-    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        raise ValueError("gene ranking requires complete (non-missing) values in both groups")
-    n1, n2 = len(idx1), len(idx2)
+def pooled_t(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Row-wise pooled-variance two-sample t of ``x1`` minus ``x2`` (features
+    by samples, complete values). Zero pooled variance yields 0 for equal
+    means and +/-inf otherwise."""
+    n1, n2 = x1.shape[1], x2.shape[1]
     m1 = x1.mean(axis=1)
     m2 = x2.mean(axis=1)
     pooled = ((x1 - m1[:, None]) ** 2).sum(axis=1) + ((x2 - m2[:, None]) ** 2).sum(axis=1)
@@ -70,6 +63,19 @@ def pooled_t_statistics(m: LabeledMatrix) -> np.ndarray:
     t[(se == 0) & (diff > 0)] = np.inf
     t[(se == 0) & (diff < 0)] = -np.inf
     return t
+
+
+def pooled_t_statistics(m: LabeledMatrix) -> np.ndarray:
+    """Pooled-variance two-sample t per feature, first group (by label
+    enum order) minus second (see ``pooled_t``). Missing values are
+    rejected: a ranking over silently imputed data is exactly the kind of
+    artifact this tool exists to catch."""
+    _, idx1, _, idx2 = _two_groups(m)
+    x1 = m.values[:, idx1]
+    x2 = m.values[:, idx2]
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise ValueError("gene ranking requires complete (non-missing) values in both groups")
+    return pooled_t(x1, x2)
 
 
 def select_top_genes(m: LabeledMatrix, k: int) -> SignatureList:
@@ -286,6 +292,14 @@ def predict_prob(model: ProbitModel, scores: Sequence[float], force: bool = Fals
     return ndtr(model.intercept + model.slope * s)
 
 
+def _check_scores(scores: Sequence[float]) -> np.ndarray:
+    s = np.asarray(scores, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise ValueError(f"score at index {int(bad[0])} is not finite ({float(s[bad[0]])})")
+    return s
+
+
 def _check_binary(labels: Sequence[int]) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64)
     if not set(np.unique(y)) <= {0, 1}:
@@ -298,7 +312,7 @@ def _check_binary(labels: Sequence[int]) -> np.ndarray:
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> list[tuple[float, float]]:
     """(fpr, tpr) points over all distinct score thresholds, highest
     threshold first, starting at (0, 0) and ending at (1, 1)."""
-    s = np.asarray(scores, dtype=np.float64)
+    s = _check_scores(scores)
     y = _check_binary(labels)
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
@@ -340,8 +354,9 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     ratio is rounded, in exact integer arithmetic, to the 2^-53 grid; on
     that grid x -> 1 - x is exact, so auc(s, 1-y) == 1 - auc(s, y) holds
     bitwise while staying within one part in 2^53 of the true value.
+    Non-finite scores are rejected.
     """
-    s = np.asarray(scores, dtype=np.float64)
+    s = _check_scores(scores)
     y = _check_binary(labels)
     p = int(y.sum())
     n = len(y) - p

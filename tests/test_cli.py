@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +269,18 @@ def test_cli_roc(tmp_path, capsys):
     assert "AUC = 1.000000" in capsys.readouterr().out
 
 
+def test_cli_roc_rejects_nan_score(tmp_path):
+    # run in a child with a timeout: a NaN score once made the AUC loop spin
+    (tmp_path / "scores.csv").write_text("sample_id,score\na,0.9\nb,nan\nc,0.4\nd,0.3\n")
+    (tmp_path / "labels.csv").write_text("a,1\nb,1\nc,0\nd,0\n")
+    argv = ["roc", "--scores", str(tmp_path / "scores.csv"), "--labels", str(tmp_path / "labels.csv")]
+    out = subprocess.run(
+        [sys.executable, "-m", "arrayaudit.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 1
+    assert "score at index 1 is not finite" in out.stderr
+
+
 def test_cli_combo(tmp_path, capsys):
     (tmp_path / "in.csv").write_text(
         "sample_id,T,F,A,C\np1,0.5,0.5,0.5,0.5\np2,0.1,0.2,0.3,0.4\np3,0.9,0.9,0.9,0.9\n"
@@ -306,6 +320,27 @@ def test_cli_search_groups(tmp_path, capsys):
     doc = json.loads(trace.read_text())
     assert doc["final"][sens[0]] == "Sensitive"
     assert doc["neighbors_per_step"] and all(n == 40 for n in doc["neighbors_per_step"])
+
+
+def test_cli_search_groups_with_k_beyond_gene_count_exits_1(tmp_path, capsys):
+    panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=10)
+    (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
+    (tmp_path / "target.csv").write_text(ingest.serialize_signature(target))
+    (tmp_path / "start.csv").write_text(
+        "cell_line,state\n" + "\n".join(f"{l},{lab.value}" for l, lab in truth.items()) + "\n"
+    )
+    code = main(
+        [
+            "search", "groups",
+            "--panel", str(tmp_path / "panel.tsv"),
+            "--target", str(tmp_path / "target.csv"),
+            "--k", str(panel.n_features + 1),
+            "--start", str(tmp_path / "start.csv"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "exceeds" in captured.err and "start score" not in captured.out
 
 
 def test_cli_audit_dose_and_confound(tmp_path, capsys):

@@ -12,6 +12,7 @@ from arrayaudit.groupsearch import (
     score_assignment,
     steepest_ascent,
 )
+from arrayaudit.signature import select_top_genes
 
 S = GroupLabel.SENSITIVE
 R = GroupLabel.RESISTANT
@@ -162,6 +163,34 @@ def test_unscorable_start_raises():
     start = {line: U for line in truth}
     with pytest.raises(UnscorableAssignmentError):
         steepest_ascent(Assignment(start), panel, target, 8)
+
+
+def test_start_with_k_beyond_gene_count_raises():
+    panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=8)
+    with pytest.raises(ValueError, match="exceeds"):
+        steepest_ascent(Assignment(truth), panel, target, panel.n_features + 1)
+
+
+def test_failing_generator_raises_at_start_but_scores_neighbors_minus_one():
+    panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=8)
+    start = Assignment(truth)
+    calls = []
+
+    def only_the_start(sub, k):
+        calls.append(sub.sample_ids)
+        if len(calls) > 1:
+            raise ValueError("generator failure")
+        return select_top_genes(sub, k)
+
+    result = steepest_ascent(start, panel, target, 8, only_the_start)
+    assert result.start_score == 8 and result.trajectory == ()
+    assert result.neighbors_per_step == (2 * panel.n_samples,)
+
+    def never(sub, k):
+        raise ValueError("generator failure")
+
+    with pytest.raises(ValueError, match="generator failure"):
+        steepest_ascent(start, panel, target, 8, never)
 
 
 def _long_induced_path(n_lines=6, rng_seed=50):

@@ -7,9 +7,6 @@ import pytest
 from arrayaudit import _kernels
 
 
-requires_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-
-
 def _masked_corr_oracle(values, i, j, min_overlap=3):
     mask = np.isfinite(values[:, i]) & np.isfinite(values[:, j])
     if mask.sum() < min_overlap:
@@ -21,79 +18,132 @@ def _masked_corr_oracle(values, i, j, min_overlap=3):
     return float(np.corrcoef(a, b)[0, 1])
 
 
+def _assert_matches_oracle(values, got, atol=1e-12):
+    n = values.shape[1]
+    for i in range(n):
+        for j in range(i + 1, n):
+            oracle = _masked_corr_oracle(values, i, j)
+            if np.isnan(oracle):
+                assert np.isnan(got[i, j]) and np.isnan(got[j, i]), (i, j)
+            else:
+                assert got[i, j] == pytest.approx(oracle, abs=atol), (i, j)
+                assert got[j, i] == got[i, j]
+
+
 def test_column_correlations_against_corrcoef():
     rng = np.random.default_rng(0)
     values = rng.standard_normal((30, 12))
-    got = _kernels.column_correlations_numpy(values)
+    got = _kernels.column_correlations(values)
     np.testing.assert_allclose(got, np.corrcoef(values.T), atol=1e-12)
 
 
-@requires_numba
-def test_column_correlations_backends_agree():
-    rng = np.random.default_rng(1)
-    values = rng.standard_normal((50, 20))
-    a = _kernels.column_correlations_numpy(values)
-    b = _kernels.column_correlations_numba(values)
-    np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-@requires_numba
-def test_column_correlations_degenerate_column_agrees():
+def test_column_correlations_degenerate_column_is_nan():
     rng = np.random.default_rng(2)
     values = rng.standard_normal((10, 5))
     values[:, 3] = 7.0
-    a = _kernels.column_correlations_numpy(values)
-    b = _kernels.column_correlations_numba(values)
-    assert np.isnan(a[3]).all() and np.isnan(b[3]).all()
-    np.testing.assert_allclose(a[:3, :3], b[:3, :3], atol=1e-12)
+    got = _kernels.column_correlations(values)
+    assert np.isnan(got[3]).all() and np.isnan(got[:, 3]).all()
+    np.testing.assert_allclose(got[:3, :3], np.corrcoef(values[:, :3].T), atol=1e-12)
 
 
-@requires_numba
-def test_cross_row_correlations_backends_agree():
+def test_cross_row_correlations_against_corrcoef():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((40, 15))
     r = rng.standard_normal((60, 15))
-    a = _kernels.cross_row_correlations_numpy(q, r)
-    b = _kernels.cross_row_correlations_numba(q, r)
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    got = _kernels.cross_row_correlations(q, r)
+    np.testing.assert_allclose(got, np.corrcoef(q, r)[:40, 40:], atol=1e-12)
 
 
-@requires_numba
-def test_pairwise_complete_backends_agree_and_match_oracle():
+def test_pairwise_complete_matches_masked_oracle():
     rng = np.random.default_rng(4)
     values = rng.standard_normal((25, 8))
-    miss = rng.random((25, 8)) < 0.15
-    values[miss] = np.nan
-    a = _kernels.pairwise_complete_column_correlations_numpy(values)
-    b = _kernels.pairwise_complete_column_correlations_numba(values)
-    np.testing.assert_allclose(a, b, atol=1e-12, equal_nan=True)
-    for i in range(8):
-        for j in range(i + 1, 8):
-            oracle = _masked_corr_oracle(values, i, j)
-            if np.isnan(oracle):
-                assert np.isnan(a[i, j])
-            else:
-                assert a[i, j] == pytest.approx(oracle, abs=1e-12)
+    values[rng.random((25, 8)) < 0.15] = np.nan
+    got = _kernels.pairwise_complete_column_correlations(values)
+    _assert_matches_oracle(values, got)
+    assert (np.diag(got) == 1.0).all()
 
 
-def test_env_flag_selects_numpy_backend():
+def test_pairwise_complete_raw_scale_matches_oracle():
+    # unlogged intensities: column means from 1e3 to 1e7, 1-5% missing,
+    # some columns near-duplicates of each other
+    rng = np.random.default_rng(5)
+    n_rows, n_cols = 400, 10
+    base = rng.standard_normal(n_rows)
+    values = np.empty((n_rows, n_cols))
+    for j, mean in enumerate(np.logspace(3, 7, n_cols)):
+        rho = 0.99999 if j % 3 == 0 else rng.uniform(-0.9, 0.9)
+        signal = rho * base + np.sqrt(1 - rho * rho) * rng.standard_normal(n_rows)
+        values[:, j] = mean * (1.0 + 0.2 * signal)
+        values[rng.random(n_rows) < rng.uniform(0.01, 0.05), j] = np.nan
+    got = _kernels.pairwise_complete_column_correlations(values)
+    _assert_matches_oracle(values, got)
+    assert np.isnan(got).sum() == 0
+
+
+def test_pairwise_complete_short_overlap_and_all_nan_columns():
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((12, 5))
+    values[:, 1] = np.nan  # all-NaN column
+    values[:10, 2] = np.nan  # observed on rows 10, 11 only
+    values[9:, 3] = np.nan  # overlaps column 2 on nothing, column 0 on 9 rows
+    got = _kernels.pairwise_complete_column_correlations(values)
+    assert np.isnan(got[1]).all() and np.isnan(got[:, 1]).all()
+    assert np.isnan(got[2]).all() and np.isnan(got[:, 2]).all()
+    assert np.isnan(got[2, 3]) and not np.isnan(got[0, 3])
+    _assert_matches_oracle(values, got)
+    assert list(np.diag(got)[[0, 3, 4]]) == [1.0, 1.0, 1.0]
+    strict = _kernels.pairwise_complete_column_correlations(values, min_overlap=10)
+    assert np.isnan(strict[0, 3]) and strict[0, 4] == got[0, 4]
+
+
+@pytest.mark.parametrize("const", [0.1, 7.3, 1e7 + 0.3])
+def test_pairwise_complete_constant_on_overlap_is_nan(const):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((200, 4)) * 50.0 + 1e3
+    values[:100, 0] = np.nan
+    values[100:, 1] = const  # constant exactly where column 0 is observed
+    values[:, 2] = const  # constant everywhere
+    values[3, 3] = np.nan
+    got = _kernels.pairwise_complete_column_correlations(values)
+    assert np.isnan(got[0, 1]) and np.isnan(got[1, 0])
+    assert np.isnan(got[2]).all() and np.isnan(got[:, 2]).all()
+    assert got[1, 1] == 1.0 and not np.isnan(got[1, 3])
+
+
+def test_column_correlations_routes_missing_values_to_pairwise(monkeypatch):
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((30, 6))
+    values[4, 2] = np.nan
+    expected = _kernels.pairwise_complete_column_correlations(values)
+    calls = []
+
+    def spy(x, min_overlap=3):
+        calls.append(x.shape)
+        return expected
+
+    monkeypatch.setattr(_kernels, "pairwise_complete_column_correlations", spy)
+    assert _kernels.column_correlations(values) is expected
+    assert calls == [(30, 6)]
+    _kernels.column_correlations(np.nan_to_num(values))
+    assert calls == [(30, 6)]
+
+
+def test_connected_components_order():
+    adj = np.zeros((7, 7), dtype=bool)
+    for a, b in [(5, 1), (1, 3), (6, 2)]:
+        adj[a, b] = adj[b, a] = True
+    assert _kernels.connected_components(adj) == [[0], [1, 3, 5], [2, 6], [4]]
+
+
+def test_cli_import_loads_only_the_stdlib_numpy_and_scipy_special():
+    # guards start-up time and memory: no optional compiler, no scipy.sparse
     code = (
-        "import os; os.environ['ARRAYAUDIT_KERNELS'] = 'numpy';"
-        "from arrayaudit import _kernels;"
-        "assert _kernels.BACKEND == 'numpy';"
-        "assert _kernels.column_correlations is _kernels.column_correlations_numpy;"
-        "print('ok')"
+        "import sys; import numpy, scipy.special; base = set(sys.modules);"
+        "import arrayaudit.cli, arrayaudit.groupsearch;"
+        "top = lambda m: m.split('.')[0];"
+        "extra = [m for m in set(sys.modules) - base if top(m) not in sys.stdlib_module_names | {'arrayaudit'}];"
+        "print(sorted(extra), 'scipy.sparse' in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
-
-
-def test_env_flag_rejects_unknown_value():
-    code = (
-        "import os; os.environ['ARRAYAUDIT_KERNELS'] = 'cuda';"
-        "import arrayaudit._kernels"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "auto|numba|numpy" in out.stderr
+    assert out.stdout.strip() == "[] False"

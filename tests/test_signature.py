@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -353,3 +355,27 @@ def test_gene_ranking_rejects_missing_values():
     m = _two_group_matrix(values, 4)
     with pytest.raises(ValueError, match="non-missing"):
         select_top_genes(m, 3)
+
+
+def test_auc_rejects_nan_score_without_hanging():
+    # in a child with a timeout: a NaN score once made the tie loop spin
+    code = (
+        "from arrayaudit.signature import auc\n"
+        "try:\n"
+        "    auc([0.9, float('nan'), 0.4, 0.3], [1, 1, 0, 0])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "score at index 1 is not finite (nan)"
+
+
+@pytest.mark.parametrize(
+    "fn, bad",
+    # auc with NaN is covered in a child process above
+    [(auc, math.inf), (auc, -math.inf), (roc_curve, math.inf), (roc_curve, math.nan)],
+)
+def test_roc_curve_and_auc_reject_non_finite_scores(fn, bad):
+    with pytest.raises(ValueError, match="index 2 is not finite"):
+        fn([0.9, 0.8, bad, 0.3], [1, 1, 0, 0])

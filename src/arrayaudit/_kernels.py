@@ -23,11 +23,17 @@ _EPS = np.finfo(np.float64).eps
 
 
 def _standardize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center rows and scale to unit Euclidean norm; flag degenerate rows."""
+    """Center rows and scale to unit Euclidean norm; flag degenerate rows.
+
+    A row is degenerate when its centered norm is within the rounding error
+    of centering it (4 * n * eps of its raw norm, n its length): the
+    computed mean of a constant row that does not round exactly (0.1, 7.3)
+    leaves residuals of a few ulps, not zeros.
+    """
     x = np.asarray(x, dtype=np.float64)
     centered = x - x.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered * centered).sum(axis=1))
-    ok = norms > 0.0
+    ok = norms > 4.0 * x.shape[1] * _EPS * np.sqrt((x * x).sum(axis=1))
     safe = np.where(ok, norms, 1.0)
     return centered / safe[:, None], ok
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -291,6 +292,32 @@ def _strict_roster_labeling(roster) -> dict[str, GroupLabel]:
 # check adapters: manifest check dict -> findings
 # ---------------------------------------------------------------------------
 
+#: The types a manifest may give each numeric check parameter. A bool is
+#: never a number here, though Python counts it as an int.
+_NUMERIC_PARAMS = {
+    "threshold": (int, float),
+    "max_shift": (int,),
+    "gap_days": (int, float),
+    "margin": (int, float),
+    "epsilon": (int, float),
+    "high_v": (int, float),
+    "min_blocks": (int,),
+    "digits": (int,),
+}
+
+
+def _numeric_param(chk: dict, name: str, default):
+    """``chk[name]``, or ``default`` when absent, checked against
+    ``_NUMERIC_PARAMS``. A wrong type raises ValueError, which ``run_audit``
+    reports as a DEGENERATE_DATA finding for the check."""
+    value = chk.get(name, default)
+    kinds = _NUMERIC_PARAMS[name]
+    if isinstance(value, bool) or not isinstance(value, kinds) or not math.isfinite(value):
+        want = "an integer" if kinds == (int,) else "a finite number"
+        raise ValueError(f"parameter {name!r} must be {want}, got {value!r}")
+    return value
+
+
 def _check_validate(loader: _InputLoader, chk: dict) -> list[Finding]:
     m: LabeledMatrix = loader.load(chk["matrix"])
     out = []
@@ -310,7 +337,7 @@ def _check_validate(loader: _InputLoader, chk: dict) -> list[Finding]:
 def _check_dup(loader: _InputLoader, chk: dict) -> list[Finding]:
     m: LabeledMatrix = loader.load(chk["matrix"])
     cfg = _dup.DupScanConfig(
-        corr_threshold=chk.get("threshold", 0.9999),
+        corr_threshold=_numeric_param(chk, "threshold", 0.9999),
         compare_on=chk.get("compare_on", "raw"),
         missing_policy=chk.get("missing_policy", "pairwise_complete"),
     )
@@ -390,7 +417,7 @@ def _check_offset(loader: _InputLoader, chk: dict) -> list[Finding]:
     reported = loader.load(chk["reported"])
     generated = loader.load(chk["generated"])
     ann = loader.load(chk["annotation"])
-    res = _match.detect_offset(reported, ann, generated, max_shift=chk.get("max_shift", 3))
+    res = _match.detect_offset(reported, ann, generated, max_shift=_numeric_param(chk, "max_shift", 3))
     findings = []
     if res.best_shift != 0:
         findings.append(
@@ -457,7 +484,7 @@ def _check_dose(loader: _InputLoader, chk: dict) -> list[Finding]:
     findings: list[Finding] = []
     subject = drug or "all-drugs"
     if "reversal" in tests:
-        rev = _integ.check_reversal(recs, labels, margin=chk.get("margin", 0.2))
+        rev = _integ.check_reversal(recs, labels, margin=_numeric_param(chk, "margin", 0.2))
         if rev.reversed:
             findings.append(
                 Finding(
@@ -483,7 +510,7 @@ def _check_dose(loader: _InputLoader, chk: dict) -> list[Finding]:
                 )
             )
     if "flat" in tests:
-        flat = _integ.check_flat_response(recs, epsilon=chk.get("epsilon", 0.2))
+        flat = _integ.check_flat_response(recs, epsilon=_numeric_param(chk, "epsilon", 0.2))
         if flat.flat:
             findings.append(
                 Finding(
@@ -506,12 +533,12 @@ def _check_confound(loader: _InputLoader, chk: dict) -> list[Finding]:
         grouping = {m.sample_id: m.scanner_id for m in included}
         label = "scanner"
     else:
-        grouping = _integ.infer_batches(included, gap=timedelta(days=chk.get("gap_days", 7)))
+        grouping = _integ.infer_batches(included, gap=timedelta(days=_numeric_param(chk, "gap_days", 7)))
         label = "run batch"
     if len(set(grouping.values())) < 2 or len(set(treatments.values())) < 2:
         return []
     result = _integ.test_confounding(grouping, treatments)
-    findings = _integ.confounding_findings(result, high_v=chk.get("high_v", 0.8))
+    findings = _integ.confounding_findings(result, high_v=_numeric_param(chk, "high_v", 0.8))
     out = []
     for f in findings:
         out.append(
@@ -528,8 +555,9 @@ def _check_confound(loader: _InputLoader, chk: dict) -> list[Finding]:
 
 def _check_blocks(loader: _InputLoader, chk: dict) -> list[Finding]:
     m = loader.load(chk["matrix"])
-    report = _integ.detect_blocks(m, corr_threshold=chk.get("threshold", 0.8))
-    if len(report.components) < chk.get("min_blocks", 2):
+    threshold = _numeric_param(chk, "threshold", 0.8)
+    report = _integ.detect_blocks(m, corr_threshold=threshold)
+    if len(report.components) < _numeric_param(chk, "min_blocks", 2):
         return []
     return [
         Finding(
@@ -538,7 +566,7 @@ def _check_blocks(loader: _InputLoader, chk: dict) -> list[Finding]:
             tuple(sid for c in report.components for sid in c),
             {"n_blocks": len(report.components), "largest_block": max(report.sizes)},
             f"{chk['matrix']}: {len(report.components)} high-correlation blocks of sizes "
-            f"{list(report.sizes)} at threshold {chk.get('threshold', 0.8)}",
+            f"{list(report.sizes)} at threshold {threshold}",
         )
     ]
 
@@ -546,7 +574,7 @@ def _check_blocks(loader: _InputLoader, chk: dict) -> list[Finding]:
 def _check_reuse(loader: _InputLoader, chk: dict) -> list[Finding]:
     a = loader.load(chk["a"])
     b = loader.load(chk["b"])
-    digits = chk.get("digits", 2)
+    digits = _numeric_param(chk, "digits", 2)
     if not _dup.matrices_identical(a, b, digits):
         return []
     return [

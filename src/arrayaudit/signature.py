@@ -91,8 +91,7 @@ def select_top_genes(m: LabeledMatrix, k: int) -> SignatureList:
         raise ValueError(f"k={k} exceeds the {m.n_features} available features")
     g1, idx1, g2, idx2 = _two_groups(m)
     t = pooled_t_statistics(m)
-    order = sorted(range(m.n_features), key=lambda i: (-abs(t[i]), i))
-    chosen = order[:k]
+    chosen = np.lexsort((np.arange(m.n_features), -np.abs(t)))[:k].tolist()
     ids = tuple(m.feature_ids[i] for i in chosen)
     dirs: tuple[tuple[str, Direction], ...] = ()
     if {g1, g2} == {GroupLabel.SENSITIVE, GroupLabel.RESISTANT}:

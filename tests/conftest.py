@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from arrayaudit.core import GroupLabel, LabeledMatrix
+
+# child interpreters that tests start import the package from this checkout
+# too (pytest's ``pythonpath`` setting reaches only this process)
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

@@ -115,6 +115,33 @@ def test_manifest_validation_errors(tmp_path):
         load_manifest(p)
 
 
+@pytest.mark.parametrize(
+    "check,param,value",
+    [
+        ("dup", "threshold", "high"),
+        ("dup", "threshold", None),
+        ("offset", "max_shift", "3"),
+        ("offset", "max_shift", 3.0),
+        ("blocks", "threshold", True),
+        ("blocks", "min_blocks", "2"),
+        ("reuse", "digits", 2.5),
+        ("confound", "high_v", "0.8"),
+    ],
+)
+def test_wrongly_typed_parameter_is_a_finding_and_exit_1(tmp_path, capsys, check, param, value):
+    manifest_path = corpus.write_clean_corpus(tmp_path / "good")
+    doc = json.loads(manifest_path.read_text())
+    next(c for c in doc["checks"] if c["check"] == check)[param] = value
+    manifest_path.write_text(json.dumps(doc))
+    report, code = run_audit(manifest_path)
+    assert code == 1
+    bad = [f for f in report.findings if f.code == "DEGENERATE_DATA" and f.subjects == (check,)]
+    assert len(bad) == 1
+    assert f"check {check!r} could not run: parameter {param!r}" in bad[0].message
+    assert main(["report", "run", "--manifest", str(manifest_path)]) == 1
+    assert bad[0].message in capsys.readouterr().out
+
+
 def test_explain_covers_all_codes():
     assert len(FINDING_CODES) == 17
     for code in FINDING_CODES:

@@ -115,6 +115,17 @@ def test_zero_variance_column_excluded_and_reported():
     assert comps.n_distinct == 4
 
 
+def test_constant_columns_that_do_not_round_are_degenerate_not_duplicates():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((10, 4))
+    values[:, 1] = 0.1  # the computed mean is an ulp off: residuals are not zero
+    values[:, 2] = 7.3
+    comps = find_duplicate_columns(_matrix(values))
+    assert comps.degenerate_columns == ("c1", "c2")
+    assert comps.components == ()
+    assert comps.n_distinct == 4
+
+
 def test_bitwise_duplicates_detected_at_threshold_one():
     rng = np.random.default_rng(8)
     a = rng.standard_normal(9)

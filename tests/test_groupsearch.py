@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import fixtures_lib as fx
-from arrayaudit.core import GroupLabel, SignatureList
+from arrayaudit import groupsearch
+from arrayaudit.core import GroupLabel, LabeledMatrix, SignatureList
 from arrayaudit.groupsearch import (
     SEARCH_STATES,
     Assignment,
@@ -12,7 +13,7 @@ from arrayaudit.groupsearch import (
     score_assignment,
     steepest_ascent,
 )
-from arrayaudit.signature import select_top_genes
+from arrayaudit.signature import pooled_t, select_top_genes
 
 S = GroupLabel.SENSITIVE
 R = GroupLabel.RESISTANT
@@ -96,19 +97,57 @@ def test_single_error_start_recovers_in_one_move():
         assert result.trajectory[0].line == line
 
 
-def test_moves_match_exhaustive_neighbor_oracle():
+def _panel(kind):
+    """The planted 24-line panel ``fx.planted_panel(2041, 8, 8, 8)`` in one
+    of the forms the batched neighbor scorer must match the reference on:
+    (panel, truth, target, k)."""
     panel, truth, target = fx.planted_panel(2041, 8, 8, 8, k=20)
+    x, fids, k = panel.values, panel.feature_ids, 20
+    copies = tuple(f"copy{i}" for i in range(k))
+    if kind == "raw":  # unlogged intensities around 2**12
+        x = 2.0 ** (12.0 + x)
+    elif kind == "ties":  # with k odd the k-th gene ties with its copy
+        x, fids, k = np.round(np.vstack([x, x[:k]]), 1), fids + copies, 21
+    elif kind == "near-ties":  # shifted copies: equal t, computed a few ulps apart
+        x, fids, k = np.vstack([x, x[:k] + 1000.0]), fids + copies, 21
+    elif kind == "constant":
+        flat = np.full((2, x.shape[1]), 0.1)
+        flat[1] = 7.3
+        x, fids = np.round(np.vstack([x, x[:k], flat]), 1), fids + copies + ("flat0.1", "flat7.3")
+    elif kind == "nan":  # column 0 is Sensitive, column 20 Unused
+        x = x.copy()
+        x[3, 0] = x[5, 20] = np.nan
+    elif kind == "duplicate-ids":
+        fids = ("g1",) + fids[1:]
+    elif kind == "k-all":
+        k = len(fids)
+    elif kind == "four-lines":  # every neighbor of the truth is unscorable
+        keep = [0, 1, 8, 9]
+        x = x[:, keep]
+        truth = {panel.sample_ids[j]: truth[panel.sample_ids[j]] for j in keep}
+    else:
+        assert kind == "planted"
+    return LabeledMatrix(fids, tuple(truth), x), truth, target, k
+
+
+def _oracle_score(a, panel, target, k):
+    try:
+        return score_assignment(a, panel, target, k)
+    except (UnscorableAssignmentError, ValueError):
+        return -1
+
+
+@pytest.mark.parametrize("kind", ["planted", "raw", "ties"])
+def test_moves_match_exhaustive_neighbor_oracle(kind):
+    panel, truth, target, k = _panel(kind)
     lines = list(panel.sample_ids)
     start = dict(truth)
     start[lines[0]] = U
     start[lines[8]] = U
-    result = steepest_ascent(Assignment(start), panel, target, 20)
+    result = steepest_ascent(Assignment(start), panel, target, k)
 
     def oracle_score(a):
-        try:
-            return score_assignment(a, panel, target, 20)
-        except (UnscorableAssignmentError, ValueError):
-            return -1
+        return _oracle_score(a, panel, target, k)
 
     # replay: at every step the chosen move must be the tie-rule argmax
     current = Assignment({l: start[l] for l in lines})
@@ -130,6 +169,113 @@ def test_moves_match_exhaustive_neighbor_oracle():
         for state in SEARCH_STATES:
             if state != result.final.state[line]:
                 assert oracle_score(result.final.replace(line, state)) <= final_score
+
+
+def _count_reference_calls(monkeypatch):
+    calls = []
+    reference = groupsearch.score_assignment
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(groupsearch, "score_assignment", counting)
+    return calls
+
+
+def _states(truth):
+    """The truth, a start two lines away from it, and a state with only
+    two Sensitive and two Resistant lines (most neighbors unscorable)."""
+    lines = list(truth)
+    start = dict(truth)
+    start[lines[0]] = start[lines[8 % len(lines)]] = U
+    sens = [l for l in lines if truth[l] == S][:2]
+    res = [l for l in lines if truth[l] == R][:2]
+    minimal = {l: S if l in sens else R if l in res else U for l in lines}
+    return [Assignment(truth), Assignment(start), Assignment(minimal)]
+
+
+@pytest.mark.parametrize(
+    "kind,fallback",
+    [
+        ("verified-2025", "none"),
+        ("verified-2041", "none"),
+        ("verified-2026", "none"),
+        ("raw", "none"),
+        ("ties", "some"),
+        ("near-ties", "some"),
+        ("constant", "scorable"),
+        ("nan", "every"),
+        ("duplicate-ids", "every"),
+        ("k-all", "none"),
+        ("four-lines", "none"),
+    ],
+)
+def test_batched_neighbor_scores_match_reference(kind, fallback, monkeypatch):
+    if kind.startswith("verified-"):
+        seed, n_sens, n_res, n_unused = next(p for p in VERIFIED_PANELS if p[0] == int(kind[9:]))
+        panel, truth, target = fx.planted_panel(seed, n_sens, n_res, n_unused, k=20)
+        k = 20
+    else:
+        panel, truth, target, k = _panel(kind)
+    score_moves = groupsearch._neighbor_scorer(panel, target, k, select_top_genes)
+    for current in _states(truth):
+        moves = [(l, st) for l in panel.sample_ids for st in SEARCH_STATES if st != current.state[l]]
+        want = [_oracle_score(current.replace(l, st), panel, target, k) for l, st in moves]
+        calls = _count_reference_calls(monkeypatch)
+        assert score_moves(current, moves) == want
+        monkeypatch.undo()
+        # neighbors the reference scored: none, some, every scorable one, or all
+        n_scorable = sum(1 for l, st in moves if current.replace(l, st).scorable())
+        if fallback == "none":
+            assert calls == []
+        elif fallback == "scorable":
+            assert len(calls) == n_scorable
+        elif fallback == "every":
+            assert len(calls) == len(moves)
+        elif current.state == truth:
+            assert 0 < len(calls) <= n_scorable
+
+
+@pytest.mark.parametrize(
+    "kind,tolerance",
+    [("planted", 1e-10), ("raw", 1e-10), ("near-ties", 1e-10), ("offset", 1e-3)],
+)
+def test_batched_t_is_within_its_error_bound_of_pooled_t(kind, tolerance):
+    panel, truth, _, _ = _panel("planted" if kind == "offset" else kind)
+    x = panel.values
+    if kind == "offset":  # means of 1e7, spread 0.01: both paths lose 6 digits
+        x = 1e7 + 0.01 * x
+    mu = x.mean(axis=1, keepdims=True)
+    centered = np.ascontiguousarray((x - mu).T)
+    scale = np.abs(x).max(axis=1) + np.abs(mu[:, 0])
+    lines = list(truth)
+    for current in _states(truth)[:2]:
+        states = [
+            current.replace(l, st).state
+            for l in lines
+            for st in SEARCH_STATES
+            if st != current.state[l] and current.replace(l, st).scorable()
+        ]
+        in_s = np.array([[a[l] == S for l in lines] for a in states]).T
+        in_r = np.array([[a[l] == R for l in lines] for a in states]).T
+        t, err, holds = groupsearch._batched_abs_t(centered, centered * centered, scale, in_s, in_r)
+        assert holds.all()
+        for i in range(len(states)):
+            ref = np.abs(pooled_t(x[:, in_s[:, i]], x[:, in_r[:, i]]))
+            assert (np.abs(t[i] - ref) <= err[i]).all()
+            assert (err[i] <= tolerance * np.maximum(t[i], 1.0)).all()
+
+
+def test_custom_generator_gives_the_default_result():
+    def wrapped(sub, k):
+        return select_top_genes(sub, k)
+
+    for kind in ("planted", "raw", "ties"):
+        panel, truth, target, k = _panel(kind)
+        for start in _states(truth)[1:]:
+            default = steepest_ascent(start, panel, target, k)
+            assert steepest_ascent(start, panel, target, k, wrapped) == default
 
 
 def test_search_is_deterministic():

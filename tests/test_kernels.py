@@ -46,6 +46,19 @@ def test_column_correlations_degenerate_column_is_nan():
     np.testing.assert_allclose(got[:3, :3], np.corrcoef(values[:, :3].T), atol=1e-12)
 
 
+def test_column_correlations_constant_columns_that_do_not_round_are_nan():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((10, 6))
+    constants = {1: 0.1, 3: 7.3, 4: 1e7 + 0.3}  # means off by an ulp or more
+    for j, c in constants.items():
+        values[:, j] = c
+    got = _kernels.column_correlations(values)
+    for j in constants:
+        assert np.isnan(got[j]).all() and np.isnan(got[:, j]).all(), j
+    live = [0, 2, 5]
+    np.testing.assert_allclose(got[np.ix_(live, live)], np.corrcoef(values[:, live].T), atol=1e-12)
+
+
 def test_cross_row_correlations_against_corrcoef():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((40, 15))

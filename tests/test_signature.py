@@ -80,6 +80,23 @@ def test_select_top_genes_tie_breaks_by_row_index():
     assert sig.feature_ids == ("g0", "g1")
 
 
+def test_select_top_genes_ranks_like_the_sorted_key_with_ties_and_infinities():
+    from arrayaudit.signature import pooled_t_statistics
+
+    rng = np.random.default_rng(503)
+    base = np.round(rng.standard_normal((12, 8)), 1)
+    base[0] = [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]  # constant per group: t = -inf
+    base[1] = [3.0, 3.0, 3.0, 3.0, 0.5, 0.5, 0.5, 0.5]  # t = +inf
+    base[2] = 0.5  # constant: t = 0
+    values = np.vstack([base, base[::-1], base])  # every |t| appears at least twice
+    m = _two_group_matrix(values, 4)
+    t = pooled_t_statistics(m)
+    assert np.isposinf(t).sum() == 3 and np.isneginf(t).sum() == 3
+    order = sorted(range(len(t)), key=lambda i: (-abs(t[i]), i))
+    for k in range(1, len(t) + 1):
+        assert select_top_genes(m, k).feature_ids == tuple(f"g{i}" for i in order[:k])
+
+
 def test_select_top_genes_directions_flip_with_labels():
     rng = np.random.default_rng(502)
     values = rng.standard_normal((6, 12))

@@ -17,10 +17,10 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import timedelta
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .core import (
     FindingsReport,
     GroupLabel,
     LabeledMatrix,
+    Measure,
     PlatformMismatchError,
     Severity,
     extract_submatrix,
@@ -140,36 +141,14 @@ class ManifestError(ValueError):
     pass
 
 
-_INPUT_KINDS = ("matrix", "roster", "signature", "annotation", "sensitivity", "meta")
-_CHECK_NAMES = (
-    "validate",
-    "dup",
-    "roster",
-    "offset",
-    "platform",
-    "dose",
-    "confound",
-    "blocks",
-    "reuse",
-    "directions",
-    "flips",
-    "sentinels",
-)
-
-#: check name -> {param: required input kind}
-_CHECK_INPUTS: dict[str, dict[str, str]] = {
-    "validate": {"matrix": "matrix"},
-    "dup": {"matrix": "matrix"},
-    "roster": {"roster": "roster"},
-    "offset": {"reported": "signature", "generated": "signature", "annotation": "annotation"},
-    "platform": {"signature": "signature", "annotation": "annotation"},
-    "dose": {"sensitivity": "sensitivity", "labels": "roster"},
-    "confound": {"meta": "meta"},
-    "blocks": {"matrix": "matrix"},
-    "reuse": {"a": "matrix", "b": "matrix"},
-    "directions": {"signature": "signature"},
-    "flips": {},
-    "sentinels": {"matrix": "matrix"},
+#: input kind -> its parser (looked up in ``ingest`` at call time)
+_INPUT_KINDS = {
+    "matrix": lambda text, fmt: ingest.parse_matrix(text, fmt),
+    "roster": lambda text, fmt: ingest.parse_roster(text),
+    "signature": lambda text, fmt: ingest.parse_signature(text),
+    "annotation": lambda text, fmt: ingest.parse_annotation(text),
+    "sensitivity": lambda text, fmt: ingest.parse_sensitivity(text),
+    "meta": lambda text, fmt: ingest.parse_sample_meta(text),
 }
 
 
@@ -178,7 +157,7 @@ class InputDecl:
     name: str
     path: str
     kind: str
-    format: Optional[dict] = None
+    format: ingest.MatrixFormat = ingest.MatrixFormat()
 
 
 @dataclass(frozen=True)
@@ -192,6 +171,22 @@ class AuditManifest:
         return self.base_dir / decl.path
 
 
+def _input_decl(name: str, spec) -> InputDecl:
+    if not isinstance(spec, dict) or "path" not in spec or "kind" not in spec:
+        raise ManifestError(f"input {name!r} needs 'path' and 'kind'")
+    if not isinstance(spec["kind"], str) or spec["kind"] not in _INPUT_KINDS:
+        raise ManifestError(f"input {name!r} has unknown kind {spec['kind']!r}")
+    if not isinstance(spec["path"], str):
+        raise ManifestError(f"input {name!r}: path must be a string, got {spec['path']!r}")
+    fmt = spec.get("format", {})
+    if not isinstance(fmt, dict):
+        raise ManifestError(f"input {name!r}: format must be an object, got {fmt!r}")
+    try:
+        return InputDecl(name, spec["path"], spec["kind"], ingest.MatrixFormat(**fmt))
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"input {name!r}: bad format: {exc}") from None
+
+
 def _validate_manifest(doc: dict, base_dir: Path) -> AuditManifest:
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -199,40 +194,36 @@ def _validate_manifest(doc: dict, base_dir: Path) -> AuditManifest:
     checks_doc = doc.get("checks")
     if not isinstance(inputs_doc, dict) or not isinstance(checks_doc, list):
         raise ManifestError("manifest needs an 'inputs' object and a 'checks' array")
-    inputs: dict[str, InputDecl] = {}
-    for name, spec in inputs_doc.items():
-        if not isinstance(spec, dict) or "path" not in spec or "kind" not in spec:
-            raise ManifestError(f"input {name!r} needs 'path' and 'kind'")
-        if spec["kind"] not in _INPUT_KINDS:
-            raise ManifestError(f"input {name!r} has unknown kind {spec['kind']!r}")
-        inputs[name] = InputDecl(name, spec["path"], spec["kind"], spec.get("format"))
+    inputs = {name: _input_decl(name, spec) for name, spec in inputs_doc.items()}
     checks = []
     for i, chk in enumerate(checks_doc):
         if not isinstance(chk, dict) or "check" not in chk:
             raise ManifestError(f"check #{i + 1} is missing its 'check' name")
         name = chk["check"]
-        if name not in _CHECK_NAMES:
+        if not isinstance(name, str) or name not in CHECKS:
             raise ManifestError(f"check #{i + 1}: unknown check {name!r}")
-        for param, kind in _CHECK_INPUTS[name].items():
-            ref = chk.get(param)
-            if ref is None:
-                raise ManifestError(f"check #{i + 1} ({name}): missing input reference {param!r}")
-            if ref not in inputs:
-                raise ManifestError(f"check #{i + 1} ({name}): undeclared input {ref!r}")
-            if inputs[ref].kind != kind:
-                raise ManifestError(
-                    f"check #{i + 1} ({name}): input {ref!r} has kind "
-                    f"{inputs[ref].kind!r}, needs {kind!r}"
-                )
-        if name == "flips":
-            for src in chk.get("sources", []):
-                ref = src.get("roster")
-                if ref not in inputs or inputs[ref].kind != "roster":
+        for param, kind in CHECKS[name].inputs.items():
+            lst, _, fld = param.rpartition(".")
+            if lst:  # a field of each object in a list; malformed lists are the parameter check's
+                items = chk[lst] if isinstance(chk.get(lst), list) else []
+                refs = [(f"{lst}[{j}].{fld}", it.get(fld)) for j, it in enumerate(items) if isinstance(it, dict)]
+            else:
+                refs = [(param, chk.get(param))]
+            for where, ref in refs:
+                if ref is None:
+                    raise ManifestError(f"check #{i + 1} ({name}): missing input reference {where!r}")
+                if not isinstance(ref, str) or ref not in inputs:
+                    raise ManifestError(f"check #{i + 1} ({name}): undeclared input {ref!r}")
+                if inputs[ref].kind != kind:
                     raise ManifestError(
-                        f"check #{i + 1} (flips): source roster {ref!r} is not a declared roster input"
+                        f"check #{i + 1} ({name}): input {ref!r} has kind "
+                        f"{inputs[ref].kind!r}, needs {kind!r}"
                     )
         checks.append(dict(chk))
-    return AuditManifest(inputs, tuple(checks), doc.get("output"), base_dir)
+    output = doc.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ManifestError(f"output must be a string, got {output!r}")
+    return AuditManifest(inputs, tuple(checks), output, base_dir)
 
 
 def load_manifest(path: str | Path) -> AuditManifest:
@@ -256,25 +247,7 @@ class _InputLoader:
             return self._cache[name]
         decl = self.manifest.inputs[name]
         text = self.manifest.resolve(decl).read_text(encoding="utf-8")
-        if decl.kind == "matrix":
-            fmt_doc = decl.format or {}
-            fmt = ingest.MatrixFormat(
-                delimiter=fmt_doc.get("delimiter", "tab"),
-                has_label_row=fmt_doc.get("has_label_row", True),
-                label_row_key=fmt_doc.get("label_row_key", "label"),
-                missing_token=fmt_doc.get("missing_token", "NA"),
-            )
-            value = ingest.parse_matrix(text, fmt)
-        elif decl.kind == "roster":
-            value = ingest.parse_roster(text)
-        elif decl.kind == "signature":
-            value = ingest.parse_signature(text)
-        elif decl.kind == "annotation":
-            value = ingest.parse_annotation(text)
-        elif decl.kind == "sensitivity":
-            value = ingest.parse_sensitivity(text)
-        else:
-            value = ingest.parse_sample_meta(text)
+        value = _INPUT_KINDS[decl.kind](text, decl.format)
         self._cache[name] = value
         return value
 
@@ -289,70 +262,94 @@ def _strict_roster_labeling(roster) -> dict[str, GroupLabel]:
 
 
 # ---------------------------------------------------------------------------
-# check adapters: manifest check dict -> findings
+# check parameters
 # ---------------------------------------------------------------------------
 
-#: The types a manifest may give each numeric check parameter. A bool is
-#: never a number here, though Python counts it as an int.
-_NUMERIC_PARAMS = {
-    "threshold": (int, float),
-    "max_shift": (int,),
-    "gap_days": (int, float),
-    "margin": (int, float),
-    "epsilon": (int, float),
-    "high_v": (int, float),
-    "min_blocks": (int,),
-    "digits": (int,),
-}
+def _in_interval(value, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like ``(0, 1]``."""
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
 
 
-def _numeric_param(chk: dict, name: str, default):
-    """``chk[name]``, or ``default`` when absent, checked against
-    ``_NUMERIC_PARAMS``. A wrong type raises ValueError, which ``run_audit``
-    reports as a DEGENERATE_DATA finding for the check."""
-    value = chk.get(name, default)
-    kinds = _NUMERIC_PARAMS[name]
-    if isinstance(value, bool) or not isinstance(value, kinds) or not math.isfinite(value):
-        want = "an integer" if kinds == (int,) else "a finite number"
+def _param(name: str, value, kind: type, allowed) -> None:
+    """Raise ValueError unless ``value`` has the declared kind and lies in
+    ``allowed`` (None admits any value of the kind). ``float`` is a finite
+    number and ``int`` an integer, never a bool, in an interval such as
+    ``(0, 1]``; ``str`` is one of a tuple; ``list`` is a non-empty list
+    drawn from a tuple or, when ``allowed`` maps fields to
+    ``"required"``/``"optional"``, a list of objects with string fields."""
+    if kind is list and isinstance(allowed, dict):
+        want = "a list of objects with string fields " + ", ".join(f"{f} ({need})" for f, need in allowed.items())
+        required = {f for f, need in allowed.items() if need == "required"}
+        ok = isinstance(value, list) and all(
+            isinstance(it, dict)
+            and required <= set(it) <= set(allowed)
+            and all(isinstance(v, str) for v in it.values())
+            for it in value
+        )
+    elif kind is list:
+        want = f"a non-empty list drawn from {'|'.join(allowed)}"
+        ok = isinstance(value, list) and bool(value) and all(isinstance(v, str) and v in allowed for v in value)
+    elif kind is str:
+        want = "a string" if allowed is None else f"one of {'|'.join(allowed)}"
+        ok = isinstance(value, str) and (allowed is None or value in allowed)
+    else:
+        want = ("an integer" if kind is int else "a finite number") + ("" if allowed is None else f" in {allowed}")
+        ok = (
+            isinstance(value, int if kind is int else (int, float))
+            and not isinstance(value, bool)
+            and not (isinstance(value, float) and not math.isfinite(value))
+            and (allowed is None or _in_interval(value, allowed))
+        )
+    if not ok:
         raise ValueError(f"parameter {name!r} must be {want}, got {value!r}")
-    return value
+
+
+def _resolve(chk: dict) -> dict:
+    """``chk`` with every parameter checked against its ``CHECKS`` entry
+    and each absent one set to its default."""
+    spec = CHECKS[chk["check"]]
+    for key, value in chk.items():
+        if key in spec.params:
+            kind, _, allowed = spec.params[key]
+            _param(key, value, kind, allowed)
+        elif key != "check" and key not in spec.inputs:
+            raise ValueError(f"parameter {key!r} is unknown; {chk['check']} takes {sorted(spec.params)}")
+    return {**{name: default for name, (_, default, _) in spec.params.items()}, **chk}
+
+
+# ---------------------------------------------------------------------------
+# check adapters: resolved manifest check dict -> findings
+# ---------------------------------------------------------------------------
+
+def _degenerate(severity: Severity, subject: str, message: str) -> Finding:
+    return Finding("DEGENERATE_DATA", severity, (subject,), {}, message)
 
 
 def _check_validate(loader: _InputLoader, chk: dict) -> list[Finding]:
     m: LabeledMatrix = loader.load(chk["matrix"])
-    out = []
-    for v in validate(m):
-        out.append(
-            Finding(
-                "DEGENERATE_DATA",
-                Severity.WARNING,
-                (v.subject,),
-                {},
-                f"{chk['matrix']}: invalid {v.field}: {v.message}",
-            )
-        )
-    return out
+    return [
+        _degenerate(Severity.WARNING, v.subject, f"{chk['matrix']}: invalid {v.field}: {v.message}")
+        for v in validate(m)
+    ]
 
 
 def _check_dup(loader: _InputLoader, chk: dict) -> list[Finding]:
     m: LabeledMatrix = loader.load(chk["matrix"])
     cfg = _dup.DupScanConfig(
-        corr_threshold=_numeric_param(chk, "threshold", 0.9999),
-        compare_on=chk.get("compare_on", "raw"),
-        missing_policy=chk.get("missing_policy", "pairwise_complete"),
+        corr_threshold=chk["threshold"],
+        compare_on=chk["compare_on"],
+        missing_policy=chk["missing_policy"],
     )
     comps = _dup.find_duplicate_columns(m, cfg)
-    findings: list[Finding] = []
-    for sid in comps.degenerate_columns:
-        findings.append(
-            Finding(
-                "DEGENERATE_DATA",
-                Severity.INFO,
-                (sid,),
-                {},
-                f"{chk['matrix']}: column {sid!r} is degenerate (zero variance or too much missing data)",
-            )
+    findings = [
+        _degenerate(
+            Severity.INFO, sid, f"{chk['matrix']}: column {sid!r} is degenerate (zero variance or too much missing data)"
         )
+        for sid in comps.degenerate_columns
+    ]
     if comps.components:
         subjects = tuple(sid for c in comps.components for sid in c)
         findings.append(
@@ -417,7 +414,7 @@ def _check_offset(loader: _InputLoader, chk: dict) -> list[Finding]:
     reported = loader.load(chk["reported"])
     generated = loader.load(chk["generated"])
     ann = loader.load(chk["annotation"])
-    res = _match.detect_offset(reported, ann, generated, max_shift=_numeric_param(chk, "max_shift", 3))
+    res = _match.detect_offset(reported, ann, generated, max_shift=chk["max_shift"])
     findings = []
     if res.best_shift != 0:
         findings.append(
@@ -471,8 +468,8 @@ def _check_dose(loader: _InputLoader, chk: dict) -> list[Finding]:
     records = loader.load(chk["sensitivity"])
     roster = loader.load(chk["labels"])
     labels = _strict_roster_labeling(roster)
-    drug = chk.get("drug")
-    measure = chk.get("measure")
+    drug = chk["drug"]
+    measure = chk["measure"]
     recs = [
         r
         for r in records
@@ -480,11 +477,11 @@ def _check_dose(loader: _InputLoader, chk: dict) -> list[Finding]:
     ]
     if not recs:
         raise ValueError(f"no sensitivity records for drug={drug!r} measure={measure!r}")
-    tests = chk.get("tests", ["separation", "reversal", "flat"])
+    tests = chk["tests"]
     findings: list[Finding] = []
     subject = drug or "all-drugs"
     if "reversal" in tests:
-        rev = _integ.check_reversal(recs, labels, margin=_numeric_param(chk, "margin", 0.2))
+        rev = _integ.check_reversal(recs, labels, margin=chk["margin"])
         if rev.reversed:
             findings.append(
                 Finding(
@@ -497,7 +494,7 @@ def _check_dose(loader: _InputLoader, chk: dict) -> list[Finding]:
                 )
             )
     if "separation" in tests:
-        sep = _integ.check_separation(recs, labels, orientation=chk.get("orientation", "sensitive_high"))
+        sep = _integ.check_separation(recs, labels, orientation=chk["orientation"])
         if sep.overlap:
             findings.append(
                 Finding(
@@ -510,7 +507,7 @@ def _check_dose(loader: _InputLoader, chk: dict) -> list[Finding]:
                 )
             )
     if "flat" in tests:
-        flat = _integ.check_flat_response(recs, epsilon=_numeric_param(chk, "epsilon", 0.2))
+        flat = _integ.check_flat_response(recs, epsilon=chk["epsilon"])
         if flat.flat:
             findings.append(
                 Finding(
@@ -529,35 +526,24 @@ def _check_confound(loader: _InputLoader, chk: dict) -> list[Finding]:
     metas = loader.load(chk["meta"])
     included = [m for m in metas if m.included] or list(metas)
     treatments = {m.sample_id: m.treatment_arm for m in included}
-    if chk.get("by", "batch") == "scanner":
+    if chk["by"] == "scanner":
         grouping = {m.sample_id: m.scanner_id for m in included}
         label = "scanner"
     else:
-        grouping = _integ.infer_batches(included, gap=timedelta(days=_numeric_param(chk, "gap_days", 7)))
+        grouping = _integ.infer_batches(included, gap=timedelta(days=chk["gap_days"]))
         label = "run batch"
     if len(set(grouping.values())) < 2 or len(set(treatments.values())) < 2:
         return []
     result = _integ.test_confounding(grouping, treatments)
-    findings = _integ.confounding_findings(result, high_v=_numeric_param(chk, "high_v", 0.8))
-    out = []
-    for f in findings:
-        out.append(
-            Finding(
-                f.code,
-                f.severity,
-                f.subjects,
-                f.metrics,
-                f"{chk['meta']} ({label}): {f.message}",
-            )
-        )
-    return out
+    findings = _integ.confounding_findings(result, high_v=chk["high_v"])
+    return [replace(f, message=f"{chk['meta']} ({label}): {f.message}") for f in findings]
 
 
 def _check_blocks(loader: _InputLoader, chk: dict) -> list[Finding]:
     m = loader.load(chk["matrix"])
-    threshold = _numeric_param(chk, "threshold", 0.8)
+    threshold = chk["threshold"]
     report = _integ.detect_blocks(m, corr_threshold=threshold)
-    if len(report.components) < _numeric_param(chk, "min_blocks", 2):
+    if len(report.components) < chk["min_blocks"]:
         return []
     return [
         Finding(
@@ -574,7 +560,7 @@ def _check_blocks(loader: _InputLoader, chk: dict) -> list[Finding]:
 def _check_reuse(loader: _InputLoader, chk: dict) -> list[Finding]:
     a = loader.load(chk["a"])
     b = loader.load(chk["b"])
-    digits = _numeric_param(chk, "digits", 2)
+    digits = chk["digits"]
     if not _dup.matrices_identical(a, b, digits):
         return []
     return [
@@ -607,7 +593,7 @@ def _check_directions(loader: _InputLoader, chk: dict) -> list[Finding]:
 
 def _check_flips(loader: _InputLoader, chk: dict) -> list[Finding]:
     sources = []
-    for src in chk.get("sources", []):
+    for src in chk["sources"]:
         roster = loader.load(src["roster"])
         sources.append((src["source_id"], src["drug_id"], _strict_roster_labeling(roster)))
     if not sources:
@@ -629,28 +615,91 @@ def _check_flips(loader: _InputLoader, chk: dict) -> list[Finding]:
 
 def _check_sentinels(loader: _InputLoader, chk: dict) -> list[Finding]:
     m = loader.load(chk["matrix"])
-    sentinels = []
-    for s in chk.get("sentinels", []):
-        sentinels.append(
-            _integ.Sentinel(s["sample_id"], GroupLabel(s["expected"]), s.get("reason", ""))
-        )
+    sentinels = [
+        _integ.Sentinel(s["sample_id"], GroupLabel(s["expected"]), s.get("reason", "")) for s in chk["sentinels"]
+    ]
     labels = m.labels or {}
     return _integ.sentinel_check(labels, sentinels)
 
 
-_CHECK_RUNNERS = {
-    "validate": _check_validate,
-    "dup": _check_dup,
-    "roster": _check_roster,
-    "offset": _check_offset,
-    "platform": _check_platform,
-    "dose": _check_dose,
-    "confound": _check_confound,
-    "blocks": _check_blocks,
-    "reuse": _check_reuse,
-    "directions": _check_directions,
-    "flips": _check_flips,
-    "sentinels": _check_sentinels,
+_DOSE_TESTS = ("separation", "reversal", "flat")
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One manifest check, declared once.
+
+    ``inputs`` maps each input reference to the input kind it must name
+    (``list.field`` for a field of each object in a list parameter);
+    ``params`` maps each parameter to ``(kind, default, allowed)`` as
+    ``_param`` reads them; ``run`` turns the resolved check dict into
+    findings.
+    """
+
+    inputs: dict[str, str]
+    params: dict[str, tuple]
+    run: Callable[[_InputLoader, dict], list[Finding]]
+
+
+#: Every manifest check: ``load_manifest`` checks input references against
+#: it, ``run_audit`` resolves parameters through it, and
+#: ``data/manifest_schema.json`` restates it.
+CHECKS: dict[str, CheckSpec] = {
+    "validate": CheckSpec({"matrix": "matrix"}, {}, _check_validate),
+    "dup": CheckSpec(
+        {"matrix": "matrix"},
+        {
+            "threshold": (float, 0.9999, "(0, 1]"),
+            "compare_on": (str, "raw", ("raw", "log")),
+            "missing_policy": (str, "pairwise_complete", ("pairwise_complete", "fail")),
+        },
+        _check_dup,
+    ),
+    "roster": CheckSpec({"roster": "roster"}, {}, _check_roster),
+    "offset": CheckSpec(
+        {"reported": "signature", "generated": "signature", "annotation": "annotation"},
+        {"max_shift": (int, 3, "[0, inf)")},
+        _check_offset,
+    ),
+    "platform": CheckSpec({"signature": "signature", "annotation": "annotation"}, {}, _check_platform),
+    "dose": CheckSpec(
+        {"sensitivity": "sensitivity", "labels": "roster"},
+        {
+            "drug": (str, None, None),
+            "measure": (str, None, tuple(m.value for m in Measure)),
+            "tests": (list, _DOSE_TESTS, _DOSE_TESTS),
+            "margin": (float, 0.2, "[0, 0.5]"),
+            "epsilon": (float, 0.2, None),
+            "orientation": (str, "sensitive_high", ("sensitive_high", "sensitive_low", "auto")),
+        },
+        _check_dose,
+    ),
+    "confound": CheckSpec(
+        {"meta": "meta"},
+        {
+            "by": (str, "batch", ("batch", "scanner")),
+            "gap_days": (float, 7, "(0, inf)"),
+            "high_v": (float, 0.8, "(0, 1]"),
+        },
+        _check_confound,
+    ),
+    "blocks": CheckSpec(
+        {"matrix": "matrix"},
+        {"threshold": (float, 0.8, "(0, 1]"), "min_blocks": (int, 2, "[1, inf)")},
+        _check_blocks,
+    ),
+    "reuse": CheckSpec({"a": "matrix", "b": "matrix"}, {"digits": (int, 2, "[0, inf)")}, _check_reuse),
+    "directions": CheckSpec({"signature": "signature"}, {}, _check_directions),
+    "flips": CheckSpec(
+        {"sources.roster": "roster"},
+        {"sources": (list, (), {"roster": "required", "source_id": "required", "drug_id": "required"})},
+        _check_flips,
+    ),
+    "sentinels": CheckSpec(
+        {"matrix": "matrix"},
+        {"sentinels": (list, (), {"sample_id": "required", "expected": "required", "reason": "optional"})},
+        _check_sentinels,
+    ),
 }
 
 
@@ -714,31 +763,14 @@ def run_audit(manifest: AuditManifest | str | Path) -> tuple[FindingsReport, int
             digests[decl.path] = _sha256_file(path)
         except OSError as exc:
             had_error = True
-            findings.append(
-                Finding(
-                    "DEGENERATE_DATA",
-                    Severity.WARNING,
-                    (name,),
-                    {},
-                    f"input {name!r} ({decl.path}) is unreadable: {exc}",
-                )
-            )
+            findings.append(_degenerate(Severity.WARNING, name, f"input {name!r} ({decl.path}) is unreadable: {exc}"))
     loader = _InputLoader(manifest)
     for chk in manifest.checks:
-        runner = _CHECK_RUNNERS[chk["check"]]
         try:
-            new = runner(loader, chk)
-        except (OSError, ValueError, KeyError, PlatformMismatchError) as exc:
+            new = CHECKS[chk["check"]].run(loader, _resolve(chk))
+        except (OSError, ValueError, KeyError, OverflowError, PlatformMismatchError) as exc:
             had_error = True
-            findings.append(
-                Finding(
-                    "DEGENERATE_DATA",
-                    Severity.WARNING,
-                    (chk["check"],),
-                    {},
-                    f"check {chk['check']!r} could not run: {exc}",
-                )
-            )
+            findings.append(_degenerate(Severity.WARNING, chk["check"], f"check {chk['check']!r} could not run: {exc}"))
             continue
         for f in new:
             if f.code not in FINDING_CODES:
@@ -770,74 +802,58 @@ def _load_matrix(path: str, delimiter: str = "tab") -> LabeledMatrix:
 
 
 def _parse_scores_csv(path: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for i, line in enumerate(_read(path).replace("\r\n", "\n").split("\n")):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if i == 0 and cells[0].lower() in ("sample_id", "id"):
-            continue
-        out[cells[0]] = float(cells[1])
-    return out
+    _, rows = ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"))
+    return {sid: float(score) for _, (sid, score) in rows}
 
 
 def _parse_binary_labels_csv(path: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    for i, line in enumerate(_read(path).replace("\r\n", "\n").split("\n")):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if i == 0 and cells[0].lower() in ("sample_id", "id"):
-            continue
-        tok = cells[1]
+    for _, (sid, tok) in ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"))[1]:
         if tok in ("0", "1"):
-            out[cells[0]] = int(tok)
+            out[sid] = int(tok)
         else:
             lab = ingest.normalize_label(tok)
             if lab == GroupLabel.SENSITIVE:
-                out[cells[0]] = 1
+                out[sid] = 1
             elif lab == GroupLabel.RESISTANT:
-                out[cells[0]] = 0
+                out[sid] = 0
             else:
-                raise ValueError(f"label {tok!r} for {cells[0]!r} is neither binary nor Sensitive/Resistant")
+                raise ValueError(f"label {tok!r} for {sid!r} is neither binary nor Sensitive/Resistant")
     return out
 
 
 def _parse_assignment_csv(path: str) -> Assignment:
-    state: dict[str, GroupLabel] = {}
-    for i, line in enumerate(_read(path).replace("\r\n", "\n").split("\n")):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if i == 0 and cells[0].lower() in ("cell_line", "sample_id", "id"):
-            continue
-        state[cells[0]] = ingest.normalize_label(cells[1])
-    return Assignment(state)
+    _, rows = ingest.read_csv_rows(_read(path), 2, ("cell_line", "sample_id", "id"))
+    return Assignment({line: ingest.normalize_label(tok) for _, (line, tok) in rows})
 
 
-def _cmd_audit_dup(args) -> int:
-    m = _load_matrix(args.matrix, args.delimiter)
-    cfg = _dup.DupScanConfig(corr_threshold=args.threshold, compare_on="log" if args.log else "raw")
-    comps = _dup.find_duplicate_columns(m, cfg)
-    print(f"{m.n_samples} samples, {comps.n_distinct} distinct at correlation >= {cfg.corr_threshold}")
-    print(f"multiplicity histogram: {dict(sorted(comps.multiplicity_histogram.items()))}")
-    _, inconsistent = _dup.classify_duplicate_labels(comps, m.labels or {})
-    for comp in comps.components:
-        labs = [m.label_of(s).value for s in comp]
-        tag = "INCONSISTENT" if any(comp == c for c, _ in inconsistent) else "consistent"
-        print(f"  {tag}: {list(comp)} labels={labs}")
-    for sid in comps.degenerate_columns:
-        print(f"  degenerate column: {sid}")
-    return 2 if comps.components else 0
+def _cmd_audit(check: str, inputs: dict[str, dict], params: dict) -> int:
+    """An ``audit`` view: run ``check`` as a one-check manifest over
+    ``inputs`` (reference -> manifest input object without its kind) with
+    the ``params`` that are not None, and print the report summary."""
+    kinds = CHECKS[check].inputs
+    doc = {
+        "inputs": {ref: dict(decl, kind=kinds[ref]) for ref, decl in inputs.items()},
+        "checks": [
+            {"check": check, **{ref: ref for ref in inputs}, **{k: v for k, v in params.items() if v is not None}}
+        ],
+    }
+    report, code = run_audit(_validate_manifest(doc, Path()))
+    print(summarize_report(report, code))
+    return code
 
 
-def _cmd_audit_roster(args) -> int:
-    roster = ingest.parse_roster(_read(args.roster))
-    n_distinct, duplicated, inconsistent = _dup.roster_duplicates(roster)
-    print(f"{len(roster)} entries, {n_distinct} distinct ids")
-    print(f"duplicated ({len(duplicated)}): {duplicated}")
-    print(f"labeled both ways ({len(inconsistent)}): {inconsistent}")
-    return 2 if duplicated else 0
+def _audit_view(check: str):
+    """The handler of ``audit <check>``: the flags whose dest is one of the
+    check's input references or parameters fill its one-check manifest."""
+    spec = CHECKS[check]
+
+    def run(args) -> int:
+        fmt = {"delimiter": args.delimiter} if "delimiter" in args else {}
+        inputs = {ref: {"path": getattr(args, ref), "format": fmt} for ref in spec.inputs}
+        return _cmd_audit(check, inputs, {name: getattr(args, name, None) for name in spec.params})
+
+    return run
 
 
 def _cmd_audit_crosstab(args) -> int:
@@ -849,61 +865,6 @@ def _cmd_audit_crosstab(args) -> int:
     table = _dup.cross_tabulate(a, b)
     print(table.as_text())
     return 0
-
-
-def _cmd_audit_offset(args) -> int:
-    reported = ingest.parse_signature(_read(args.reported))
-    generated = ingest.parse_signature(_read(args.generated))
-    ann = ingest.parse_annotation(_read(args.annotation))
-    res = _match.detect_offset(reported, ann, generated, max_shift=args.max_shift)
-    print(f"overlap by shift: {res.overlap_by_shift}")
-    print(f"best shift {res.best_shift:+d} with overlap {res.overlap_at_best}")
-    if res.outliers:
-        print(f"unmatched at best shift: {list(res.outliers)}")
-    if res.foreign_ids:
-        print(f"not on platform {ann.platform_id}: {list(res.foreign_ids)}")
-    return 2 if res.best_shift != 0 else 0
-
-
-def _cmd_audit_dose(args) -> int:
-    records = ingest.parse_sensitivity(_read(args.records))
-    roster = ingest.parse_roster(_read(args.labels))
-    labels = _strict_roster_labeling(roster)
-    recs = [r for r in records if r.drug_id == args.drug and r.measure.value == args.measure]
-    if not recs:
-        print(f"no records for drug={args.drug} measure={args.measure}", file=sys.stderr)
-        return 1
-    bad = False
-    rev = _integ.check_reversal(recs, labels, margin=args.margin)
-    print(f"direction AUC (sensitive high): {rev.direction_stat:.4f} -> {rev.verdict}")
-    bad = bad or rev.reversed
-    sep = _integ.check_separation(recs, labels)
-    print(
-        f"best threshold {sep.best_threshold:g}: {sep.misfit_count} misfits "
-        f"({'groups overlap' if sep.overlap else 'clean split'})"
-    )
-    bad = bad or sep.overlap
-    if len(recs) >= 5:
-        flat = _integ.check_flat_response(recs, epsilon=args.epsilon)
-        print(f"range {flat.value_range:.3g}, IQR {flat.iqr:.3g}{' -> FLAT' if flat.flat else ''}")
-        bad = bad or flat.flat
-    return 2 if bad else 0
-
-
-def _cmd_audit_confound(args) -> int:
-    metas = ingest.parse_sample_meta(_read(args.meta))
-    included = [m for m in metas if m.included] or metas
-    batches = _integ.infer_batches(included, gap=timedelta(days=args.gap_days))
-    treatments = {m.sample_id: m.treatment_arm for m in included}
-    n_batches = len(set(batches.values()))
-    print(f"{len(included)} samples in {n_batches} run batch(es)")
-    if n_batches < 2 or len(set(treatments.values())) < 2:
-        print("confounding not assessable (need >= 2 batches and >= 2 treatments)")
-        return 0
-    result = _integ.test_confounding(batches, treatments)
-    print(result.table.as_text())
-    print(f"Cramer's V = {result.cramers_v:.4f}, perfect confounding: {result.perfect}")
-    return 2 if result.perfect or result.cramers_v >= 0.8 else 0
 
 
 def _cmd_match(args, by_rows: bool) -> int:
@@ -1039,21 +1000,15 @@ def _cmd_roc(args) -> int:
 
 def _cmd_combo(args) -> int:
     rule = _integ.COMBINATION_RULES[args.rule]
-    raw_rows: list[tuple[str, float]] = []
-    header: list[str] = []
-    for i, line in enumerate(_read(args.inputs).replace("\r\n", "\n").split("\n")):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if i == 0:
-            header = cells
-            missing = [k for k in rule.drug_keys if k not in header[1:]]
-            if missing:
-                print(f"input file is missing drug column(s) {missing}", file=sys.stderr)
-                return 1
-            continue
-        inputs = {k: float(v) for k, v in zip(header[1:], cells[1:])}
-        raw_rows.append((cells[0], _integ.raw_combination_score(inputs, rule)))
+    header, rows = ingest.read_csv_rows(_read(args.inputs))
+    missing = [k for k in rule.drug_keys if k not in header[1:]]
+    if missing:
+        print(f"input file is missing drug column(s) {missing}", file=sys.stderr)
+        return 1
+    raw_rows = [
+        (cells[0], _integ.raw_combination_score({k: float(v) for k, v in zip(header[1:], cells[1:])}, rule))
+        for _, cells in rows
+    ]
     if not raw_rows:
         print("no input rows", file=sys.stderr)
         return 1
@@ -1108,20 +1063,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    audit = sub.add_parser("audit", help="single-input audits").add_subparsers(
+    audit = sub.add_parser("audit", help="one-check audits that print the report summary").add_subparsers(
         dest="audit_command", required=True
     )
 
     p = audit.add_parser("dup", help="duplicate-column scan")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--threshold", type=float, default=0.9999)
-    p.add_argument("--log", action="store_true", help="correlate log values")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--log", dest="compare_on", action="store_const", const="log", help="correlate log values")
     p.add_argument("--delimiter", choices=("tab", "comma"), default="tab")
-    p.set_defaults(fn=_cmd_audit_dup)
+    p.set_defaults(fn=_audit_view("dup"))
 
     p = audit.add_parser("roster", help="roster duplicate/conflict census")
     p.add_argument("--roster", required=True)
-    p.set_defaults(fn=_cmd_audit_roster)
+    p.set_defaults(fn=_audit_view("roster"))
 
     p = audit.add_parser("crosstab", help="cross-tabulate two labelings")
     p.add_argument("--a", required=True, help="roster for the row axis (conflicts become Both)")
@@ -1132,22 +1087,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reported", required=True)
     p.add_argument("--generated", required=True)
     p.add_argument("--annotation", required=True)
-    p.add_argument("--max-shift", type=int, default=3)
-    p.set_defaults(fn=_cmd_audit_offset)
+    p.add_argument("--max-shift", type=int)
+    p.set_defaults(fn=_audit_view("offset"))
 
     p = audit.add_parser("dose", help="dose-response label sanity checks")
-    p.add_argument("--records", required=True)
+    p.add_argument("--records", dest="sensitivity", metavar="RECORDS", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--drug", required=True)
-    p.add_argument("--measure", choices=("GI50", "TGI", "LC50"), required=True)
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.set_defaults(fn=_cmd_audit_dose)
+    p.add_argument("--measure", choices=CHECKS["dose"].params["measure"][2], required=True)
+    p.add_argument("--margin", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.set_defaults(fn=_audit_view("dose"))
 
     p = audit.add_parser("confound", help="run-date batch confounding test")
     p.add_argument("--meta", required=True)
-    p.add_argument("--gap-days", type=float, default=7.0)
-    p.set_defaults(fn=_cmd_audit_confound)
+    p.add_argument("--gap-days", type=float)
+    p.set_defaults(fn=_audit_view("confound"))
 
     match = sub.add_parser("match", help="brute-force correlation matching").add_subparsers(
         dest="match_command", required=True

@@ -14,7 +14,7 @@ separators. Timestamps are ISO-8601; a missing timezone means UTC.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from importlib import resources
 from typing import Optional
@@ -77,6 +77,9 @@ class MatrixFormat:
     missing_token: str = "NA"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), type(f.default)):
+                raise ValueError(f"{f.name} must be a {type(f.default).__name__}, got {getattr(self, f.name)!r}")
         if self.delimiter not in ("tab", "comma"):
             raise ValueError(f"delimiter must be tab|comma, got {self.delimiter!r}")
 
@@ -91,6 +94,32 @@ def _split_lines(text: str) -> list[str]:
     if lines and lines[-1] == "":
         lines.pop()
     return lines
+
+
+def read_csv_rows(
+    text: str, width: int = 0, header_keys: tuple[str, ...] = ()
+) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Comma-separated rows with stripped cells, as ``(header, rows)`` where
+    each row is ``(line number, cells)``.
+
+    Blank lines are skipped. The first row is the header when its first
+    cell, lowercased, is one of ``header_keys``; with ``width`` 0 it is
+    always the header and its width is every row's. A row of another width
+    raises ParseError naming its line.
+    """
+    header: list[str] = []
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, line in enumerate(_split_lines(text), start=1):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if not header and not rows and (width == 0 or cells[0].lower() in header_keys):
+            header, width = cells, width or len(cells)
+        elif len(cells) != width:
+            raise ParseError(f"row {lineno}: expected {width} cells, got {len(cells)}")
+        else:
+            rows.append((lineno, cells))
+    return header, rows
 
 
 def _parse_cell(token: str, fmt: MatrixFormat, row: int, col: int) -> float:
@@ -274,31 +303,23 @@ def serialize_annotation(ann: AnnotationIndex) -> str:
 
 def parse_sensitivity(text: str) -> list[SensitivityRecord]:
     """Parse cell_line,drug_id,measure,value potency rows."""
-    lines = [ln for ln in _split_lines(text) if ln.strip()]
-    if not lines:
-        raise ParseError("empty sensitivity file")
-    start = 0
-    if [c.strip().lower() for c in lines[0].split(",")][:1] == ["cell_line"]:
-        start = 1
+    header, rows = read_csv_rows(text, 4, ("cell_line",))
     records: list[SensitivityRecord] = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 4:
-            raise ParseError(f"row {lineno}: expected 4 columns, got {len(cells)}")
+    for lineno, (cell_line, drug_id, measure_tok, value_tok) in rows:
         try:
-            measure = Measure(cells[2])
+            measure = Measure(measure_tok)
         except ValueError:
-            raise ParseError(f"row {lineno}: unknown measure {cells[2]!r}") from None
+            raise ParseError(f"row {lineno}: unknown measure {measure_tok!r}") from None
         try:
-            value = float(cells[3])
+            value = float(value_tok)
         except ValueError:
-            raise ParseError(f"row {lineno}: unparseable potency {cells[3]!r}") from None
+            raise ParseError(f"row {lineno}: unparseable potency {value_tok!r}") from None
         try:
-            records.append(SensitivityRecord(cells[0], cells[1], measure, value))
+            records.append(SensitivityRecord(cell_line, drug_id, measure, value))
         except ValueError as exc:
             raise ParseError(f"row {lineno}: {exc}") from None
     if not records:
-        raise ParseError("sensitivity file has a header but no rows")
+        raise ParseError("sensitivity file has a header but no rows" if header else "empty sensitivity file")
     return records
 
 
@@ -325,23 +346,15 @@ def parse_timestamp(token: str, lineno: int = 0) -> datetime:
 
 def parse_sample_meta(text: str) -> list[SampleMeta]:
     """Parse sample_id,run_timestamp,scanner_id,treatment_arm,included rows."""
-    lines = [ln for ln in _split_lines(text) if ln.strip()]
-    if not lines:
-        raise ParseError("empty sample metadata file")
-    start = 0
-    if [c.strip().lower() for c in lines[0].split(",")][:1] == ["sample_id"]:
-        start = 1
+    header, rows = read_csv_rows(text, 5, ("sample_id",))
     metas: list[SampleMeta] = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 5:
-            raise ParseError(f"row {lineno}: expected 5 columns, got {len(cells)}")
-        ts = parse_timestamp(cells[1], lineno)
-        if cells[4] not in ("0", "1"):
-            raise ParseError(f"row {lineno}: included must be 0 or 1, got {cells[4]!r}")
-        metas.append(SampleMeta(cells[0], ts, cells[2], cells[3], cells[4] == "1"))
+    for lineno, (sample_id, stamp, scanner_id, arm, included) in rows:
+        ts = parse_timestamp(stamp, lineno)
+        if included not in ("0", "1"):
+            raise ParseError(f"row {lineno}: included must be 0 or 1, got {included!r}")
+        metas.append(SampleMeta(sample_id, ts, scanner_id, arm, included == "1"))
     if not metas:
-        raise ParseError("metadata file has a header but no rows")
+        raise ParseError("metadata file has a header but no rows" if header else "empty sample metadata file")
     return metas
 
 

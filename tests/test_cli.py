@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,8 +11,11 @@ import corpus
 import fixtures_lib as fx
 from arrayaudit import ingest
 from arrayaudit.cli import (
+    _INPUT_KINDS,
+    CHECKS,
     FINDING_CODES,
     ManifestError,
+    _param,
     explain,
     load_manifest,
     main,
@@ -98,21 +103,32 @@ def test_missing_input_file_exits_1(tmp_path):
 
 
 def test_manifest_validation_errors(tmp_path):
-    bad = {"inputs": {"m": {"path": "x.tsv", "kind": "matrix"}}, "checks": [{"check": "dup"}]}
+    matrix = {"path": "x.tsv", "kind": "matrix"}
+    dup = {"check": "dup", "matrix": "m"}
+
+    def flips(ref):
+        return {"check": "flips", "sources": [{"roster": ref, "source_id": "s", "drug_id": "d"}]}
+
+    cases = [
+        ({"inputs": {"m": matrix}, "checks": [{"check": "dup"}]}, "missing input reference"),
+        ({"inputs": {"m": {"path": "x.tsv", "kind": "roster"}}, "checks": [dup]}, "kind"),
+        ({"inputs": {}, "checks": [{"check": "frobnicate"}]}, "unknown check"),
+        ({"inputs": {"m": dict(matrix, format="tsv")}, "checks": [dup]}, "input 'm': format must be an object"),
+        ({"inputs": {"m": dict(matrix, path=5)}, "checks": [dup]}, "input 'm': path must be a string"),
+        ({"inputs": {"m": dict(matrix, kind=["matrix"])}, "checks": [dup]}, "input 'm' has unknown kind"),
+        ({"inputs": {"m": dict(matrix, format={"has_label_row": "yes"})}, "checks": [dup]}, "has_label_row"),
+        ({"inputs": {"m": dict(matrix, format={"delimiter": "pipe"})}, "checks": [dup]}, "delimiter"),
+        ({"inputs": {"m": dict(matrix, format={"sep": ","})}, "checks": [dup]}, "input 'm': bad format"),
+        ({"inputs": {"m": matrix}, "checks": [flips("r")]}, "undeclared input 'r'"),
+        ({"inputs": {"m": matrix}, "checks": [flips("m")]}, "kind"),
+        ({"inputs": {"m": matrix}, "checks": [dup], "output": 5}, "output must be a string"),
+    ]
     p = tmp_path / "m.json"
-    p.write_text(json.dumps(bad))
-    with pytest.raises(ManifestError, match="missing input reference"):
-        load_manifest(p)
-
-    bad2 = {"inputs": {"m": {"path": "x.tsv", "kind": "roster"}}, "checks": [{"check": "dup", "matrix": "m"}]}
-    p.write_text(json.dumps(bad2))
-    with pytest.raises(ManifestError, match="kind"):
-        load_manifest(p)
-
-    bad3 = {"inputs": {}, "checks": [{"check": "frobnicate"}]}
-    p.write_text(json.dumps(bad3))
-    with pytest.raises(ManifestError, match="unknown check"):
-        load_manifest(p)
+    for doc, match in cases:
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=match):
+            load_manifest(p)
+        assert main(["report", "run", "--manifest", str(p)]) == 1
 
 
 @pytest.mark.parametrize(
@@ -126,6 +142,16 @@ def test_manifest_validation_errors(tmp_path):
         ("blocks", "min_blocks", "2"),
         ("reuse", "digits", 2.5),
         ("confound", "high_v", "0.8"),
+        ("blocks", "threshold", 1.5),
+        ("blocks", "threshhold", 0.8),
+        ("offset", "max_shift", -1),
+        ("reuse", "digits", -3),
+        ("confound", "by", "treatment"),
+        pytest.param("dose", "tests", ["flta"], id="dose-tests-flta"),
+        ("dose", "tests", "flat"),
+        ("flips", "sources", "abc"),
+        pytest.param("flips", "sources", [1], id="flips-sources-[1]"),
+        pytest.param("sentinels", "sentinels", [1], id="sentinels-sentinels-[1]"),
     ],
 )
 def test_wrongly_typed_parameter_is_a_finding_and_exit_1(tmp_path, capsys, check, param, value):
@@ -140,6 +166,57 @@ def test_wrongly_typed_parameter_is_a_finding_and_exit_1(tmp_path, capsys, check
     assert f"check {check!r} could not run: parameter {param!r}" in bad[0].message
     assert main(["report", "run", "--manifest", str(manifest_path)]) == 1
     assert bad[0].message in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("check,param,value", [("reuse", "digits", 10**400), ("confound", "gap_days", 1e308)])
+def test_overflowing_parameter_is_a_finding_and_exit_1(tmp_path, check, param, value):
+    manifest_path = corpus.write_clean_corpus(tmp_path / "good")
+    doc = json.loads(manifest_path.read_text())
+    next(c for c in doc["checks"] if c["check"] == check)[param] = value
+    manifest_path.write_text(json.dumps(doc))
+    report, code = run_audit(manifest_path)
+    assert code == 1
+    bad = [f for f in report.findings if f.code == "DEGENERATE_DATA" and f.subjects == (check,)]
+    assert len(bad) == 1 and bad[0].message.startswith(f"check {check!r} could not run")
+
+
+def test_malformed_sources_exit_1_without_a_traceback(tmp_path):
+    manifest_path = corpus.write_clean_corpus(tmp_path / "good")
+    doc = json.loads(manifest_path.read_text())
+    next(c for c in doc["checks"] if c["check"] == "flips")["sources"] = "abc"
+    manifest_path.write_text(json.dumps(doc))
+    out = subprocess.run(
+        [sys.executable, "-m", "arrayaudit.cli", "report", "run", "--manifest", str(manifest_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert "check 'flips' could not run: parameter 'sources'" in out.stdout
+
+
+def test_manifest_schema_states_the_check_registry():
+    schema = json.loads(resources.files("arrayaudit").joinpath("data/manifest_schema.json").read_text("utf-8"))
+    type_names = {float: "number", int: "integer", str: "string", list: "array"}
+
+    def as_json(value):
+        return list(value) if isinstance(value, tuple) else value
+
+    expected = {}
+    for name, spec in CHECKS.items():
+        params = {}
+        for param, (kind, default, allowed) in spec.params.items():
+            if default is not None:  # every default passes its own check
+                _param(param, as_json(default), kind, allowed)
+            params[param] = {"type": type_names[kind], "default": as_json(default), "allowed": as_json(allowed)}
+        expected[name] = {"inputs": spec.inputs, "params": params}
+    assert schema["checkParameters"] == expected
+    props = schema["properties"]
+    assert props["checks"]["items"]["properties"]["check"]["enum"] == list(CHECKS)
+    input_props = props["inputs"]["additionalProperties"]["properties"]
+    assert input_props["kind"]["enum"] == list(_INPUT_KINDS)
+    assert list(input_props["format"]["properties"]) == [f.name for f in dataclasses.fields(ingest.MatrixFormat)]
 
 
 def test_explain_covers_all_codes():
@@ -183,14 +260,14 @@ def test_cli_audit_dup_and_roster(tmp_path, capsys):
     path.write_text(ingest.serialize_matrix(m))
     assert main(["audit", "dup", "--matrix", str(path)]) == 2
     out = capsys.readouterr().out
-    assert "84 distinct" in out
+    assert "only 84 of 122 samples are distinct" in out
 
     roster, _ = fx.roster95()
     rpath = tmp_path / "r.csv"
     rpath.write_text(ingest.serialize_roster(roster))
     assert main(["audit", "roster", "--roster", str(rpath)]) == 2
     out = capsys.readouterr().out
-    assert "95 entries, 80 distinct" in out
+    assert "95 entries but only 80 distinct ids" in out
 
 
 def test_cli_audit_crosstab(tmp_path, capsys):
@@ -219,7 +296,7 @@ def test_cli_audit_offset(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 2
-    assert "best shift +1" in out
+    assert "best at annotation shift +1" in out
 
 
 def test_cli_match_rows_roundtrip(tmp_path, capsys):
@@ -391,7 +468,7 @@ def test_cli_audit_dose_and_confound(tmp_path, capsys):
     code = main(["audit", "confound", "--meta", str(tmp_path / "meta.csv")])
     out = capsys.readouterr().out
     assert code == 2
-    assert "perfect confounding: True" in out
+    assert "[Critical] CONFOUND_PERFECT" in out
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -432,4 +509,97 @@ def test_cli_audit_dup_log_switch(tmp_path, capsys):
     m = LabeledMatrix(tuple(f"g{i}" for i in range(12)), ("c0", "c1", "c2"), vals)
     (tmp_path / "m.tsv").write_text(ingest.serialize_matrix(m))
     assert main(["audit", "dup", "--matrix", str(tmp_path / "m.tsv"), "--log"]) == 2
-    assert "2 distinct" in capsys.readouterr().out
+    assert "only 2 of 3 samples are distinct" in capsys.readouterr().out
+
+
+def _dup_view(tmp_path):
+    m, _ = fx.duplicate_profile_matrix()
+    (tmp_path / "m.csv").write_text(ingest.serialize_matrix(m, ingest.MatrixFormat(delimiter="comma")))
+    argv = ["dup", "--matrix", str(tmp_path / "m.csv"), "--delimiter", "comma", "--threshold", "0.999"]
+    inputs = {"matrix": {"path": "m.csv", "kind": "matrix", "format": {"delimiter": "comma"}}}
+    return argv, inputs, {"check": "dup", "matrix": "matrix", "threshold": 0.999}, 2
+
+
+def _roster_view(tmp_path):
+    roster, _ = fx.roster95()
+    (tmp_path / "r.csv").write_text(ingest.serialize_roster(roster))
+    inputs = {"roster": {"path": "r.csv", "kind": "roster"}}
+    return ["roster", "--roster", str(tmp_path / "r.csv")], inputs, {"check": "roster", "roster": "roster"}, 2
+
+
+def _offset_view(tmp_path):
+    reported, ann, generated = fx.offset_fixture()
+    (tmp_path / "rep.csv").write_text(ingest.serialize_signature(reported))
+    (tmp_path / "gen.csv").write_text(ingest.serialize_signature(generated))
+    (tmp_path / "ann.txt").write_text(ingest.serialize_annotation(ann))
+    argv = ["offset", "--max-shift", "2"] + [
+        f"--{ref}={tmp_path / name}" for ref, name in (("reported", "rep.csv"), ("generated", "gen.csv"), ("annotation", "ann.txt"))
+    ]
+    inputs = {
+        "reported": {"path": "rep.csv", "kind": "signature"},
+        "generated": {"path": "gen.csv", "kind": "signature"},
+        "annotation": {"path": "ann.txt", "kind": "annotation"},
+    }
+    check = {"check": "offset", "reported": "reported", "generated": "generated", "annotation": "annotation", "max_shift": 2}
+    return argv, inputs, check, 2
+
+
+def _dose_view(tmp_path, n_records=None):
+    records, labels = fx.pemetrexed_reversal_records()
+    if n_records:  # two lines of each group
+        records = records[:2] + records[-2:]
+    (tmp_path / "gi50.csv").write_text(ingest.serialize_sensitivity(records))
+    (tmp_path / "labels.csv").write_text(
+        "\n".join(["sample_id,label"] + [f"{line},{lab.value}" for line, lab in labels.items()]) + "\n"
+    )
+    argv = ["dose", "--records", str(tmp_path / "gi50.csv"), "--labels", str(tmp_path / "labels.csv")]
+    argv += ["--drug", "pemetrexed", "--measure", "GI50", "--margin", "0.1"]
+    inputs = {"sensitivity": {"path": "gi50.csv", "kind": "sensitivity"}, "labels": {"path": "labels.csv", "kind": "roster"}}
+    check = {"check": "dose", "sensitivity": "sensitivity", "labels": "labels", "drug": "pemetrexed", "measure": "GI50", "margin": 0.1}
+    return argv, inputs, check, 1 if n_records else 2
+
+
+def _confound_view(tmp_path):
+    (tmp_path / "meta.csv").write_text(ingest.serialize_sample_meta(fx.confound_meta()))
+    argv = ["confound", "--meta", str(tmp_path / "meta.csv"), "--gap-days", "3"]
+    return argv, {"meta": {"path": "meta.csv", "kind": "meta"}}, {"check": "confound", "meta": "meta", "gap_days": 3}, 2
+
+
+@pytest.mark.parametrize(
+    "view",
+    [
+        _dup_view,
+        _roster_view,
+        _offset_view,
+        _dose_view,
+        pytest.param(lambda tmp_path: _dose_view(tmp_path, 4), id="_dose_view_4_records"),
+        _confound_view,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_audit_view_equals_its_one_check_manifest(tmp_path, capsys, view):
+    argv, inputs, check, expected_code = view(tmp_path)
+    assert main(["audit", *argv]) == expected_code
+    view_out = capsys.readouterr().out
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({"inputs": inputs, "checks": [check]}))
+    assert main(["report", "run", "--manifest", str(manifest_path)]) == expected_code
+    assert capsys.readouterr().out == view_out
+    if expected_code == 1:
+        assert "check 'dose' could not run: flat-response check needs >= 5 records" in view_out
+
+
+def test_short_csv_row_exits_1_naming_its_line(tmp_path, capsys):
+    (tmp_path / "scores.csv").write_text("sample_id,score\na,0.9\nb\n")
+    (tmp_path / "labels.csv").write_text("a,1\nb,0\n")
+    assert main(["roc", "--scores", str(tmp_path / "scores.csv"), "--labels", str(tmp_path / "labels.csv")]) == 1
+    assert "row 3: expected 2 cells, got 1" in capsys.readouterr().err
+
+    panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=10)
+    (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
+    (tmp_path / "target.csv").write_text(ingest.serialize_signature(target))
+    line = next(iter(truth))
+    (tmp_path / "start.csv").write_text(f"cell_line,state\n\n{line},Sensitive\n{line}\n")
+    argv = ["search", "groups", "--panel", str(tmp_path / "panel.tsv"), "--target", str(tmp_path / "target.csv")]
+    assert main([*argv, "--k", "10", "--start", str(tmp_path / "start.csv")]) == 1
+    assert "row 4: expected 2 cells, got 1" in capsys.readouterr().err

@@ -202,23 +202,26 @@ def _validate_manifest(doc: dict, base_dir: Path) -> AuditManifest:
         name = chk["check"]
         if not isinstance(name, str) or name not in CHECKS:
             raise ManifestError(f"check #{i + 1}: unknown check {name!r}")
-        for param, kind in CHECKS[name].inputs.items():
-            lst, _, fld = param.rpartition(".")
-            if lst:  # a field of each object in a list; malformed lists are the parameter check's
-                items = chk[lst] if isinstance(chk.get(lst), list) else []
-                refs = [(f"{lst}[{j}].{fld}", it.get(fld)) for j, it in enumerate(items) if isinstance(it, dict)]
-            else:
-                refs = [(param, chk.get(param))]
-            for where, ref in refs:
-                if ref is None:
-                    raise ManifestError(f"check #{i + 1} ({name}): missing input reference {where!r}")
-                if not isinstance(ref, str) or ref not in inputs:
-                    raise ManifestError(f"check #{i + 1} ({name}): undeclared input {ref!r}")
-                if inputs[ref].kind != kind:
-                    raise ManifestError(
-                        f"check #{i + 1} ({name}): input {ref!r} has kind "
-                        f"{inputs[ref].kind!r}, needs {kind!r}"
-                    )
+        spec = CHECKS[name]
+        refs = [(param, chk.get(param), kind) for param, kind in spec.inputs.items()]
+        for lst, fields in spec.item_inputs.items():  # malformed lists are the parameter check's
+            items = chk[lst] if isinstance(chk.get(lst), list) else []
+            refs += [
+                (f"{lst}[{j}].{fld}", it.get(fld), kind)
+                for j, it in enumerate(items)
+                if isinstance(it, dict)
+                for fld, kind in fields.items()
+            ]
+        for where, ref, kind in refs:
+            if ref is None:
+                raise ManifestError(f"check #{i + 1} ({name}): missing input reference {where!r}")
+            if not isinstance(ref, str) or ref not in inputs:
+                raise ManifestError(f"check #{i + 1} ({name}): undeclared input {ref!r}")
+            if inputs[ref].kind != kind:
+                raise ManifestError(
+                    f"check #{i + 1} ({name}): input {ref!r} has kind "
+                    f"{inputs[ref].kind!r}, needs {kind!r}"
+                )
         checks.append(dict(chk))
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
@@ -265,21 +268,33 @@ def _strict_roster_labeling(roster) -> dict[str, GroupLabel]:
 # check parameters
 # ---------------------------------------------------------------------------
 
-def _in_interval(value, interval: str) -> bool:
-    """Whether ``value`` lies in an interval written like ``(0, 1]``."""
-    lo, hi = (float(x) for x in interval[1:-1].split(","))
-    above = lo < value if interval[0] == "(" else lo <= value
-    below = value < hi if interval[-1] == ")" else value <= hi
-    return above and below
+@dataclass(frozen=True)
+class Bounds:
+    """The interval a numeric parameter must lie in, printed like ``(0, 1]``
+    (an infinite end prints open)."""
+
+    lo: float
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __contains__(self, value) -> bool:
+        above = self.lo < value if self.lo_open else self.lo <= value
+        below = value < self.hi if self.hi_open else value <= self.hi
+        return above and below
+
+    def __str__(self) -> str:
+        close = ")" if self.hi_open or self.hi == math.inf else "]"
+        return f"{'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}{close}"
 
 
 def _param(name: str, value, kind: type, allowed) -> None:
     """Raise ValueError unless ``value`` has the declared kind and lies in
     ``allowed`` (None admits any value of the kind). ``float`` is a finite
-    number and ``int`` an integer, never a bool, in an interval such as
-    ``(0, 1]``; ``str`` is one of a tuple; ``list`` is a non-empty list
-    drawn from a tuple or, when ``allowed`` maps fields to
-    ``"required"``/``"optional"``, a list of objects with string fields."""
+    number and ``int`` an integer, never a bool, within ``Bounds``; ``str``
+    is one of a tuple; ``list`` is a non-empty list drawn from a tuple or,
+    when ``allowed`` maps fields to ``"required"``/``"optional"``, a list of
+    objects with string fields."""
     if kind is list and isinstance(allowed, dict):
         want = "a list of objects with string fields " + ", ".join(f"{f} ({need})" for f, need in allowed.items())
         required = {f for f, need in allowed.items() if need == "required"}
@@ -301,7 +316,7 @@ def _param(name: str, value, kind: type, allowed) -> None:
             isinstance(value, int if kind is int else (int, float))
             and not isinstance(value, bool)
             and not (isinstance(value, float) and not math.isfinite(value))
-            and (allowed is None or _in_interval(value, allowed))
+            and (allowed is None or value in allowed)
         )
     if not ok:
         raise ValueError(f"parameter {name!r} must be {want}, got {value!r}")
@@ -629,16 +644,17 @@ _DOSE_TESTS = ("separation", "reversal", "flat")
 class CheckSpec:
     """One manifest check, declared once.
 
-    ``inputs`` maps each input reference to the input kind it must name
-    (``list.field`` for a field of each object in a list parameter);
+    ``inputs`` maps each input reference to the input kind it must name;
     ``params`` maps each parameter to ``(kind, default, allowed)`` as
     ``_param`` reads them; ``run`` turns the resolved check dict into
-    findings.
+    findings. ``item_inputs`` maps a list parameter to the fields of its
+    objects that are input references, and their kinds.
     """
 
     inputs: dict[str, str]
     params: dict[str, tuple]
     run: Callable[[_InputLoader, dict], list[Finding]]
+    item_inputs: dict[str, dict[str, str]] = field(default_factory=dict)
 
 
 #: Every manifest check: ``load_manifest`` checks input references against
@@ -649,7 +665,7 @@ CHECKS: dict[str, CheckSpec] = {
     "dup": CheckSpec(
         {"matrix": "matrix"},
         {
-            "threshold": (float, 0.9999, "(0, 1]"),
+            "threshold": (float, 0.9999, Bounds(0, 1, lo_open=True)),
             "compare_on": (str, "raw", ("raw", "log")),
             "missing_policy": (str, "pairwise_complete", ("pairwise_complete", "fail")),
         },
@@ -658,7 +674,7 @@ CHECKS: dict[str, CheckSpec] = {
     "roster": CheckSpec({"roster": "roster"}, {}, _check_roster),
     "offset": CheckSpec(
         {"reported": "signature", "generated": "signature", "annotation": "annotation"},
-        {"max_shift": (int, 3, "[0, inf)")},
+        {"max_shift": (int, 3, Bounds(0))},
         _check_offset,
     ),
     "platform": CheckSpec({"signature": "signature", "annotation": "annotation"}, {}, _check_platform),
@@ -668,7 +684,7 @@ CHECKS: dict[str, CheckSpec] = {
             "drug": (str, None, None),
             "measure": (str, None, tuple(m.value for m in Measure)),
             "tests": (list, _DOSE_TESTS, _DOSE_TESTS),
-            "margin": (float, 0.2, "[0, 0.5]"),
+            "margin": (float, 0.2, Bounds(0, 0.5)),
             "epsilon": (float, 0.2, None),
             "orientation": (str, "sensitive_high", ("sensitive_high", "sensitive_low", "auto")),
         },
@@ -678,22 +694,23 @@ CHECKS: dict[str, CheckSpec] = {
         {"meta": "meta"},
         {
             "by": (str, "batch", ("batch", "scanner")),
-            "gap_days": (float, 7, "(0, inf)"),
-            "high_v": (float, 0.8, "(0, 1]"),
+            "gap_days": (float, 7, Bounds(0, lo_open=True)),
+            "high_v": (float, 0.8, Bounds(0, 1, lo_open=True)),
         },
         _check_confound,
     ),
     "blocks": CheckSpec(
         {"matrix": "matrix"},
-        {"threshold": (float, 0.8, "(0, 1]"), "min_blocks": (int, 2, "[1, inf)")},
+        {"threshold": (float, 0.8, Bounds(0, 1, lo_open=True)), "min_blocks": (int, 2, Bounds(1))},
         _check_blocks,
     ),
-    "reuse": CheckSpec({"a": "matrix", "b": "matrix"}, {"digits": (int, 2, "[0, inf)")}, _check_reuse),
+    "reuse": CheckSpec({"a": "matrix", "b": "matrix"}, {"digits": (int, 2, Bounds(0))}, _check_reuse),
     "directions": CheckSpec({"signature": "signature"}, {}, _check_directions),
     "flips": CheckSpec(
-        {"sources.roster": "roster"},
+        {},
         {"sources": (list, (), {"roster": "required", "source_id": "required", "drug_id": "required"})},
         _check_flips,
+        item_inputs={"sources": {"roster": "roster"}},
     ),
     "sentinels": CheckSpec(
         {"matrix": "matrix"},
@@ -802,13 +819,13 @@ def _load_matrix(path: str, delimiter: str = "tab") -> LabeledMatrix:
 
 
 def _parse_scores_csv(path: str) -> dict[str, float]:
-    _, rows = ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"))
+    rows = ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"), exact=False)
     return {sid: float(score) for _, (sid, score) in rows}
 
 
 def _parse_binary_labels_csv(path: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    for _, (sid, tok) in ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"))[1]:
+    for _, (sid, tok) in ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"), exact=False):
         if tok in ("0", "1"):
             out[sid] = int(tok)
         else:
@@ -823,35 +840,25 @@ def _parse_binary_labels_csv(path: str) -> dict[str, int]:
 
 
 def _parse_assignment_csv(path: str) -> Assignment:
-    _, rows = ingest.read_csv_rows(_read(path), 2, ("cell_line", "sample_id", "id"))
+    rows = ingest.read_csv_rows(_read(path), 2, ("cell_line", "sample_id", "id"), exact=False)
     return Assignment({line: ingest.normalize_label(tok) for _, (line, tok) in rows})
 
 
-def _cmd_audit(check: str, inputs: dict[str, dict], params: dict) -> int:
-    """An ``audit`` view: run ``check`` as a one-check manifest over
-    ``inputs`` (reference -> manifest input object without its kind) with
-    the ``params`` that are not None, and print the report summary."""
-    kinds = CHECKS[check].inputs
-    doc = {
-        "inputs": {ref: dict(decl, kind=kinds[ref]) for ref, decl in inputs.items()},
-        "checks": [
-            {"check": check, **{ref: ref for ref in inputs}, **{k: v for k, v in params.items() if v is not None}}
-        ],
-    }
-    report, code = run_audit(_validate_manifest(doc, Path()))
-    print(summarize_report(report, code))
-    return code
-
-
 def _audit_view(check: str):
-    """The handler of ``audit <check>``: the flags whose dest is one of the
-    check's input references or parameters fill its one-check manifest."""
+    """The handler of ``audit <check>``: run ``check`` as a one-check
+    manifest whose input references and parameters are the flags of the
+    same dest (a flag left out takes the registry default), and print the
+    report summary."""
     spec = CHECKS[check]
 
     def run(args) -> int:
         fmt = {"delimiter": args.delimiter} if "delimiter" in args else {}
-        inputs = {ref: {"path": getattr(args, ref), "format": fmt} for ref in spec.inputs}
-        return _cmd_audit(check, inputs, {name: getattr(args, name, None) for name in spec.params})
+        params = {k: getattr(args, k) for k in spec.params if getattr(args, k, None) is not None}
+        inputs = {ref: {"path": getattr(args, ref), "kind": kind, "format": fmt} for ref, kind in spec.inputs.items()}
+        doc = {"inputs": inputs, "checks": [{"check": check, **{ref: ref for ref in inputs}, **params}]}
+        report, code = run_audit(_validate_manifest(doc, Path()))
+        print(summarize_report(report, code))
+        return code
 
     return run
 
@@ -1000,7 +1007,9 @@ def _cmd_roc(args) -> int:
 
 def _cmd_combo(args) -> int:
     rule = _integ.COMBINATION_RULES[args.rule]
-    header, rows = ingest.read_csv_rows(_read(args.inputs))
+    text = _read(args.inputs)
+    header = next(([c.strip() for c in line.split(",")] for line in text.splitlines() if line.strip()), [""])
+    rows = ingest.read_csv_rows(text, len(header), (header[0].lower(),))
     missing = [k for k in rule.drug_keys if k not in header[1:]]
     if missing:
         print(f"input file is missing drug column(s) {missing}", file=sys.stderr)

@@ -97,29 +97,26 @@ def _split_lines(text: str) -> list[str]:
 
 
 def read_csv_rows(
-    text: str, width: int = 0, header_keys: tuple[str, ...] = ()
-) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Comma-separated rows with stripped cells, as ``(header, rows)`` where
-    each row is ``(line number, cells)``.
+    text: str, width: int, header_keys: tuple[str, ...] = (), exact: bool = True
+) -> list[tuple[int, list[str]]]:
+    """Comma-separated rows with stripped cells, as ``(line number, cells)``.
 
-    Blank lines are skipped. The first row is the header when its first
-    cell, lowercased, is one of ``header_keys``; with ``width`` 0 it is
-    always the header and its width is every row's. A row of another width
-    raises ParseError naming its line.
+    Blank lines are skipped, and so is the first row when its first cell,
+    lowercased, is one of ``header_keys``. A row of another width raises
+    ParseError naming its line; with ``exact`` False a wider row is allowed
+    and cut to its first ``width`` cells.
     """
-    header: list[str] = []
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(_split_lines(text), start=1):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if not header and not rows and (width == 0 or cells[0].lower() in header_keys):
-            header, width = cells, width or len(cells)
-        elif len(cells) != width:
-            raise ParseError(f"row {lineno}: expected {width} cells, got {len(cells)}")
-        else:
-            rows.append((lineno, cells))
-    return header, rows
+    rows = [
+        (lineno, [c.strip() for c in line.split(",")])
+        for lineno, line in enumerate(_split_lines(text), start=1)
+        if line.strip()
+    ]
+    if rows and rows[0][1][0].lower() in header_keys:
+        rows = rows[1:]
+    for lineno, cells in rows:
+        if len(cells) < width or (exact and len(cells) > width):
+            raise ParseError(f"row {lineno}: expected {'' if exact else 'at least '}{width} cells, got {len(cells)}")
+    return [(lineno, cells[:width]) for lineno, cells in rows]
 
 
 def _parse_cell(token: str, fmt: MatrixFormat, row: int, col: int) -> float:
@@ -303,9 +300,8 @@ def serialize_annotation(ann: AnnotationIndex) -> str:
 
 def parse_sensitivity(text: str) -> list[SensitivityRecord]:
     """Parse cell_line,drug_id,measure,value potency rows."""
-    header, rows = read_csv_rows(text, 4, ("cell_line",))
     records: list[SensitivityRecord] = []
-    for lineno, (cell_line, drug_id, measure_tok, value_tok) in rows:
+    for lineno, (cell_line, drug_id, measure_tok, value_tok) in read_csv_rows(text, 4, ("cell_line",)):
         try:
             measure = Measure(measure_tok)
         except ValueError:
@@ -319,7 +315,7 @@ def parse_sensitivity(text: str) -> list[SensitivityRecord]:
         except ValueError as exc:
             raise ParseError(f"row {lineno}: {exc}") from None
     if not records:
-        raise ParseError("sensitivity file has a header but no rows" if header else "empty sensitivity file")
+        raise ParseError("sensitivity file has a header but no rows" if text.strip() else "empty sensitivity file")
     return records
 
 
@@ -346,15 +342,14 @@ def parse_timestamp(token: str, lineno: int = 0) -> datetime:
 
 def parse_sample_meta(text: str) -> list[SampleMeta]:
     """Parse sample_id,run_timestamp,scanner_id,treatment_arm,included rows."""
-    header, rows = read_csv_rows(text, 5, ("sample_id",))
     metas: list[SampleMeta] = []
-    for lineno, (sample_id, stamp, scanner_id, arm, included) in rows:
+    for lineno, (sample_id, stamp, scanner_id, arm, included) in read_csv_rows(text, 5, ("sample_id",)):
         ts = parse_timestamp(stamp, lineno)
         if included not in ("0", "1"):
             raise ParseError(f"row {lineno}: included must be 0 or 1, got {included!r}")
         metas.append(SampleMeta(sample_id, ts, scanner_id, arm, included == "1"))
     if not metas:
-        raise ParseError("metadata file has a header but no rows" if header else "empty sample metadata file")
+        raise ParseError("metadata file has a header but no rows" if text.strip() else "empty sample metadata file")
     return metas
 
 

@@ -13,6 +13,7 @@ from arrayaudit import ingest
 from arrayaudit.cli import (
     _INPUT_KINDS,
     CHECKS,
+    Bounds,
     FINDING_CODES,
     ManifestError,
     _param,
@@ -22,7 +23,8 @@ from arrayaudit.cli import (
     report_to_json,
     run_audit,
 )
-from arrayaudit.core import GroupLabel, Severity
+from arrayaudit.core import GroupLabel, LabeledMatrix, LabelRoster, RosterEntry, Severity
+from arrayaudit.signature import auc
 
 REQUIRED_CORRUPTED_CODES = {
     "DUP_INCONSISTENT_LABELS",
@@ -201,7 +203,7 @@ def test_manifest_schema_states_the_check_registry():
     type_names = {float: "number", int: "integer", str: "string", list: "array"}
 
     def as_json(value):
-        return list(value) if isinstance(value, tuple) else value
+        return str(value) if isinstance(value, Bounds) else list(value) if isinstance(value, tuple) else value
 
     expected = {}
     for name, spec in CHECKS.items():
@@ -211,6 +213,8 @@ def test_manifest_schema_states_the_check_registry():
                 _param(param, as_json(default), kind, allowed)
             params[param] = {"type": type_names[kind], "default": as_json(default), "allowed": as_json(allowed)}
         expected[name] = {"inputs": spec.inputs, "params": params}
+        if spec.item_inputs:
+            expected[name]["item_inputs"] = spec.item_inputs
     assert schema["checkParameters"] == expected
     props = schema["properties"]
     assert props["checks"]["items"]["properties"]["check"]["enum"] == list(CHECKS)
@@ -593,7 +597,7 @@ def test_short_csv_row_exits_1_naming_its_line(tmp_path, capsys):
     (tmp_path / "scores.csv").write_text("sample_id,score\na,0.9\nb\n")
     (tmp_path / "labels.csv").write_text("a,1\nb,0\n")
     assert main(["roc", "--scores", str(tmp_path / "scores.csv"), "--labels", str(tmp_path / "labels.csv")]) == 1
-    assert "row 3: expected 2 cells, got 1" in capsys.readouterr().err
+    assert "row 3: expected at least 2 cells, got 1" in capsys.readouterr().err
 
     panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=10)
     (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
@@ -602,4 +606,56 @@ def test_short_csv_row_exits_1_naming_its_line(tmp_path, capsys):
     (tmp_path / "start.csv").write_text(f"cell_line,state\n\n{line},Sensitive\n{line}\n")
     argv = ["search", "groups", "--panel", str(tmp_path / "panel.tsv"), "--target", str(tmp_path / "target.csv")]
     assert main([*argv, "--k", "10", "--start", str(tmp_path / "start.csv")]) == 1
-    assert "row 4: expected 2 cells, got 1" in capsys.readouterr().err
+    assert "row 4: expected at least 2 cells, got 1" in capsys.readouterr().err
+
+
+def test_roc_and_search_read_predict_output_and_rosters(tmp_path, capsys):
+    # the two-column readers take the first two cells of wider rows: the
+    # scores that signature predict writes and the rows of a roster file
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((30, 12))
+    values[:4, :6] += 3.0
+    train = LabeledMatrix(
+        tuple(f"g{i}" for i in range(30)),
+        tuple(f"s{j}" for j in range(12)),
+        values,
+        {f"s{j}": (GroupLabel.SENSITIVE if j < 6 else GroupLabel.RESISTANT) for j in range(12)},
+    )
+    (tmp_path / "train.tsv").write_text(ingest.serialize_matrix(train))
+    test_values = rng.standard_normal((30, 6))
+    test_values[:4, :3] += 3.0
+    test_m = LabeledMatrix(tuple(f"g{i}" for i in range(30)), tuple(f"t{j}" for j in range(6)), test_values)
+    (tmp_path / "test.tsv").write_text(ingest.serialize_matrix(test_m))
+    scores = tmp_path / "scores.csv"
+    argv = ["signature", "predict", "--train", str(tmp_path / "train.tsv"), "--test", str(tmp_path / "test.tsv")]
+    assert main([*argv, "--k", "4", "--out", str(scores)]) == 0
+    truth = [GroupLabel.SENSITIVE] * 3 + [GroupLabel.RESISTANT] * 3
+    roster = LabelRoster(tuple(RosterEntry(f"t{j}", lab, "lab-a", "note") for j, lab in enumerate(truth)))
+    (tmp_path / "roster.csv").write_text(ingest.serialize_roster(roster))
+    capsys.readouterr()
+    assert main(["roc", "--scores", str(scores), "--labels", str(tmp_path / "roster.csv")]) == 0
+    rows = [r.split(",") for r in scores.read_text().strip().split("\n")[1:]]
+    want = auc([float(r[1]) for r in rows], [int(lab == GroupLabel.SENSITIVE) for lab in truth])
+    assert capsys.readouterr().out.strip() == f"n = 6, AUC = {want:.6f}"
+
+    panel, planted, target = fx.planted_panel(2025, 7, 7, 6, k=10)
+    (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
+    (tmp_path / "target.csv").write_text(ingest.serialize_signature(target))
+    start = LabelRoster(tuple(RosterEntry(line, lab, "lab-a", "") for line, lab in planted.items()))
+    (tmp_path / "start.csv").write_text(ingest.serialize_roster(start))
+    trace = tmp_path / "trace.json"
+    argv = ["search", "groups", "--panel", str(tmp_path / "panel.tsv"), "--target", str(tmp_path / "target.csv")]
+    assert main([*argv, "--k", "10", "--start", str(tmp_path / "start.csv"), "--trace", str(trace)]) == 0
+    doc = json.loads(trace.read_text())
+    assert doc["final"] == {line: lab.value for line, lab in planted.items()}
+
+
+def test_sensitivity_and_meta_rows_must_have_their_exact_width():
+    with pytest.raises(ingest.ParseError, match="row 3: expected 4 cells, got 5"):
+        ingest.parse_sensitivity("cell_line,drug_id,measure,value\n\nA,d1,GI50,-5.0,extra\n")
+    with pytest.raises(ingest.ParseError, match="row 2: expected 5 cells, got 6"):
+        ingest.parse_sample_meta("sample_id,run_timestamp,scanner_id,treatment_arm,included\ns1,2020-01-01,x,a,1,z\n")
+    with pytest.raises(ingest.ParseError, match="sensitivity file has a header but no rows"):
+        ingest.parse_sensitivity("cell_line,drug_id,measure,value\n")
+    with pytest.raises(ingest.ParseError, match="empty sample metadata file"):
+        ingest.parse_sample_meta("\n\n")

@@ -14,6 +14,7 @@ separators. Timestamps are ISO-8601; a missing timezone means UTC.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from importlib import resources
@@ -96,6 +97,11 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
+def _nonblank_lines(text: str) -> list[tuple[int, str]]:
+    """Non-blank lines as ``(line number, line)``; blank lines count."""
+    return [(lineno, line) for lineno, line in enumerate(_split_lines(text), start=1) if line.strip()]
+
+
 def read_csv_rows(
     text: str, width: int, header_keys: tuple[str, ...] = (), exact: bool = True
 ) -> list[tuple[int, list[str]]]:
@@ -106,11 +112,7 @@ def read_csv_rows(
     ParseError naming its line; with ``exact`` False a wider row is allowed
     and cut to its first ``width`` cells.
     """
-    rows = [
-        (lineno, [c.strip() for c in line.split(",")])
-        for lineno, line in enumerate(_split_lines(text), start=1)
-        if line.strip()
-    ]
+    rows = [(lineno, [c.strip() for c in line.split(",")]) for lineno, line in _nonblank_lines(text)]
     if rows and rows[0][1][0].lower() in header_keys:
         rows = rows[1:]
     for lineno, cells in rows:
@@ -119,17 +121,40 @@ def read_csv_rows(
     return [(lineno, cells[:width]) for lineno, cells in rows]
 
 
-def _parse_cell(token: str, fmt: MatrixFormat, row: int, col: int) -> float:
-    tok = token.strip()
-    if tok == fmt.missing_token:
-        return float("nan")
-    # reject locale-style separators and other float() extensions
-    if "," in tok or " " in tok or tok.lower() in ("nan", "inf", "-inf", "infinity", "-infinity"):
-        raise ParseError(f"row {row}, column {col}: unparseable numeric cell {token!r}")
+#: Any character outside an ASCII decimal number, its space/tab padding and
+#: the delimiters, so one search covers a whole row (float() rejects a comma).
+_NOT_NUMERIC = re.compile(r"[^0-9+\-.eE \t,]")
+
+
+def parse_number(token: str) -> Optional[float]:
+    """The one number rule for numeric cells: an ASCII decimal number,
+    optionally padded with spaces or tabs (``1``, `` -2.5 ``, ``.5``,
+    ``5.``, ``+1E-3``); None for anything else. The character whitelist
+    rules out what ``float()`` accepts beyond that (``inf``, ``nan``,
+    ``1_000``, non-ASCII digits, other whitespace)."""
+    if _NOT_NUMERIC.search(token):
+        return None
     try:
-        return float(tok)
+        return float(token)
     except ValueError:
-        raise ParseError(f"row {row}, column {col}: unparseable numeric cell {token!r}") from None
+        return None
+
+
+_NAN = float("nan")
+
+
+def _parse_cells(cells: list[str], missing: str, row: int) -> list[float]:
+    """A row that holds the missing token or failed the row check: missing
+    cells become NaN, checked once over the rest; else the first bad cell
+    raises."""
+    marked = [_NAN if tok.strip(" \t") == missing else tok for tok in cells]
+    if not _NOT_NUMERIC.search(",".join([tok for tok in marked if tok is not _NAN])):
+        try:
+            return list(map(float, marked))
+        except ValueError:
+            pass
+    j = next(j for j, tok in enumerate(marked) if tok is not _NAN and parse_number(tok) is None)
+    raise ParseError(f"row {row}, column {j + 2}: unparseable numeric cell {cells[j]!r}")
 
 
 def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix:
@@ -167,20 +192,27 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
     feature_ids: list[str] = []
     rows: list[list[float]] = []
     seen: set[str] = set()
+    missing = fmt.missing_token
+    # a whitelist-clean token ("", "-999") could pass as a number: look for it
+    find_missing = not _NOT_NUMERIC.search(missing)
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
-        cells = line.split(sep)
-        fid = cells[0].strip()
-        if len(cells) - 1 != ncol:
-            raise ParseError(
-                f"row {lineno}: ragged row ({len(cells) - 1} cells, expected {ncol})"
-            )
+        head, *cells = line.split(sep)
+        fid = head.strip()
+        if len(cells) != ncol:
+            raise ParseError(f"row {lineno}: ragged row ({len(cells)} cells, expected {ncol})")
         if fid in seen:
             raise ParseError(f"row {lineno}: duplicate feature id {fid!r}")
         seen.add(fid)
         feature_ids.append(fid)
-        rows.append(
-            [_parse_cell(tok, fmt, lineno, j + 2) for j, tok in enumerate(cells[1:])]
-        )
+        # whole-row fast path: one whitelist search, then a C-level float loop
+        start = len(head) + 1
+        if not (_NOT_NUMERIC.search(line, start) or (find_missing and line.find(missing, start) >= 0)):
+            try:
+                rows.append(list(map(float, cells)))
+                continue
+            except ValueError:
+                pass
+        rows.append(_parse_cells(cells, missing, lineno))
     if not feature_ids:
         raise ParseError("matrix has no feature rows")
     values = np.array(rows, dtype=np.float64)
@@ -203,27 +235,23 @@ def serialize_matrix(m: LabeledMatrix, fmt: MatrixFormat = MatrixFormat()) -> st
     return "\n".join(out) + "\n"
 
 
-def _roster_fields(line: str, lineno: int) -> list[str]:
-    cells = [c.strip() for c in line.split(",")]
-    if len(cells) < 2:
-        raise ParseError(f"row {lineno}: roster rows need at least sample_id,label")
-    return cells
-
-
 def parse_roster(text: str) -> LabelRoster:
     """Parse sample_id,label[,source,note] rows. Duplicate ids are kept:
     repeated and contradictory claims are exactly what gets audited."""
-    lines = [ln for ln in _split_lines(text) if ln.strip()]
+    lines = _nonblank_lines(text)
     if not lines:
         raise ParseError("empty roster file")
-    start = 0
-    first = [c.strip().lower() for c in lines[0].split(",")]
-    if first[:2] == ["sample_id", "label"]:
-        start = 1
+    if [c.strip().lower() for c in lines[0][1].split(",")][:2] == ["sample_id", "label"]:
+        lines = lines[1:]
     entries: list[RosterEntry] = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        cells = _roster_fields(line, lineno)
-        label = normalize_label(cells[1])
+    for lineno, line in lines:
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) < 2:
+            raise ParseError(f"row {lineno}: roster rows need at least sample_id,label")
+        try:
+            label = normalize_label(cells[1])
+        except ParseError as exc:
+            raise ParseError(f"row {lineno}: {exc}") from None
         source = cells[2] if len(cells) > 2 else ""
         note = cells[3] if len(cells) > 3 and cells[3] else None
         entries.append(RosterEntry(cells[0], label, source, note))
@@ -242,16 +270,14 @@ def serialize_roster(r: LabelRoster) -> str:
 def parse_signature(text: str) -> SignatureList:
     """Parse a reported gene list: one feature id per line, optionally
     followed by ,direction (UpInResistant / UpInSensitive)."""
-    lines = [ln for ln in _split_lines(text) if ln.strip()]
+    lines = _nonblank_lines(text)
     if not lines:
         raise ParseError("empty signature file")
-    start = 0
-    first = [c.strip().lower() for c in lines[0].split(",")]
-    if first[0] == "feature_id":
-        start = 1
+    if lines[0][1].split(",")[0].strip().lower() == "feature_id":
+        lines = lines[1:]
     ids: list[str] = []
     dirs: list[tuple[str, Direction]] = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in lines:
         cells = [c.strip() for c in line.split(",")]
         fid = cells[0]
         if not fid:
@@ -306,10 +332,9 @@ def parse_sensitivity(text: str) -> list[SensitivityRecord]:
             measure = Measure(measure_tok)
         except ValueError:
             raise ParseError(f"row {lineno}: unknown measure {measure_tok!r}") from None
-        try:
-            value = float(value_tok)
-        except ValueError:
-            raise ParseError(f"row {lineno}: unparseable potency {value_tok!r}") from None
+        value = parse_number(value_tok)
+        if value is None:
+            raise ParseError(f"row {lineno}: unparseable potency {value_tok!r}")
         try:
             records.append(SensitivityRecord(cell_line, drug_id, measure, value))
         except ValueError as exc:

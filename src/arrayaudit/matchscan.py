@@ -130,13 +130,17 @@ def detect_offset(
     replaced by the id on row i+s (ids not on the platform can never shift
     and count as outliers everywhere; shifts off the end contribute
     nothing). Ties prefer smaller |s|, then negative over positive.
+    Only shifts of at most ``len(ann) - 1`` are scanned, because a larger
+    one moves every row off the annotation and matches nothing; so
+    ``overlap_by_shift`` holds just those reachable shifts.
     """
     if len(reported) == 0 or len(generated) == 0:
         raise ValueError("offset detection needs nonempty signatures")
     gen = set(generated.feature_ids)
     rep = list(dict.fromkeys(reported.feature_ids))
     foreign = tuple(fid for fid in rep if fid not in ann)
-    shifts = sorted(range(-max_shift, max_shift + 1), key=lambda s: (abs(s), s > 0))
+    reach = min(max_shift, len(ann.feature_ids) - 1)
+    shifts = sorted(range(-reach, reach + 1), key=lambda s: (abs(s), s > 0))
     overlap_by_shift: dict[int, int] = {}
     best_shift = 0
     best_overlap = -1

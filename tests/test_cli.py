@@ -659,3 +659,44 @@ def test_sensitivity_and_meta_rows_must_have_their_exact_width():
         ingest.parse_sensitivity("cell_line,drug_id,measure,value\n")
     with pytest.raises(ingest.ParseError, match="empty sample metadata file"):
         ingest.parse_sample_meta("\n\n")
+
+
+_OFFSET_CHILD = """
+import contextlib, io, json, resource, sys
+from pathlib import Path
+# a scan of every shift up to max_shift would need gigabytes: fail fast instead
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from arrayaudit import ingest
+from arrayaudit.cli import main, report_to_json, run_audit
+from arrayaudit.matchscan import detect_offset
+
+root, max_shift = Path(sys.argv[1]), int(sys.argv[2])
+reported, generated = (ingest.parse_signature((root / name).read_text()) for name in ("rep.csv", "gen.csv"))
+ann = ingest.parse_annotation((root / "ann.txt").read_text())
+res = detect_offset(reported, ann, generated, max_shift=max_shift)
+manifest = json.loads((root / "manifest.json").read_text())
+manifest["checks"][0]["max_shift"] = max_shift
+(root / "manifest.json").write_text(json.dumps(manifest))
+report, code = run_audit(root / "manifest.json")
+view = io.StringIO()
+with contextlib.redirect_stdout(view):
+    view_code = main(["audit", *sys.argv[3:], "--max-shift", str(max_shift)])
+print(json.dumps([repr(res), report_to_json(report), code, view.getvalue(), view_code]))
+"""
+
+
+def test_huge_max_shift_scans_only_reachable_shifts(tmp_path):
+    argv, inputs, check, _ = _offset_view(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps({"inputs": inputs, "checks": [check]}))
+    view_argv = [argv[0], *argv[3:]]  # without the view's own --max-shift 2
+    n_ann = len(fx.offset_fixture()[1].feature_ids)
+    runs = {}
+    for max_shift in (n_ann, 10**9):
+        out = subprocess.run(
+            [sys.executable, "-c", _OFFSET_CHILD, str(tmp_path), str(max_shift), *view_argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        runs[max_shift] = json.loads(out.stdout)
+    assert runs[10**9] == runs[n_ann]
+    assert "best_shift=1," in runs[n_ann][0] and runs[n_ann][2] == 2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,3 +165,140 @@ def test_meta_round_trip():
     metas = ingest.parse_sample_meta(text)
     again = ingest.parse_sample_meta(ingest.serialize_sample_meta(metas))
     assert again == metas
+
+
+NO_LABELS = MatrixFormat(has_label_row=False)
+
+
+@pytest.mark.parametrize("tok", ["+inf", "+Infinity", "-nan", "+nan", "1_000", "١٢", "0x10", "1,5"])
+def test_parse_matrix_rejects_float_extensions(tok):
+    text = f"id\tS1\tS2\ngene1\t1\t2\ngene2\t3\t{tok}\n"
+    with pytest.raises(ParseError, match=r"row 3, column 3: unparseable numeric cell"):
+        ingest.parse_matrix(text, NO_LABELS)
+
+
+@pytest.mark.parametrize(
+    "tok, expected", [(" 1.5 ", 1.5), (".5", 0.5), ("5.", 5.0), ("+5", 5.0), ("1E-3", 0.001), (" NA ", None)]
+)
+def test_parse_matrix_accepts_padded_ascii_decimals(tok, expected):
+    m = ingest.parse_matrix(f"id\tS1\tS2\ngene1\t{tok}\t2\n", NO_LABELS)
+    if expected is None:
+        assert np.isnan(m.values[0, 0])
+    else:
+        assert m.values[0, 0] == expected
+    assert m.values[0, 1] == 2.0
+
+
+def test_parse_matrix_reports_the_first_fault_in_reading_order():
+    rows = ["id\tS1\tS2", "gene1\t1\t2", "gene2\t1\tinf", "gene3\t1\t2", "gene4\t1"]
+    with pytest.raises(ParseError, match=r"^row 3, column 3: "):
+        ingest.parse_matrix("\n".join(rows) + "\n", NO_LABELS)
+    rows[2] = "gene1\t1\t2"  # now a duplicate id comes before the ragged row
+    with pytest.raises(ParseError, match=r"^row 3: duplicate feature id"):
+        ingest.parse_matrix("\n".join(rows) + "\n", NO_LABELS)
+
+
+def test_parse_matrix_bad_cell_beside_missing_cells_names_its_column():
+    text = "id,S1,S2,S3,S4\ngene1,NA,1,x1,NA\n"
+    with pytest.raises(ParseError, match=r"row 2, column 4: unparseable numeric cell 'x1'"):
+        ingest.parse_matrix(text, MatrixFormat(delimiter="comma", has_label_row=False))
+
+
+def test_parse_matrix_non_default_missing_tokens():
+    fmt = MatrixFormat(has_label_row=False, missing_token="-999")
+    m = ingest.parse_matrix("id\tS1\tS2\tS3\ngene1\t-999\t-9990\t 1\ngene2\t1\t2\t -999 \n", fmt)
+    np.testing.assert_array_equal(m.values, [[np.nan, -9990.0, 1.0], [1.0, 2.0, np.nan]])
+    fmt = MatrixFormat(delimiter="comma", has_label_row=False, missing_token="")
+    m = ingest.parse_matrix("id,S1,S2,S3\ngene1,,2, \ngene2,1,2,3\n", fmt)
+    np.testing.assert_array_equal(m.values, [[np.nan, 2.0, np.nan], [1.0, 2.0, 3.0]])
+    with pytest.raises(ParseError, match=r"row 2, column 2: unparseable numeric cell 'NA'"):
+        ingest.parse_matrix("id,S1\ngene1,NA\n", fmt)
+
+
+# An independent statement of the grammar: ASCII decimal, space/tab padding.
+_ASCII_DECIMAL = re.compile(r"[ \t]*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t]*")
+
+
+def _reference_cells(cells: list[list[str]], missing: str):
+    """Per-cell oracle: NaN for the missing token, else the grammar and
+    float(); the first bad cell in reading order as (row, column)."""
+    out = []
+    for i, row in enumerate(cells):
+        vals = []
+        for j, tok in enumerate(row):
+            if tok.strip(" \t") == missing:
+                vals.append(float("nan"))
+            elif _ASCII_DECIMAL.fullmatch(tok):
+                vals.append(float(tok))
+            else:
+                return None, (i + 2, j + 2)
+        out.append(vals)
+    return np.array(out, dtype=np.float64), None
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER_TOKENS = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map(lambda x: format(x, ".17g")),
+    _FINITE.map(lambda x: format(x, ".6e")),
+    _FINITE.map(lambda x: format(x, "E")),
+    st.integers(-(10**20), 10**20).map(str),
+    st.integers(0, 10**6).flatmap(lambda n: st.sampled_from([f"{n}.", f".{n}", f"+{n}", f"-{n}."])),
+)
+_HOSTILE = [
+    "inf", "-inf", "+inf", "Infinity", "+Infinity", "nan", "-nan", "+nan", "NaN", "NAN", "n/a",
+    "1_000", "\u0661\u0662", "\uff0e5", "0x10", "1d5", "1e", "e5", "--1", "1.2.3", "1 2", "", " ",
+    "\xa01", "\x0b1", "1\x0c", "1\u2003",
+]
+
+
+@st.composite
+def _matrix_cells(draw):
+    delimiter = draw(st.sampled_from(["tab", "comma"]))
+    missing = draw(st.sampled_from(["NA", "", "-999"]))
+    pads = [" ", "  "] + (["\t", " \t"] if delimiter == "comma" else [])
+    padded = st.tuples(st.sampled_from(["", *pads]), _NUMBER_TOKENS, st.sampled_from(["", *pads])).map("".join)
+    cell = st.one_of(_NUMBER_TOKENS, padded, st.sampled_from([missing, f" {missing} ", f"\xa0{missing}"]))
+    if draw(st.booleans()):  # some matrices hold hostile tokens as well
+        cell = st.one_of(cell, st.sampled_from(_HOSTILE + (["1,5"] if delimiter == "tab" else [])))
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    return delimiter, missing, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_cells())
+def test_parse_matrix_matches_per_cell_oracle(case):
+    delimiter, missing, cells = case
+    fmt = MatrixFormat(delimiter=delimiter, has_label_row=False, missing_token=missing)
+    sep = fmt.sep
+    lines = [sep.join(["id", *(f"S{j}" for j in range(len(cells[0])))])]
+    lines += [sep.join([f"g{i}", *row]) for i, row in enumerate(cells)]
+    text = "\n".join(lines) + "\n"
+    expected, bad = _reference_cells(cells, missing)
+    if bad is not None:
+        with pytest.raises(ParseError, match=rf"^row {bad[0]}, column {bad[1]}: "):
+            ingest.parse_matrix(text, fmt)
+        return
+    got = ingest.parse_matrix(text, fmt).values
+    assert got.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+
+
+def test_parse_sensitivity_reads_potency_through_the_number_grammar():
+    with pytest.raises(ParseError, match=r"row 3: unparseable potency '1_0'"):
+        ingest.parse_sensitivity("cell_line,drug_id,measure,value\nMCF7,D1,GI50,4.2\nA549,D1,GI50,1_0\n")
+    with pytest.raises(ParseError, match=r"row 1: unparseable potency 'inf'"):
+        ingest.parse_sensitivity("MCF7,D1,GI50,inf\n")
+    assert ingest.parse_sensitivity("MCF7,D1,GI50,+5.\n")[0].value == 5.0
+
+
+def test_roster_and_signature_rows_are_file_line_numbers():
+    with pytest.raises(ParseError, match=r"^row 4: roster rows need at least sample_id,label"):
+        ingest.parse_roster("sample_id,label\nGSM1,RES\n\nGSM2\n")
+    with pytest.raises(ParseError, match=r"^row 3: unknown group label token 'wibble'"):
+        ingest.parse_roster("GSM1,RES\n\nGSM2,wibble\n")
+    with pytest.raises(ParseError, match=r"^row 4: unknown direction token 'sideways'"):
+        ingest.parse_signature("feature_id,direction\n\ng1,UpInResistant\ng2,sideways\n")
+    with pytest.raises(ParseError, match=r"^row 3: empty feature id"):
+        ingest.parse_signature("g1\n\n,UpInResistant\n")

@@ -22,18 +22,23 @@ import numpy as np
 _EPS = np.finfo(np.float64).eps
 
 
-def _standardize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center rows and scale to unit Euclidean norm; flag degenerate rows.
+def varying(centered_sq: np.ndarray, raw_sq: np.ndarray, n: int | np.ndarray) -> np.ndarray:
+    """The degeneracy rule, from the sums of squares of ``n`` values
+    centered and raw: they vary when their centered norm exceeds the
+    rounding error of centering them, 4 * n * eps of their raw norm. The
+    computed mean of a constant that does not round exactly (0.1, 7.3)
+    leaves residuals of a few ulps, not zeros."""
+    return np.sqrt(centered_sq) > 4.0 * n * _EPS * np.sqrt(raw_sq)
 
-    A row is degenerate when its centered norm is within the rounding error
-    of centering it (4 * n * eps of its raw norm, n its length): the
-    computed mean of a constant row that does not round exactly (0.1, 7.3)
-    leaves residuals of a few ulps, not zeros.
-    """
+
+def _standardize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center rows and scale to unit Euclidean norm; flag the rows that
+    vary (``varying``)."""
     x = np.asarray(x, dtype=np.float64)
     centered = x - x.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=1))
-    ok = norms > 4.0 * x.shape[1] * _EPS * np.sqrt((x * x).sum(axis=1))
+    sq = (centered * centered).sum(axis=1)
+    norms = np.sqrt(sq)
+    ok = varying(sq, (x * x).sum(axis=1), x.shape[1])
     safe = np.where(ok, norms, 1.0)
     return centered / safe[:, None], ok
 

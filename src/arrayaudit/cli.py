@@ -22,8 +22,6 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import __version__
 from .core import (
     Finding,
@@ -31,9 +29,7 @@ from .core import (
     GroupLabel,
     LabeledMatrix,
     Measure,
-    PlatformMismatchError,
     Severity,
-    extract_submatrix,
     validate,
 )
 from . import dupscan as _dup
@@ -139,6 +135,11 @@ def explain(code: str) -> str:
 
 class ManifestError(ValueError):
     pass
+
+
+#: What a bad input file, manifest or parameter raises: ``main`` prints it
+#: as ``error: ...`` and exits 1, ``run_audit`` reports it as DEGENERATE_DATA.
+_INPUT_ERRORS = (OSError, ValueError, KeyError, OverflowError, _sig.MetageneConvergenceError)
 
 
 #: input kind -> its parser (looked up in ``ingest`` at call time)
@@ -785,7 +786,7 @@ def run_audit(manifest: AuditManifest | str | Path) -> tuple[FindingsReport, int
     for chk in manifest.checks:
         try:
             new = CHECKS[chk["check"]].run(loader, _resolve(chk))
-        except (OSError, ValueError, KeyError, OverflowError, PlatformMismatchError) as exc:
+        except _INPUT_ERRORS as exc:
             had_error = True
             findings.append(_degenerate(Severity.WARNING, chk["check"], f"check {chk['check']!r} could not run: {exc}"))
             continue
@@ -818,24 +819,19 @@ def _load_matrix(path: str, delimiter: str = "tab") -> LabeledMatrix:
     return ingest.parse_matrix(_read(path), ingest.MatrixFormat(delimiter=delimiter))
 
 
-def _parse_scores_csv(path: str) -> dict[str, float]:
-    rows = ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"), exact=False)
-    return {sid: float(score) for _, (sid, score) in rows}
-
-
-def _parse_binary_labels_csv(path: str) -> dict[str, int]:
+def _read_classes(path: str) -> dict[str, int]:
+    """``roc --labels``: per id a class, written as its number or as a label
+    that ``signature.CLASS_OF`` maps."""
+    numbers = {str(c): c for c in _sig.CLASS_OF.values()}
     out: dict[str, int] = {}
-    for _, (sid, tok) in ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"), exact=False):
-        if tok in ("0", "1"):
-            out[sid] = int(tok)
-        else:
-            lab = ingest.normalize_label(tok)
-            if lab == GroupLabel.SENSITIVE:
-                out[sid] = 1
-            elif lab == GroupLabel.RESISTANT:
-                out[sid] = 0
-            else:
-                raise ValueError(f"label {tok!r} for {sid!r} is neither binary nor Sensitive/Resistant")
+    for row, (sid, tok) in ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"), exact=False):
+        try:
+            cls = numbers[tok] if tok in numbers else _sig.CLASS_OF.get(ingest.normalize_label(tok))
+        except ingest.ParseError as exc:
+            raise ingest.ParseError(f"row {row}: {exc}") from None
+        if cls is None:
+            raise ingest.ParseError(f"row {row}: label {tok!r} for {sid!r} is neither 0/1 nor Sensitive/Resistant")
+        out[sid] = cls
     return out
 
 
@@ -875,6 +871,7 @@ def _cmd_audit_crosstab(args) -> int:
 
 
 def _cmd_match(args, by_rows: bool) -> int:
+    _param("min_corr", args.min_corr, float, Bounds(0, 1, lo_open=True))
     query = _load_matrix(args.query, args.delimiter)
     reference = _load_matrix(args.reference, args.delimiter)
     if args.pipeline:
@@ -939,62 +936,26 @@ def _cmd_signature_derive(args) -> int:
 
 
 def _cmd_signature_predict(args) -> int:
-    train = _load_matrix(args.train, args.delimiter)
-    test = _load_matrix(args.test, args.delimiter)
-    sig = _sig.select_top_genes(train, args.k)
-    shared = [fid for fid in sig.feature_ids if fid in set(test.feature_ids)]
-    if not shared:
-        print("signature and test matrix share no features", file=sys.stderr)
-        return 1
-    from .core import SignatureList
-
-    sig_shared = SignatureList(tuple(shared))
-    train_sub, _ = extract_submatrix(train, sig_shared)
-    test_sub, _ = extract_submatrix(test, sig_shared)
-    train_scores = _sig.metagene_scores(train_sub)
-    # recover the feature-space direction from the scores (scores = sigma * v)
-    xc = train_sub.values - train_sub.values.mean(axis=1, keepdims=True)
-    u = xc @ train_scores
-    u /= np.linalg.norm(u)
-    test_centered = test_sub.values - train_sub.values.mean(axis=1, keepdims=True)
-    test_scores = test_centered.T @ u
-    y = []
-    for sid in train_sub.sample_ids:
-        lab = train_sub.label_of(sid)
-        if lab == GroupLabel.SENSITIVE:
-            y.append(1)
-        elif lab == GroupLabel.RESISTANT:
-            y.append(0)
-        else:
-            y.append(-1)
-    keep = [i for i, v in enumerate(y) if v >= 0]
-    model = _sig.fit_probit(train_scores[keep], np.array(y)[keep])
-    if model.converged:
-        probs = _sig.predict_prob(model, test_scores)
-    else:
-        thr = model.separation_threshold
-        if thr is None:
-            print("probit fit failed and no separating threshold exists", file=sys.stderr)
-            return 1
-        probs = (test_scores >= thr).astype(float)
+    pred = _sig.predict(_load_matrix(args.train, args.delimiter), _load_matrix(args.test, args.delimiter), args.k)
+    if pred.hard_calls:
         print("warning: perfect separation; emitting hard 0/1 calls", file=sys.stderr)
     lines = ["sample_id,metagene_score,p_sensitive"]
-    for sid, sc, pr in zip(test_sub.sample_ids, test_scores, probs):
+    for sid, sc, pr in zip(pred.sample_ids, pred.scores, pred.probabilities):
         lines.append(f"{sid},{format(float(sc), '.17g')},{format(float(pr), '.17g')}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"{len(test_sub.sample_ids)} predictions written to {args.out}")
+    print(f"{len(pred.sample_ids)} predictions written to {args.out}")
     return 0
 
 
 def _cmd_roc(args) -> int:
-    scores = _parse_scores_csv(args.scores)
-    labels = _parse_binary_labels_csv(args.labels)
+    rows = ingest.read_csv_rows(_read(args.scores), 2, ("sample_id", "id"), exact=False)
+    scores = {sid: ingest.number_cell(tok, row, 2) for row, (sid, tok) in rows}
+    labels = _read_classes(args.labels)
     shared = [sid for sid in scores if sid in labels]
     if not shared:
-        print("scores and labels share no sample ids", file=sys.stderr)
-        return 1
-    s = np.array([scores[sid] for sid in shared])
-    y = np.array([labels[sid] for sid in shared])
+        raise ValueError("scores and labels share no sample ids")
+    s = [scores[sid] for sid in shared]
+    y = [labels[sid] for sid in shared]
     value = _sig.auc(s, y)
     print(f"n = {len(shared)}, AUC = {value:.6f}")
     if args.out:
@@ -1007,20 +968,13 @@ def _cmd_roc(args) -> int:
 
 def _cmd_combo(args) -> int:
     rule = _integ.COMBINATION_RULES[args.rule]
-    text = _read(args.inputs)
-    header = next(([c.strip() for c in line.split(",")] for line in text.splitlines() if line.strip()), [""])
-    rows = ingest.read_csv_rows(text, len(header), (header[0].lower(),))
-    missing = [k for k in rule.drug_keys if k not in header[1:]]
+    columns, rows = ingest.parse_table(_read(args.inputs))
+    missing = [k for k in rule.drug_keys if k not in columns]
     if missing:
-        print(f"input file is missing drug column(s) {missing}", file=sys.stderr)
-        return 1
-    raw_rows = [
-        (cells[0], _integ.raw_combination_score({k: float(v) for k, v in zip(header[1:], cells[1:])}, rule))
-        for _, cells in rows
-    ]
-    if not raw_rows:
-        print("no input rows", file=sys.stderr)
-        return 1
+        raise ValueError(f"input file is missing drug column(s) {missing}")
+    if not rows:
+        raise ValueError("no input rows")
+    raw_rows = [(sid, _integ.raw_combination_score(dict(zip(columns, values)), rule)) for sid, values in rows]
     values = [v for _, v in raw_rows]
     normalized = _integ.renormalize_batch(values, rule) if args.batch_normalize else None
     lines = ["sample_id,raw" + (",normalized" if normalized else "")]
@@ -1039,24 +993,15 @@ def _cmd_combo(args) -> int:
 
 
 def _cmd_report_run(args) -> int:
-    try:
-        report, code = run_audit(args.manifest)
-    except ManifestError as exc:
-        print(f"manifest error: {exc}", file=sys.stderr)
-        return 1
+    report, code = run_audit(args.manifest)
     print(summarize_report(report, code))
     return code
 
 
 def _cmd_explain(args) -> int:
-    try:
-        text = explain(args.code)
-    except KeyError:
-        print(f"unknown finding code {args.code!r}; known codes:", file=sys.stderr)
-        for code in FINDING_CODES:
-            print(f"  {code}", file=sys.stderr)
-        return 1
-    print(f"{args.code}: {text}")
+    if args.code not in FINDING_CODES:
+        raise ValueError(f"unknown finding code {args.code!r}; known codes: {', '.join(FINDING_CODES)}")
+    print(f"{args.code}: {explain(args.code)}")
     return 0
 
 
@@ -1187,7 +1132,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

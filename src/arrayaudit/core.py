@@ -26,10 +26,6 @@ class GroupLabel(enum.Enum):
         return self.value
 
 
-#: Canonical ordering used wherever labels are sorted for output.
-LABEL_ORDER = {lab: i for i, lab in enumerate(GroupLabel)}
-
-
 class Direction(enum.Enum):
     UP_IN_RESISTANT = "UpInResistant"
     UP_IN_SENSITIVE = "UpInSensitive"
@@ -54,9 +50,6 @@ class Severity(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-SEVERITY_ORDER = {Severity.INFO: 0, Severity.WARNING: 1, Severity.CRITICAL: 2}
 
 
 class PlatformMismatchError(ValueError):
@@ -261,11 +254,6 @@ class FindingsReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "findings", tuple(self.findings))
         object.__setattr__(self, "input_digests", dict(self.input_digests))
-
-    def max_severity(self) -> Optional[Severity]:
-        if not self.findings:
-            return None
-        return max((f.severity for f in self.findings), key=SEVERITY_ORDER.get)
 
 
 @dataclass(frozen=True)

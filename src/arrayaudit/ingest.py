@@ -14,6 +14,7 @@ separators. Timestamps are ISO-8601; a missing timezone means UTC.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -105,14 +106,15 @@ def _nonblank_lines(text: str) -> list[tuple[int, str]]:
 def read_csv_rows(
     text: str, width: int, header_keys: tuple[str, ...] = (), exact: bool = True
 ) -> list[tuple[int, list[str]]]:
-    """Comma-separated rows with stripped cells, as ``(line number, cells)``.
+    """Comma-separated rows as ``(line number, cells)``, each cell stripped
+    of the padding the number rule allows (spaces and tabs).
 
     Blank lines are skipped, and so is the first row when its first cell,
     lowercased, is one of ``header_keys``. A row of another width raises
     ParseError naming its line; with ``exact`` False a wider row is allowed
     and cut to its first ``width`` cells.
     """
-    rows = [(lineno, [c.strip() for c in line.split(",")]) for lineno, line in _nonblank_lines(text)]
+    rows = [(lineno, [c.strip(" \t") for c in line.split(",")]) for lineno, line in _nonblank_lines(text)]
     if rows and rows[0][1][0].lower() in header_keys:
         rows = rows[1:]
     for lineno, cells in rows:
@@ -129,15 +131,39 @@ _NOT_NUMERIC = re.compile(r"[^0-9+\-.eE \t,]")
 def parse_number(token: str) -> Optional[float]:
     """The one number rule for numeric cells: an ASCII decimal number,
     optionally padded with spaces or tabs (``1``, `` -2.5 ``, ``.5``,
-    ``5.``, ``+1E-3``); None for anything else. The character whitelist
-    rules out what ``float()`` accepts beyond that (``inf``, ``nan``,
-    ``1_000``, non-ASCII digits, other whitespace)."""
+    ``5.``, ``+1E-3``), that a float can hold; None for anything else. The
+    character whitelist rules out what ``float()`` accepts beyond that
+    (``inf``, ``nan``, ``1_000``, non-ASCII digits, other whitespace), and
+    the finiteness check a decimal that overflows (``1e999``)."""
     if _NOT_NUMERIC.search(token):
         return None
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
+
+
+def number_cell(token: str, row: int, column: int) -> float:
+    """``parse_number`` for the cell at 1-based (row, column); a ParseError
+    naming the cell when the token is not a number."""
+    value = parse_number(token)
+    if value is None:
+        raise ParseError(f"row {row}, column {column}: unparseable numeric cell {token!r}")
+    return value
+
+
+def parse_table(text: str) -> tuple[list[str], list[tuple[str, list[float]]]]:
+    """A comma-separated table under a required header row: an id column,
+    then numeric columns whose cells follow ``parse_number``. Returns the
+    numeric column names and ``(id, values)`` per row."""
+    lines = _nonblank_lines(text)
+    if not lines:
+        raise ParseError("empty table file")
+    (_, header), *rows = read_csv_rows(text, lines[0][1].count(",") + 1)
+    return header[1:], [
+        (cells[0], [number_cell(tok, row, j) for j, tok in enumerate(cells[1:], start=2)]) for row, cells in rows
+    ]
 
 
 _NAN = float("nan")
@@ -153,8 +179,17 @@ def _parse_cells(cells: list[str], missing: str, row: int) -> list[float]:
             return list(map(float, marked))
         except ValueError:
             pass
-    j = next(j for j, tok in enumerate(marked) if tok is not _NAN and parse_number(tok) is None)
-    raise ParseError(f"row {row}, column {j + 2}: unparseable numeric cell {cells[j]!r}")
+    return [tok if tok is _NAN else number_cell(tok, row, j) for j, tok in enumerate(marked, start=2)]
+
+
+def _check_finite(values: np.ndarray, lines: list[str], first_row: int, sep: str) -> None:
+    """Raise for the first infinite value, in reading order, of the rows
+    parsed from ``lines[first_row - 1:]``: the fast path lets a decimal
+    that overflows (``1e999``) through as infinity."""
+    bad = np.isinf(values)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        number_cell(lines[first_row - 1 + i].split(sep)[j + 1], first_row + i, j + 2)
 
 
 def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix:
@@ -185,8 +220,11 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
                     f"row 2: label row has {len(cells) - 1} cells, expected {ncol}"
                 )
             labels = {}
-            for sid, tok in zip(sample_ids, cells[1:]):
-                labels[sid] = normalize_label(tok)
+            for j, (sid, tok) in enumerate(zip(sample_ids, cells[1:]), start=2):
+                try:
+                    labels[sid] = normalize_label(tok)
+                except ParseError as exc:
+                    raise ParseError(f"row 2, column {j}: {exc}") from None
             body_start = 2
 
     feature_ids: list[str] = []
@@ -195,27 +233,32 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
     missing = fmt.missing_token
     # a whitelist-clean token ("", "-999") could pass as a number: look for it
     find_missing = not _NOT_NUMERIC.search(missing)
-    for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
-        head, *cells = line.split(sep)
-        fid = head.strip()
-        if len(cells) != ncol:
-            raise ParseError(f"row {lineno}: ragged row ({len(cells)} cells, expected {ncol})")
-        if fid in seen:
-            raise ParseError(f"row {lineno}: duplicate feature id {fid!r}")
-        seen.add(fid)
-        feature_ids.append(fid)
-        # whole-row fast path: one whitelist search, then a C-level float loop
-        start = len(head) + 1
-        if not (_NOT_NUMERIC.search(line, start) or (find_missing and line.find(missing, start) >= 0)):
-            try:
-                rows.append(list(map(float, cells)))
-                continue
-            except ValueError:
-                pass
-        rows.append(_parse_cells(cells, missing, lineno))
+    try:
+        for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
+            head, *cells = line.split(sep)
+            fid = head.strip()
+            if len(cells) != ncol:
+                raise ParseError(f"row {lineno}: ragged row ({len(cells)} cells, expected {ncol})")
+            if fid in seen:
+                raise ParseError(f"row {lineno}: duplicate feature id {fid!r}")
+            seen.add(fid)
+            feature_ids.append(fid)
+            # whole-row fast path: one whitelist search, then a C-level float loop
+            start = len(head) + 1
+            if not (_NOT_NUMERIC.search(line, start) or (find_missing and line.find(missing, start) >= 0)):
+                try:
+                    rows.append(list(map(float, cells)))
+                    continue
+                except ValueError:
+                    pass
+            rows.append(_parse_cells(cells, missing, lineno))
+    except ParseError:
+        _check_finite(np.array(rows, dtype=np.float64), lines, body_start + 1, sep)  # an earlier overflow comes first
+        raise
     if not feature_ids:
         raise ParseError("matrix has no feature rows")
     values = np.array(rows, dtype=np.float64)
+    _check_finite(values, lines, body_start + 1, sep)
     return LabeledMatrix(tuple(feature_ids), tuple(sample_ids), values, labels)
 
 

@@ -14,13 +14,12 @@ of +1 replaces each reported id with the id on the next platform row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .core import AnnotationIndex, GroupLabel, LabeledMatrix, SignatureList
-from .signature import pooled_t
+from .core import AnnotationIndex, LabeledMatrix, SignatureList
 
 
 @dataclass(frozen=True)
@@ -173,42 +172,3 @@ def check_platform_membership(sig: SignatureList, ann: AnnotationIndex) -> list[
     """Reported ids that do not exist on the platform at all (the
     gene-from-another-array case): exact set difference, reported order."""
     return [fid for fid in dict.fromkeys(sig.feature_ids) if fid not in ann]
-
-
-def separation_score(
-    m: LabeledMatrix,
-    sig: SignatureList,
-    labels: Optional[Mapping[str, GroupLabel]] = None,
-) -> float:
-    """How cleanly the signature genes split the two labeled groups.
-
-    Mean over signature genes (those present in the matrix) of
-    |t| / sqrt(t^2 + nu) with nu = n - 2, where t is the pooled-variance
-    two-sample statistic (``signature.pooled_t``); an infinite t (no
-    within-group variance, distinct means) scores 1. 0 means no
-    structure, values near 1 mean a clean split.
-    """
-    lab = labels if labels is not None else (m.labels or {})
-    groups: dict[GroupLabel, list[int]] = {}
-    for j, sid in enumerate(m.sample_ids):
-        g = lab.get(sid, GroupLabel.UNKNOWN)
-        if g != GroupLabel.UNKNOWN:
-            groups.setdefault(g, []).append(j)
-    if len(groups) != 2:
-        raise ValueError(f"need exactly two non-Unknown groups, found {sorted(g.value for g in groups)}")
-    (g1, idx1), (g2, idx2) = sorted(groups.items(), key=lambda kv: kv[0].value)
-    if len(idx1) < 2 or len(idx2) < 2:
-        raise ValueError("each group needs at least 2 samples")
-    findex = m.feature_index()
-    rows = [findex[fid] for fid in dict.fromkeys(sig.feature_ids) if fid in findex]
-    if not rows:
-        raise ValueError("no signature gene is present in the matrix")
-    x1 = m.values[np.ix_(rows, idx1)]
-    x2 = m.values[np.ix_(rows, idx2)]
-    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        raise ValueError("separation scoring requires complete values for the signature genes")
-    t = np.abs(pooled_t(x1, x2))
-    nu = len(idx1) + len(idx2) - 2
-    with np.errstate(invalid="ignore"):
-        score = np.where(np.isinf(t), 1.0, t / np.sqrt(t * t + nu))
-    return float(score.mean())

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .core import Direction, GroupLabel, LabeledMatrix, SignatureList
+from .core import Direction, GroupLabel, LabeledMatrix, SignatureList, extract_submatrix
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -282,13 +282,61 @@ def fit_probit(
     return ProbitModel(a, b, False, max_iter)
 
 
-def predict_prob(model: ProbitModel, scores: Sequence[float], force: bool = False) -> np.ndarray:
-    """Phi(a + b*score) elementwise; refuses an unconverged model unless
-    explicitly forced."""
-    if not model.converged and not force:
-        raise ValueError("model did not converge; pass force=True to predict anyway")
+def predict_prob(model: ProbitModel, scores: Sequence[float]) -> np.ndarray:
+    """Phi(a + b*score) elementwise; refuses an unconverged model."""
+    if not model.converged:
+        raise ValueError("model did not converge")
     s = np.asarray(scores, dtype=np.float64)
     return ndtr(model.intercept + model.slope * s)
+
+
+#: The class of each label in the probit fit and in ROC: Sensitive is positive.
+CLASS_OF = {GroupLabel.SENSITIVE: 1, GroupLabel.RESISTANT: 0}
+
+
+@dataclass(frozen=True)
+class Predictions:
+    """Test samples' metagene scores and probabilities of the Sensitive
+    class; ``hard_calls`` marks 0/1 calls at the separating threshold of a
+    perfectly separated training set."""
+
+    sample_ids: tuple[str, ...]
+    scores: np.ndarray
+    probabilities: np.ndarray
+    hard_calls: bool
+
+
+def predict(train: LabeledMatrix, test: LabeledMatrix, k: int) -> Predictions:
+    """Predict the test samples from a signature derived on ``train``.
+
+    The model: the top-k genes of ``train`` (``select_top_genes``) that
+    ``test`` also has, the metagene of the training submatrix, the test
+    samples centered by the training gene means and projected onto the
+    metagene's feature direction, and a probit of the training classes
+    (``CLASS_OF``) on the training scores. A perfectly separated training
+    set has no probit optimum and gives hard calls at the separating
+    threshold instead.
+    """
+    g1, idx1, g2, idx2 = _two_groups(train)
+    if {g1, g2} != CLASS_OF.keys():
+        raise DegenerateGroupsError(f"prediction needs Sensitive and Resistant training groups, found {g1} and {g2}")
+    sig = select_top_genes(train, k)
+    test_sub, _ = extract_submatrix(test, sig)
+    train_sub, _ = extract_submatrix(train, SignatureList(test_sub.feature_ids))
+    train_scores = metagene_scores(train_sub)
+    means = train_sub.values.mean(axis=1, keepdims=True)
+    # the feature-space direction behind the scores (scores = sigma * v)
+    u = (train_sub.values - means) @ train_scores
+    u /= np.linalg.norm(u)
+    test_scores = (test_sub.values - means).T @ u
+    y = np.full(train.n_samples, -1)
+    y[idx1], y[idx2] = CLASS_OF[g1], CLASS_OF[g2]
+    model = fit_probit(train_scores[y >= 0], y[y >= 0])
+    if model.converged:
+        return Predictions(test_sub.sample_ids, test_scores, predict_prob(model, test_scores), False)
+    if model.separation_threshold is None:
+        raise ValueError("probit fit failed and no separating threshold exists")
+    return Predictions(test_sub.sample_ids, test_scores, (test_scores >= model.separation_threshold).astype(float), True)
 
 
 def _check_scores(scores: Sequence[float]) -> np.ndarray:
@@ -326,13 +374,6 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> list[tuple[floa
     for i in idx:
         points.append((float(fps[i] / n), float(tps[i] / p)))
     return points
-
-
-def trapezoid_auc(points: Sequence[tuple[float, float]]) -> float:
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
 
 
 _AUC_GRID = float(1 << 53)

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .core import LabeledMatrix
 
 _BASES = {"e": math.e, "2": 2.0, "10": 10.0}
@@ -132,8 +133,11 @@ def _apply_values(values: np.ndarray, p: TransformPipeline, feature_ids: Sequenc
             with np.errstate(invalid="ignore"):
                 means = np.nanmean(out, axis=1, keepdims=True)
                 sds = np.nanstd(out, axis=1, ddof=ddof, keepdims=True)
-            if (sds == 0).any():
-                i = int(np.argwhere(sds[:, 0] == 0)[0][0])
+            # sums of squares over the present values, centered and raw
+            centered_sq = sds[:, 0] ** 2 * (counts - ddof)
+            flat = ~_kernels.varying(centered_sq, centered_sq + counts * means[:, 0] ** 2, counts)
+            if flat.any():
+                i = int(np.flatnonzero(flat)[0])
                 raise TransformError(f"zero-variance row under zscore: feature {feature_ids[i]!r}")
             out = (out - means) / sds
         elif step.kind == "exp":
@@ -164,13 +168,18 @@ def default_candidate_grid() -> list[TransformPipeline]:
 
 
 def _mean_row_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean Pearson correlation over rows; rows degenerate in either matrix
-    are skipped. NaN when no row is comparable."""
-    ac = a - a.mean(axis=1, keepdims=True)
-    bc = b - b.mean(axis=1, keepdims=True)
+    """Mean Pearson correlation over rows; rows that do not vary
+    (``_kernels.varying``) in either matrix are skipped. NaN when no row is
+    comparable."""
+    am = a.mean(axis=1)
+    bm = b.mean(axis=1)
+    ac = a - am[:, None]
+    bc = b - bm[:, None]
     na_sq = (ac * ac).sum(axis=1)
     nb_sq = (bc * bc).sum(axis=1)
-    ok = (na_sq > 0) & (nb_sq > 0)
+    n = a.shape[1]
+    # a row's raw sum of squares is its centered one plus n * mean^2
+    ok = _kernels.varying(na_sq, na_sq + n * am * am, n) & _kernels.varying(nb_sq, nb_sq + n * bm * bm, n)
     if not ok.any():
         return float("nan")
     # single sqrt of the product keeps self-correlation exactly 1.0

@@ -1,14 +1,21 @@
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
 import fixtures_lib as fx
+from test_ingest import _HOSTILE
 from arrayaudit import ingest
 from arrayaudit.cli import (
     _INPUT_KINDS,
@@ -386,7 +393,7 @@ def test_cli_roc_rejects_nan_score(tmp_path):
         [sys.executable, "-m", "arrayaudit.cli", *argv], capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 1
-    assert "score at index 1 is not finite" in out.stderr
+    assert "row 3, column 2: unparseable numeric cell 'nan'" in out.stderr
 
 
 def test_cli_combo(tmp_path, capsys):
@@ -700,3 +707,112 @@ def test_huge_max_shift_scans_only_reachable_shifts(tmp_path):
         runs[max_shift] = json.loads(out.stdout)
     assert runs[10**9] == runs[n_ann]
     assert "best_shift=1," in runs[n_ann][0] and runs[n_ann][2] == 2
+
+
+# --- every command on hostile files ------------------------------------------
+
+
+def _grid(text: str, sep: str) -> list[list[str]]:
+    return [line.split(sep) for line in text.splitlines()]
+
+
+def _valid_inputs(command: str):
+    """Small valid inputs of ``command``: {file name: (delimiter, rows of
+    cells, index of the first row of numeric cells or None)} and the argv,
+    with ``{name}`` standing for a file's path."""
+    rng = np.random.default_rng(0)
+    if command == "roc":
+        scores = [["sample_id", "score"]] + [[f"a{j}", f"{x:.3f}"] for j, x in enumerate(rng.random(6))]
+        labels = [[f"a{j}", "1" if j % 2 else "Resistant"] for j in range(6)]
+        files = {"scores.csv": (",", scores, 1), "labels.csv": (",", labels, None)}
+        return files, ["roc", "--scores", "{scores.csv}", "--labels", "{labels.csv}", "--out", "{out.csv}"]
+    if command == "combo":
+        rows = [["sample_id", "T", "F", "A", "C"]] + [[f"p{i}", *(f"{x:.2f}" for x in rng.random(4))] for i in range(4)]
+        return {"in.csv": (",", rows, 1)}, ["combo", "--rule", "tfac", "--inputs", "{in.csv}", "--batch-normalize"]
+    if command == "predict":
+        values = rng.standard_normal((8, 8))
+        values[:3, :4] += 3.0
+        labels = {f"s{j}": GroupLabel.SENSITIVE if j < 4 else GroupLabel.RESISTANT for j in range(8)}
+        genes = tuple(f"g{i}" for i in range(8))
+        train = LabeledMatrix(genes, tuple(labels), values, labels)
+        test_m = LabeledMatrix(genes, ("t0", "t1", "t2"), rng.standard_normal((8, 3)))
+        files = {
+            "train.tsv": ("\t", _grid(ingest.serialize_matrix(train), "\t"), 2),
+            "test.tsv": ("\t", _grid(ingest.serialize_matrix(test_m), "\t"), 1),
+        }
+        return files, ["signature", "predict", "--train", "{train.tsv}", "--test", "{test.tsv}", "--k", "3", "--out", "{out.csv}"]
+    if command.startswith("match"):
+        values = rng.standard_normal((6, 5))
+        ref = LabeledMatrix(tuple(f"r{i}" for i in range(6)), tuple(f"c{j}" for j in range(5)), values)
+        query = LabeledMatrix(tuple(f"q{i}" for i in range(6)), ref.sample_ids, values[::-1])
+        files = {
+            "q.tsv": ("\t", _grid(ingest.serialize_matrix(query), "\t"), 1),
+            "ref.tsv": ("\t", _grid(ingest.serialize_matrix(ref), "\t"), 1),
+        }
+        return files, [*command.split(), "--query", "{q.tsv}", "--reference", "{ref.tsv}", "--out", "{out.csv}"]
+    panel, truth, target = fx.planted_panel(2025, 3, 3, 2, n_noise=4, k=3)
+    files = {
+        "panel.tsv": ("\t", _grid(ingest.serialize_matrix(panel), "\t"), 1),
+        "target.csv": (",", _grid(ingest.serialize_signature(target), ","), None),
+        "start.csv": (",", [["cell_line", "state"]] + [[line, lab.value] for line, lab in truth.items()], None),
+    }
+    argv = ["search", "groups", "--panel", "{panel.tsv}", "--target", "{target.csv}", "--k", "3", "--start", "{start.csv}"]
+    return files, argv + ["--trace", "{trace.json}"]
+
+
+_CELL_TOKENS = sorted(set(_HOSTILE) | {"1_0"})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["roc", "combo", "predict", "match rows", "match columns", "search"]),
+    st.sampled_from(["token", "ragged", "blank", "empty", "nan", "constant", "none"]),
+    st.sampled_from(_CELL_TOKENS),
+    st.integers(0, 10**6),
+)
+@example("roc", "token", "1_0", 0)
+@example("predict", "constant", "", 0)
+def test_main_on_hostile_files_exits_0_1_or_2_and_names_the_bad_cell(command, fault, token, where):
+    """One fault in otherwise valid inputs: no exception escapes ``main``,
+    exit 1 ends in an ``error:`` line, and a bad numeric cell is exit 1
+    naming that cell."""
+    files, argv = _valid_inputs(command)
+    numeric = [
+        (name, i, j)
+        for name, (_, rows, first) in files.items()
+        if first is not None
+        for i in range(first, len(rows))
+        for j in range(1, len(rows[i]))
+    ]
+    bad_cell = None
+    if fault == "token":
+        name, i, j = bad_cell = numeric[where % len(numeric)]
+        files[name][1][i][j] = token
+    elif fault in ("nan", "constant"):
+        name = numeric[where % len(numeric)][0]
+        for _, i, j in (c for c in numeric if c[0] == name):
+            files[name][1][i][j] = "NA" if fault == "nan" else "7.3"
+    elif fault != "none":
+        name = sorted(files)[where % len(files)]
+        rows = files[name][1]
+        if fault == "ragged":
+            i = where % len(rows)
+            rows[i] = rows[i][:-1]
+        elif fault == "blank":
+            rows.insert(where % (len(rows) + 1), [""])
+        else:
+            rows.clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp) / name) for name in ("out.csv", "trace.json", *files)}
+        for name, (sep, rows, _) in files.items():
+            Path(paths[name]).write_text("".join(sep.join(cells) + "\n" for cells in rows), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths[a[1:-1]] if a[1:-1] in paths else a for a in argv])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
+    if bad_cell is not None:
+        _, i, j = bad_cell
+        assert code == 1
+        assert f"error: row {i + 1}, column {j + 1}: " in err.getvalue()

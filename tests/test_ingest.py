@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -43,6 +44,10 @@ def test_parse_matrix_bad_cell_coordinates():
     text = "id\tS1\tS2\ngene1\t1\tn/a\n"
     with pytest.raises(ParseError, match=r"row 2, column 3"):
         ingest.parse_matrix(text, MatrixFormat(has_label_row=False))
+    with pytest.raises(ParseError, match=r"^row 3, column 2: unparseable numeric cell '1e999'"):
+        ingest.parse_matrix("id\tS1\tS2\nlabel\tNR\tResp\ngene1\t1e999\t1\n")
+    with pytest.raises(ParseError, match=r"^row 2, column 3: unknown group label token 'wibble'"):
+        ingest.parse_matrix("id\tS1\tS2\nlabel\tNR\twibble\ngene1\t1\t2\n")
 
 
 def test_parse_matrix_ragged_row():
@@ -196,6 +201,9 @@ def test_parse_matrix_reports_the_first_fault_in_reading_order():
     rows[2] = "gene1\t1\t2"  # now a duplicate id comes before the ragged row
     with pytest.raises(ParseError, match=r"^row 3: duplicate feature id"):
         ingest.parse_matrix("\n".join(rows) + "\n", NO_LABELS)
+    rows[2] = "gene2\t-1e400\t1"  # an overflow is found before a later fault
+    with pytest.raises(ParseError, match=r"^row 3, column 2: "):
+        ingest.parse_matrix("\n".join(rows) + "\n", NO_LABELS)
 
 
 def test_parse_matrix_bad_cell_beside_missing_cells_names_its_column():
@@ -220,15 +228,15 @@ _ASCII_DECIMAL = re.compile(r"[ \t]*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]
 
 
 def _reference_cells(cells: list[list[str]], missing: str):
-    """Per-cell oracle: NaN for the missing token, else the grammar and
-    float(); the first bad cell in reading order as (row, column)."""
+    """Per-cell oracle: NaN for the missing token, else the grammar and a
+    finite float(); the first bad cell in reading order as (row, column)."""
     out = []
     for i, row in enumerate(cells):
         vals = []
         for j, tok in enumerate(row):
             if tok.strip(" \t") == missing:
                 vals.append(float("nan"))
-            elif _ASCII_DECIMAL.fullmatch(tok):
+            elif _ASCII_DECIMAL.fullmatch(tok) and math.isfinite(float(tok)):
                 vals.append(float(tok))
             else:
                 return None, (i + 2, j + 2)
@@ -248,7 +256,7 @@ _NUMBER_TOKENS = st.one_of(
 _HOSTILE = [
     "inf", "-inf", "+inf", "Infinity", "+Infinity", "nan", "-nan", "+nan", "NaN", "NAN", "n/a",
     "1_000", "\u0661\u0662", "\uff0e5", "0x10", "1d5", "1e", "e5", "--1", "1.2.3", "1 2", "", " ",
-    "\xa01", "\x0b1", "1\x0c", "1\u2003",
+    "\xa01", "\x0b1", "1\x0c", "1\u2003", "1e999", "-1e400",
 ]
 
 
@@ -290,6 +298,8 @@ def test_parse_sensitivity_reads_potency_through_the_number_grammar():
         ingest.parse_sensitivity("cell_line,drug_id,measure,value\nMCF7,D1,GI50,4.2\nA549,D1,GI50,1_0\n")
     with pytest.raises(ParseError, match=r"row 1: unparseable potency 'inf'"):
         ingest.parse_sensitivity("MCF7,D1,GI50,inf\n")
+    with pytest.raises(ParseError, match=r"row 1: unparseable potency '1e999'"):
+        ingest.parse_sensitivity("MCF7,D1,GI50,1e999\n")
     assert ingest.parse_sensitivity("MCF7,D1,GI50,+5.\n")[0].value == 5.0
 
 

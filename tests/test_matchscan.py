@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import fixtures_lib as fx
-from arrayaudit.core import AnnotationIndex, GroupLabel, LabeledMatrix, SignatureList
+from arrayaudit.core import AnnotationIndex, LabeledMatrix, SignatureList
 from arrayaudit.matchscan import (
     check_platform_membership,
     detect_offset,
     match_columns,
     match_rows,
-    separation_score,
 )
 from arrayaudit.transform import (
     TransformPipeline,
@@ -19,17 +18,12 @@ from arrayaudit.transform import (
     zscore_step,
 )
 
-S = GroupLabel.SENSITIVE
-R = GroupLabel.RESISTANT
-
-
-def _matrix(values, prefix="g", sample_prefix="s", labels=None):
+def _matrix(values, prefix="g", sample_prefix="s"):
     values = np.asarray(values, dtype=float)
     return LabeledMatrix(
         tuple(f"{prefix}{i}" for i in range(values.shape[0])),
         tuple(f"{sample_prefix}{j}" for j in range(values.shape[1])),
         values,
-        labels,
     )
 
 
@@ -198,58 +192,3 @@ def test_platform_membership_trivial():
     assert check_platform_membership(SignatureList(("a", "b")), ann) == []
     empty_ann = AnnotationIndex("P", ("zzz",))
     assert check_platform_membership(SignatureList(("a", "b")), empty_ann) == ["a", "b"]
-
-
-# --- separation score ----------------------------------------------------
-
-
-def _planted_two_group(seed, effect, n_genes=40, n_per_group=15):
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n_genes, 2 * n_per_group))
-    values[: n_genes // 2, :n_per_group] += effect
-    labels = {}
-    for j in range(2 * n_per_group):
-        labels[f"s{j}"] = S if j < n_per_group else R
-    return _matrix(values, labels=labels)
-
-
-def test_separation_score_informative_vs_offset_genes():
-    m = _planted_two_group(seed=42, effect=3.0)
-    informative = SignatureList(tuple(f"g{i}" for i in range(20)))
-    uninformative = SignatureList(tuple(f"g{i}" for i in range(20, 40)))
-    hi = separation_score(m, informative)
-    lo = separation_score(m, uninformative)
-    assert hi >= 0.8
-    assert lo <= 0.3
-
-
-def test_separation_score_null_is_near_zero():
-    m = _planted_two_group(seed=77, effect=0.0)
-    sig = SignatureList(tuple(f"g{i}" for i in range(40)))
-    assert separation_score(m, sig) == pytest.approx(0.0, abs=0.25)
-
-
-def test_separation_score_label_swap_invariant():
-    m = _planted_two_group(seed=5, effect=2.0)
-    sig = SignatureList(tuple(f"g{i}" for i in range(10)))
-    swapped_labels = {
-        sid: (R if m.labels[sid] == S else S) for sid in m.sample_ids
-    }
-    assert separation_score(m, sig) == pytest.approx(
-        separation_score(m, sig, swapped_labels), abs=1e-12
-    )
-
-
-def test_separation_score_needs_two_groups():
-    m = _matrix(np.random.default_rng(0).standard_normal((5, 4)), labels={"s0": S, "s1": S})
-    with pytest.raises(ValueError, match="two non-Unknown groups"):
-        separation_score(m, SignatureList(("g0",)))
-
-
-def test_separation_score_rejects_missing_values():
-    m = _planted_two_group(seed=3, effect=2.0)
-    values = m.values.copy()
-    values[0, 0] = np.nan
-    broken = LabeledMatrix(m.feature_ids, m.sample_ids, values, m.labels)
-    with pytest.raises(ValueError, match="complete values"):
-        separation_score(broken, SignatureList(tuple(f"g{i}" for i in range(5))))

@@ -139,7 +139,7 @@ class ManifestError(ValueError):
 
 #: What a bad input file, manifest or parameter raises: ``main`` prints it
 #: as ``error: ...`` and exits 1, ``run_audit`` reports it as DEGENERATE_DATA.
-_INPUT_ERRORS = (OSError, ValueError, KeyError, OverflowError, _sig.MetageneConvergenceError)
+_INPUT_ERRORS = (OSError, ValueError, KeyError, OverflowError)
 
 
 #: input kind -> its parser (looked up in ``ingest`` at call time)

@@ -208,7 +208,15 @@ def _batched_abs_t(
     from its rounded means, so with N tiny for gradual underflow
     e_V = (2N + 10) eps Q + N ((N+2) eps L)**2 + N tiny bounds both.
     A V at or below 8 e_V cannot be told from zero (a constant row), and
-    the bound does not hold for that neighbor. Otherwise, with
+    the bound does not hold for that neighbor. That covers every row the
+    reference scores as degenerate (0 or +/-inf): it flags one only when
+    its V, or the larger sum about the common mean, is at most
+    (4 n eps)**2 R, R the raw sum of squares of the n <= N used values.
+    As sqrt(R) <= sqrt(Q) + sqrt(n) |mu| (the triangle inequality) and
+    L >= 2 |mu|, that V is at most 1616 n**2 eps**2 Q + 4.04 n**3 (eps L)**2
+    (by (a + b)**2 <= 101 a**2 + 1.01 b**2), so this V, within
+    (2N + 9) eps Q + N ((N+1) eps L)**2 / 4 of it, is below 8 e_V with room
+    for the roundings of R. Otherwise, with
     w = e_V / V >= 18 eps, the exact V exceeds 7/8 of this one, each
     path's standard error se is within 8/7 w + 4 eps of exact, and the two
     t differ by at most 4/3 (e_D / se + 2 w |t|), so by

@@ -3,8 +3,8 @@ scoring by leading singular direction, maximum-likelihood probit
 classification, and ROC/AUC.
 
 This is a deterministic proxy for the Bayesian fitting used in the
-original reports: gene ranking by pooled-variance |t|, metagene by power
-iteration on the Gram matrix of the row-centered signature submatrix, and
+original reports: gene ranking by pooled-variance |t|, metagene by the
+singular value decomposition of the row-centered signature submatrix, and
 a Newton-fitted probit on the metagene score. Everything downstream
 depends only on score rankings, which this preserves.
 """
@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
+from . import _kernels
 from .core import Direction, GroupLabel, LabeledMatrix, SignatureList, extract_submatrix
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -48,33 +49,50 @@ def _two_groups(m: LabeledMatrix, min_size: int = 2) -> tuple[GroupLabel, list[i
 
 def pooled_t(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Row-wise pooled-variance two-sample t of ``x1`` minus ``x2`` (features
-    by samples, complete values). Zero pooled variance yields 0 for equal
-    means and +/-inf otherwise."""
+    by samples, complete values).
+
+    Degenerate rows follow ``_kernels.varying``, with the raw sum of
+    squares over both groups: a row whose values do not vary over both
+    groups (their sum of squares about the common mean, pooled plus
+    n1 n2 / n times the squared mean difference) gets 0, and a row that
+    varies but whose pooled within-group residuals do not gets +/-inf by
+    the sign of the mean difference. So a constant row scores 0 however
+    its constant rounds."""
     n1, n2 = x1.shape[1], x2.shape[1]
     m1 = x1.mean(axis=1)
     m2 = x2.mean(axis=1)
-    pooled = ((x1 - m1[:, None]) ** 2).sum(axis=1) + ((x2 - m2[:, None]) ** 2).sum(axis=1)
-    pooled /= n1 + n2 - 2
-    se = np.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
+    ss = ((x1 - m1[:, None]) ** 2).sum(axis=1) + ((x2 - m2[:, None]) ** 2).sum(axis=1)
+    raw = ss + n1 * m1 * m1 + n2 * m2 * m2  # sum of x**2, without another pass
     diff = m1 - m2
+    n = n1 + n2
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = diff / se
-    t[(se == 0) & (diff == 0)] = 0.0
-    t[(se == 0) & (diff > 0)] = np.inf
-    t[(se == 0) & (diff < 0)] = -np.inf
+        t = diff / np.sqrt(ss / (n - 2) * (1.0 / n1 + 1.0 / n2))
+    flat = ~_kernels.varying(ss, raw, n)
+    t[flat] = np.copysign(np.inf, diff[flat])
+    t[~_kernels.varying(ss + n1 * n2 / n * diff * diff, raw, n)] = 0.0
     return t
+
+
+def _first_missing(m: LabeledMatrix, columns: Sequence[int]) -> tuple[str, str]:
+    """(sample id, feature id) of the first missing value in ``columns`` of
+    ``m``, in column order; one must exist."""
+    j, i = np.argwhere(~np.isfinite(m.values[:, columns].T))[0]
+    return m.sample_ids[columns[j]], m.feature_ids[i]
 
 
 def pooled_t_statistics(m: LabeledMatrix) -> np.ndarray:
     """Pooled-variance two-sample t per feature, first group (by label
     enum order) minus second (see ``pooled_t``). Missing values are
-    rejected: a ranking over silently imputed data is exactly the kind of
-    artifact this tool exists to catch."""
+    rejected, naming the first one: a ranking over silently imputed data is
+    exactly the kind of artifact this tool exists to catch."""
     _, idx1, _, idx2 = _two_groups(m)
     x1 = m.values[:, idx1]
     x2 = m.values[:, idx2]
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        raise ValueError("gene ranking requires complete (non-missing) values in both groups")
+        sid, fid = _first_missing(m, sorted(idx1 + idx2))
+        raise ValueError(
+            f"gene ranking requires complete (non-missing) values in both groups; gene {fid!r} is missing in sample {sid!r}"
+        )
     return pooled_t(x1, x2)
 
 
@@ -104,96 +122,42 @@ def select_top_genes(m: LabeledMatrix, k: int) -> SignatureList:
     return SignatureList(ids, dirs)
 
 
-class MetageneConvergenceError(RuntimeError):
-    def __init__(self, message: str, n_iter: int, residual: float):
-        super().__init__(message)
-        self.n_iter = n_iter
-        self.residual = residual
+class MetageneConvergenceError(ValueError):
+    """The metagene is not identified: the signature submatrix has no
+    leading direction, or its top two singular values (near-)tie."""
 
 
-def _power_iteration(gram: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, int, float]:
-    n = gram.shape[0]
-    rng = np.random.default_rng(0)  # fixed seed: determinism contract
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise MetageneConvergenceError("matrix has no leading direction (zero Gram)", it, 0.0)
-        v_new = w / norm
-        # align sign so the convergence test is rotation-free
-        if v_new @ v < 0:
-            v_new = -v_new
-        lam_new = float(v_new @ (gram @ v_new))
-        delta = np.linalg.norm(v_new - v)
-        v = v_new
-        lam_prev, lam = lam, lam_new
-        if delta <= tol and abs(lam - lam_prev) <= tol * max(abs(lam), 1.0):
-            return v, lam, it, float(np.linalg.norm(gram @ v - lam * v) / max(lam, 1e-300))
-    residual = float(np.linalg.norm(gram @ v - lam * v) / max(lam, 1e-300))
-    raise MetageneConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations (residual {residual:.3e})",
-        max_iter,
-        residual,
-    )
-
-
-def metagene_scores(
-    sub: LabeledMatrix, tol: float = 1e-10, max_iter: int = 10000
-) -> np.ndarray:
-    """Per-sample projections onto the leading singular direction of the
-    row-centered signature submatrix.
-
-    Power iteration runs over the smaller Gram dimension; scores equal the
-    top singular value times the leading right singular vector. Sign is
-    fixed so the score of largest absolute value is positive. A (near)
-    tie in the top two singular values raises MetageneConvergenceError:
-    the metagene is not identified in that case.
-    """
+def _metagene(sub: LabeledMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The metagene scores s0 * v0 and the feature direction u0 of the
+    leading singular triple (s0, u0, v0) of the row-centered ``sub``."""
     if sub.n_features < 2 or sub.n_samples < 2:
         raise ValueError("metagene needs at least a 2x2 submatrix")
     if not np.isfinite(sub.values).all():
-        raise ValueError("metagene scoring requires complete (non-missing) values")
+        sid, fid = _first_missing(sub, range(sub.n_samples))
+        raise ValueError(f"metagene scoring requires complete (non-missing) values; gene {fid!r} is missing in sample {sid!r}")
     x = sub.values - sub.values.mean(axis=1, keepdims=True)
-    nr, nc = x.shape
-    if nc <= nr:
-        gram = x.T @ x
-        lead, lam, n_iter, _ = _power_iteration(gram, tol, max_iter)
-        scores = math.sqrt(max(lam, 0.0)) * lead
-    else:
-        gram = x @ x.T
-        lead, lam, n_iter, _ = _power_iteration(gram, tol, max_iter)
-        scores = x.T @ lead
-    # ambiguity check: a second singular value within 1e-6 of the first
-    # means the leading direction is start-dependent
-    lam1 = float(max(lam, 0.0))
-    if lam1 > 0.0:
-        rng = np.random.default_rng(1)
-        w = rng.standard_normal(gram.shape[0])
-        w -= (w @ lead) * lead
-        norm = np.linalg.norm(w)
-        if norm > 0:
-            w /= norm
-            for _ in range(200):
-                w = gram @ w
-                w -= (w @ lead) * lead
-                norm = np.linalg.norm(w)
-                if norm == 0.0:
-                    break
-                w /= norm
-            lam2 = float(w @ (gram @ w)) if norm > 0 else 0.0
-            if lam2 > (1.0 - 1e-6) * lam1:
-                raise MetageneConvergenceError(
-                    "leading singular value is (near-)duplicated; metagene direction is ambiguous",
-                    n_iter,
-                    1.0 - lam2 / lam1,
-                )
-    imax = int(np.argmax(np.abs(scores)))
-    if scores[imax] < 0:
-        scores = -scores
-    return scores
+    if not _kernels.varying((x * x).sum(), (sub.values * sub.values).sum(), sub.n_samples):
+        raise MetageneConvergenceError("signature submatrix does not vary: no leading direction")
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    if s[1] ** 2 > (1.0 - 1e-6) * s[0] ** 2:
+        raise MetageneConvergenceError("leading singular value is (near-)duplicated; metagene direction is ambiguous")
+    scores, direction = s[0] * vt[0], u[:, 0]
+    if scores[np.argmax(np.abs(scores))] < 0:
+        return -scores, -direction
+    return scores, direction
+
+
+def metagene_scores(sub: LabeledMatrix) -> np.ndarray:
+    """Per-sample projections s0 * v0 onto the leading singular direction
+    of the row-centered signature submatrix, s0 its top singular value and
+    v0 the right singular vector. Sign is fixed so the score of largest
+    absolute value is positive.
+
+    MetageneConvergenceError means the metagene is not identified: the
+    submatrix as a whole fails ``_kernels.varying`` (no leading
+    direction), or s1**2 > (1 - 1e-6) s0**2 (an ambiguous direction).
+    """
+    return _metagene(sub)[0]
 
 
 @dataclass(frozen=True)
@@ -211,8 +175,11 @@ def probit_loglik(intercept: float, slope: float, scores: np.ndarray, labels: np
     return float(np.where(y == 1, log_ndtr(eta), log_ndtr(-eta)).sum())
 
 
-def probit_gradient(intercept: float, slope: float, scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the probit log-likelihood in (intercept, slope)."""
+def _probit_derivatives(
+    intercept: float, slope: float, scores: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient and Hessian of the probit log-likelihood in
+    (intercept, slope)."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     eta = intercept + slope * s
@@ -220,44 +187,33 @@ def probit_gradient(intercept: float, slope: float, scores: np.ndarray, labels: 
     r1 = np.exp(log_phi - log_ndtr(eta))  # phi/Phi
     r0 = np.exp(log_phi - log_ndtr(-eta))  # phi/(1-Phi)
     u = np.where(y == 1, r1, -r0)
-    return np.array([u.sum(), (u * s).sum()])
-
-
-def _probit_hessian(intercept: float, slope: float, scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    eta = intercept + slope * s
-    log_phi = -0.5 * eta * eta - _LOG_SQRT_2PI
-    r1 = np.exp(log_phi - log_ndtr(eta))
-    r0 = np.exp(log_phi - log_ndtr(-eta))
     h = np.where(y == 1, -r1 * (eta + r1), r0 * eta - r0 * r0)
-    h00 = h.sum()
     h01 = (h * s).sum()
-    h11 = (h * s * s).sum()
-    return np.array([[h00, h01], [h01, h11]])
+    return np.array([u.sum(), (u * s).sum()]), np.array([[h.sum(), h01], [h01, (h * s * s).sum()]])
 
 
-def fit_probit(
-    scores: Sequence[float],
-    labels: Sequence[int],
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> ProbitModel:
+def probit_gradient(intercept: float, slope: float, scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the probit log-likelihood in (intercept, slope)."""
+    return _probit_derivatives(intercept, slope, scores, labels)[0]
+
+
+_NEWTON_TOL = 1e-8
+_NEWTON_MAX_ITER = 100
+
+
+def fit_probit(scores: Sequence[float], labels: Sequence[int]) -> ProbitModel:
     """Maximum-likelihood probit P(y=1) = Phi(a + b*score) by Newton
-    iteration from (0, 0).
+    iteration from (0, 0), converged when a step is below 1e-8 in both
+    coordinates, within 100 steps.
 
     Perfect separation (one class entirely above the other) makes the
     likelihood monotone with no finite optimum; it is detected up front
     and reported via converged=False plus the separating threshold.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = _check_binary(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be 1-D and aligned")
-    if not set(np.unique(y)) <= {0, 1}:
-        raise ValueError("labels must be binary 0/1")
-    if len(np.unique(y)) < 2:
-        raise ValueError("both classes must be present")
     s1 = s[y == 1]
     s0 = s[y == 0]
     if s1.min() > s0.max():
@@ -268,18 +224,17 @@ def fit_probit(
         return ProbitModel(math.nan, math.nan, False, 0, separation_threshold=thr)
 
     a, b = 0.0, 0.0
-    for it in range(1, max_iter + 1):
-        g = probit_gradient(a, b, s, y)
-        h = _probit_hessian(a, b, s, y)
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        g, h = _probit_derivatives(a, b, s, y)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             return ProbitModel(a, b, False, it)
         a += float(step[0])
         b += float(step[1])
-        if np.abs(step).max() < tol:
+        if np.abs(step).max() < _NEWTON_TOL:
             return ProbitModel(a, b, True, it)
-    return ProbitModel(a, b, False, max_iter)
+    return ProbitModel(a, b, False, _NEWTON_MAX_ITER)
 
 
 def predict_prob(model: ProbitModel, scores: Sequence[float]) -> np.ndarray:
@@ -312,23 +267,23 @@ def predict(train: LabeledMatrix, test: LabeledMatrix, k: int) -> Predictions:
     The model: the top-k genes of ``train`` (``select_top_genes``) that
     ``test`` also has, the metagene of the training submatrix, the test
     samples centered by the training gene means and projected onto the
-    metagene's feature direction, and a probit of the training classes
+    metagene's feature direction u0, and a probit of the training classes
     (``CLASS_OF``) on the training scores. A perfectly separated training
     set has no probit optimum and gives hard calls at the separating
-    threshold instead.
+    threshold instead. A test sample missing a signature gene is an
+    error naming the first such sample and gene, in column order.
     """
     g1, idx1, g2, idx2 = _two_groups(train)
     if {g1, g2} != CLASS_OF.keys():
         raise DegenerateGroupsError(f"prediction needs Sensitive and Resistant training groups, found {g1} and {g2}")
     sig = select_top_genes(train, k)
     test_sub, _ = extract_submatrix(test, sig)
+    if not np.isfinite(test_sub.values).all():
+        sid, fid = _first_missing(test_sub, range(test_sub.n_samples))
+        raise ValueError(f"test sample {sid!r} has no value for signature gene {fid!r}")
     train_sub, _ = extract_submatrix(train, SignatureList(test_sub.feature_ids))
-    train_scores = metagene_scores(train_sub)
-    means = train_sub.values.mean(axis=1, keepdims=True)
-    # the feature-space direction behind the scores (scores = sigma * v)
-    u = (train_sub.values - means) @ train_scores
-    u /= np.linalg.norm(u)
-    test_scores = (test_sub.values - means).T @ u
+    train_scores, direction = _metagene(train_sub)
+    test_scores = (test_sub.values - train_sub.values.mean(axis=1, keepdims=True)).T @ direction
     y = np.full(train.n_samples, -1)
     y[idx1], y[idx2] = CLASS_OF[g1], CLASS_OF[g2]
     model = fit_probit(train_scores[y >= 0], y[y >= 0])

@@ -376,6 +376,19 @@ def test_cli_signature_derive_and_predict(tmp_path, capsys):
         p = float(row.split(",")[2])
         assert 0.0 <= p <= 1.0
 
+    # a test sample missing a signature gene is an error naming the first
+    # such sample (in column order) and gene; outside the signature NA is fine
+    argv = ["signature", "predict", "--train", str(tmp_path / "train.tsv"), "--test", str(tmp_path / "test.tsv")]
+    for gaps, code in (({(20, 1)}, 0), ({(20, 1), (3, 4), (0, 2), (2, 2)}, 1)):
+        holes = test_m.values.copy()
+        for i, j in gaps:
+            holes[i, j] = np.nan
+        (tmp_path / "test.tsv").write_text(ingest.serialize_matrix(LabeledMatrix(test_m.feature_ids, test_m.sample_ids, holes)))
+        capsys.readouterr()
+        assert main([*argv, "--k", "5", "--out", str(scores_out)]) == code
+    first = next(fid for fid in sig.feature_ids if fid in ("g0", "g2"))  # in signature order
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: test sample 't2' has no value for signature gene '{first}'"
+
 
 def test_cli_roc(tmp_path, capsys):
     (tmp_path / "scores.csv").write_text("sample_id,score\na,0.9\nb,0.8\nc,0.4\nd,0.3\n")

@@ -114,6 +114,10 @@ def _panel(kind):
         flat = np.full((2, x.shape[1]), 0.1)
         flat[1] = 7.3
         x, fids = np.round(np.vstack([x, x[:k], flat]), 1), fids + copies + ("flat0.1", "flat7.3")
+    elif kind == "near-constant":  # a few ulps of spread: pooled_t scores them 0
+        jitter = np.random.default_rng(7).standard_normal((2, x.shape[1]))
+        flat = np.array([[7.3], [0.1]]) + np.array([[1e-14], [1e-16]]) * jitter
+        x, fids = np.vstack([x, flat]), fids + ("flat7.3", "flat0.1")
     elif kind == "nan":  # column 0 is Sensitive, column 20 Unused
         x = x.copy()
         x[3, 0] = x[5, 20] = np.nan
@@ -205,6 +209,7 @@ def _states(truth):
         ("ties", "some"),
         ("near-ties", "some"),
         ("constant", "scorable"),
+        ("near-constant", "scorable"),
         ("nan", "every"),
         ("duplicate-ids", "every"),
         ("k-all", "none"),

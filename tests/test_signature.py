@@ -14,6 +14,7 @@ from arrayaudit.signature import (
     auc,
     fit_probit,
     metagene_scores,
+    predict,
     predict_prob,
     probit_gradient,
     probit_loglik,
@@ -94,6 +95,13 @@ def test_select_top_genes_ranks_like_the_sorted_key_with_ties_and_infinities():
     order = sorted(range(len(t)), key=lambda i: (-abs(t[i]), i))
     for k in range(1, len(t) + 1):
         assert select_top_genes(m, k).feature_ids == tuple(f"g{i}" for i in order[:k])
+    # constants that do not round exactly, in groups of 5 and 7: 7.3
+    # throughout scores 0, below a real gene, and 0.1 | 0.3 is -inf
+    real = [0.3, -0.5, 1.2, 0.1, 0.9, -0.2, 0.4, -1.1, 0.0, -0.6, 0.5, -0.3]
+    m = _two_group_matrix([[7.3] * 12, [0.1] * 5 + [0.3] * 7, real], 5)
+    t = pooled_t_statistics(m)
+    assert t[0] == 0.0 and t[1] == -math.inf and 0.0 < abs(t[2]) < math.inf
+    assert select_top_genes(m, 2).feature_ids == ("g1", "g2")
 
 
 def test_select_top_genes_directions_flip_with_labels():
@@ -139,17 +147,24 @@ def test_metagene_rank_one_recovers_v():
 
 def test_metagene_matches_dense_eigensolve():
     rng = np.random.default_rng(601)
-    x = rng.standard_normal((45, 30))
-    m = LabeledMatrix(
-        tuple(f"g{i}" for i in range(45)), tuple(f"s{j}" for j in range(30)), x
-    )
-    scores = metagene_scores(m)
-    xc = x - x.mean(axis=1, keepdims=True)
-    w, vecs = np.linalg.eigh(xc.T @ xc)  # dense oracle on the Gram matrix
-    oracle = math.sqrt(w[-1]) * vecs[:, -1]
-    if oracle[np.argmax(np.abs(oracle))] < 0:
-        oracle = -oracle
-    np.testing.assert_allclose(scores, oracle, atol=1e-8)
+    noise = rng.standard_normal((45, 30))
+    # top two Gram eigenvalues 100 and 99.99, a relative gap of 1e-4: the
+    # direction is identified (the ambiguity rule needs a gap <= 1e-6)
+    u, _ = np.linalg.qr(rng.standard_normal((45, 3)))
+    v = rng.standard_normal((30, 3))
+    v, _ = np.linalg.qr(v - v.mean(axis=0))  # rows stay centered
+    gap = u @ np.diag([10.0, 10.0 * math.sqrt(1.0 - 1e-4), 1.0]) @ v.T + rng.standard_normal((45, 1))
+    for x in (noise, gap):
+        m = LabeledMatrix(
+            tuple(f"g{i}" for i in range(45)), tuple(f"s{j}" for j in range(30)), x
+        )
+        scores = metagene_scores(m)
+        xc = x - x.mean(axis=1, keepdims=True)
+        w, vecs = np.linalg.eigh(xc.T @ xc)  # dense oracle on the Gram matrix
+        oracle = math.sqrt(w[-1]) * vecs[:, -1]
+        if oracle[np.argmax(np.abs(oracle))] < 0:
+            oracle = -oracle
+        np.testing.assert_allclose(scores, oracle, atol=1e-8)
 
 
 def test_metagene_wide_matrix_matches_eigensolve():
@@ -176,8 +191,16 @@ def test_metagene_duplicate_singular_values_flagged():
         ]
     )
     m = LabeledMatrix(("g0", "g1"), ("a", "b", "c", "d"), x)
-    with pytest.raises(MetageneConvergenceError):
+    with pytest.raises(MetageneConvergenceError, match="ambiguous"):
         metagene_scores(m)
+    # a constant training panel has no leading direction at any width,
+    # however its constant rounds
+    for value in (7.3, 0.1):
+        for width in range(4, 41):
+            train = _two_group_matrix(np.full((6, width), value), width // 2)
+            test = LabeledMatrix(train.feature_ids, ("t0",), np.ones((6, 1)))
+            with pytest.raises(MetageneConvergenceError, match="no leading direction"):
+                predict(train, test, 3)
 
 
 def test_metagene_row_shift_invariance():
@@ -193,6 +216,9 @@ def test_metagene_row_shift_invariance():
 def test_metagene_requires_complete_2x2():
     with pytest.raises(ValueError):
         metagene_scores(LabeledMatrix(("g0",), ("a", "b"), np.ones((1, 2))))
+    holes = np.array([[1.0, 2.0, 3.0], [4.0, np.nan, 6.0], [np.nan, 8.0, 9.0]])
+    with pytest.raises(ValueError, match="gene 'g2' is missing in sample 'a'"):
+        metagene_scores(LabeledMatrix(("g0", "g1", "g2"), ("a", "b", "c"), holes))
 
 
 # --- probit ---------------------------------------------------------------
@@ -375,9 +401,9 @@ def test_auc_bounds_and_inversion_property(score_ints, data):
 
 def test_gene_ranking_rejects_missing_values():
     values = np.random.default_rng(0).standard_normal((6, 8))
-    values[2, 3] = np.nan
+    values[2, 3] = values[4, 1] = np.nan  # the first in column order is (4, 1)
     m = _two_group_matrix(values, 4)
-    with pytest.raises(ValueError, match="non-missing"):
+    with pytest.raises(ValueError, match="non-missing.*gene 'g4' is missing in sample 's1'"):
         select_top_genes(m, 3)
 
 

@@ -259,10 +259,7 @@ class _InputLoader:
 def _strict_roster_labeling(roster) -> dict[str, GroupLabel]:
     """First claim per id wins; internal conflicts are the roster check's
     business, not this adapter's."""
-    out: dict[str, GroupLabel] = {}
-    for e in roster.entries:
-        out.setdefault(e.sample_id, e.label)
-    return out
+    return {sid: labs[0] for sid, labs in _dup.claims_by_id(roster).items()}
 
 
 # ---------------------------------------------------------------------------

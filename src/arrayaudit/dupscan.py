@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -119,24 +120,32 @@ def find_duplicate_columns(m: LabeledMatrix, cfg: DupScanConfig = DupScanConfig(
     )
 
 
+def conflicting(labels: Iterable[GroupLabel]) -> bool:
+    """The conflict rule for label claims: two distinct labels other than
+    Unknown. Unknown never conflicts with anything."""
+    return len(set(labels) - {GroupLabel.UNKNOWN}) >= 2
+
+
+def claims_by_id(r: LabelRoster) -> dict[str, list[GroupLabel]]:
+    """Each id's labels in roster order, ids in order of first appearance."""
+    claims: dict[str, list[GroupLabel]] = {}
+    for e in r.entries:
+        claims.setdefault(e.sample_id, []).append(e.label)
+    return claims
+
+
 def classify_duplicate_labels(
     comps: DupComponents, labels: Mapping[str, GroupLabel]
 ) -> tuple[list[tuple[str, ...]], list[tuple[tuple[str, ...], dict[GroupLabel, int]]]]:
-    """Split components into consistently and inconsistently labeled.
-
-    A component is inconsistent iff it carries >= 2 distinct non-Unknown
-    labels; Unknown never conflicts with anything.
-    """
+    """Split components into consistently and inconsistently labeled
+    (``conflicting``); an inconsistent component comes with the count of
+    each label among its members."""
     consistent: list[tuple[str, ...]] = []
     inconsistent: list[tuple[tuple[str, ...], dict[GroupLabel, int]]] = []
     for comp in comps.components:
-        multiset: dict[GroupLabel, int] = {}
-        for sid in comp:
-            lab = labels.get(sid, GroupLabel.UNKNOWN)
-            multiset[lab] = multiset.get(lab, 0) + 1
-        informative = {lab for lab in multiset if lab != GroupLabel.UNKNOWN}
-        if len(informative) >= 2:
-            inconsistent.append((comp, multiset))
+        labs = [labels.get(sid, GroupLabel.UNKNOWN) for sid in comp]
+        if conflicting(labs):
+            inconsistent.append((comp, dict(Counter(labs))))
         else:
             consistent.append(comp)
     return consistent, inconsistent
@@ -145,23 +154,10 @@ def classify_duplicate_labels(
 def roster_duplicates(r: LabelRoster) -> tuple[int, list[str], list[str]]:
     """Census of a roster: (distinct ids, duplicated ids, ids labeled
     inconsistently among their duplicates). Order follows first appearance."""
-    order: list[str] = []
-    label_sets: dict[str, set[GroupLabel]] = {}
-    counts: dict[str, int] = {}
-    for e in r.entries:
-        if e.sample_id not in counts:
-            order.append(e.sample_id)
-            counts[e.sample_id] = 0
-            label_sets[e.sample_id] = set()
-        counts[e.sample_id] += 1
-        label_sets[e.sample_id].add(e.label)
-    duplicated = [sid for sid in order if counts[sid] >= 2]
-    inconsistent = [
-        sid
-        for sid in duplicated
-        if len({lab for lab in label_sets[sid] if lab != GroupLabel.UNKNOWN}) >= 2
-    ]
-    return len(order), duplicated, inconsistent
+    claims = claims_by_id(r)
+    duplicated = [sid for sid, labs in claims.items() if len(labs) >= 2]
+    inconsistent = [sid for sid in duplicated if conflicting(claims[sid])]
+    return len(claims), duplicated, inconsistent
 
 
 #: Extended label used on the claimed axis of a cross-tabulation for
@@ -179,20 +175,19 @@ _CROSS_ORDER = {
 
 
 def roster_labeling(r: LabelRoster) -> dict[str, str]:
-    """Collapse a roster to one label per id, using Both for conflicts."""
+    """Collapse a roster to one label per id: Both for conflicting claims,
+    else the id's first label other than Unknown, else Unknown."""
     out: dict[str, str] = {}
-    sets: dict[str, set[GroupLabel]] = {}
-    for e in r.entries:
-        sets.setdefault(e.sample_id, set()).add(e.label)
-    for sid, labs in sets.items():
-        informative = {lab for lab in labs if lab != GroupLabel.UNKNOWN}
-        if len(informative) >= 2:
+    for sid, labs in claims_by_id(r).items():
+        if conflicting(labs):
             out[sid] = BOTH
-        elif informative:
-            out[sid] = next(iter(informative)).value
         else:
-            out[sid] = GroupLabel.UNKNOWN.value
+            out[sid] = next((lab.value for lab in labs if lab != GroupLabel.UNKNOWN), GroupLabel.UNKNOWN.value)
     return out
+
+
+def _level_key(level: str) -> tuple[int, str]:
+    return _CROSS_ORDER.get(level, 99), level
 
 
 def _canon_label(lab) -> str:
@@ -207,12 +202,14 @@ def cross_tabulate(a: Mapping[str, object], b: Mapping[str, object]) -> Continge
     ``a`` may use the extended Both label for internally conflicting
     entries. Samples present on only one axis are an error only when the
     shared universe is empty; otherwise the table covers the intersection.
+    Levels are ordered label levels first, in ``_CROSS_ORDER``, then any
+    other values in string order.
     """
     shared = [sid for sid in a if sid in b]
     if not shared:
         raise ValueError("the two labelings share no samples")
-    rows = sorted({_canon_label(a[s]) for s in shared}, key=lambda x: _CROSS_ORDER.get(x, 99))
-    cols = sorted({_canon_label(b[s]) for s in shared}, key=lambda x: _CROSS_ORDER.get(x, 99))
+    rows = sorted({_canon_label(a[s]) for s in shared}, key=_level_key)
+    cols = sorted({_canon_label(b[s]) for s in shared}, key=_level_key)
     ri = {lab: i for i, lab in enumerate(rows)}
     ci = {lab: i for i, lab in enumerate(cols)}
     counts = [[0] * len(cols) for _ in rows]
@@ -243,10 +240,9 @@ def matrices_identical(m1: LabeledMatrix, m2: LabeledMatrix, digits: int = 2) ->
 
 @dataclass(frozen=True)
 class FlipReport:
-    """Per (drug, entity) label sequences across sources, and which drugs
-    show at least one Sensitive/Resistant reversal."""
+    """Which drugs show at least one Sensitive/Resistant reversal across
+    sources."""
 
-    sequences: dict[tuple[str, str], list[tuple[str, GroupLabel]]]
     flipped_drugs: dict[str, list[str]]  # drug -> entities carrying both labels
     drugs_checked: dict[str, int]  # drug -> number of sources covering it
 
@@ -256,22 +252,21 @@ def compare_labelings(
 ) -> FlipReport:
     """Compare sensitive/resistant labelings of the same entities across
     sources. A drug is flagged when any entity is labeled Sensitive by one
-    source and Resistant by another."""
+    source and Resistant by another: a flip is an orientation change, so
+    this rule is not ``conflicting``."""
     if not sources:
         raise ValueError("at least one labeling source is required")
-    sequences: dict[tuple[str, str], list[tuple[str, GroupLabel]]] = {}
+    claims: dict[tuple[str, str], set[GroupLabel]] = {}
     drug_sources: dict[str, set[str]] = {}
     for source_id, drug_id, labeling in sources:
         drug_sources.setdefault(drug_id, set()).add(source_id)
         for entity, lab in labeling.items():
-            sequences.setdefault((drug_id, entity), []).append((source_id, lab))
+            claims.setdefault((drug_id, entity), set()).add(lab)
     flipped: dict[str, list[str]] = {}
-    for (drug_id, entity), seq in sorted(sequences.items()):
-        labs = {lab for _, lab in seq}
-        if GroupLabel.SENSITIVE in labs and GroupLabel.RESISTANT in labs:
+    for drug_id, entity in sorted(claims):
+        if {GroupLabel.SENSITIVE, GroupLabel.RESISTANT} <= claims[drug_id, entity]:
             flipped.setdefault(drug_id, []).append(entity)
     return FlipReport(
-        sequences=sequences,
         flipped_drugs=flipped,
         drugs_checked={d: len(s) for d, s in drug_sources.items()},
     )

@@ -26,6 +26,7 @@ from .core import (
     SensitivityRecord,
     Severity,
 )
+from .dupscan import cross_tabulate
 from .signature import auc
 
 
@@ -57,51 +58,39 @@ def check_separation(
 ) -> SeparationResult:
     """Can any single potency cutoff reproduce the claimed labels?
 
-    Brute force over all n+1 threshold positions of the rule
-    "value >= t means Sensitive". misfit_count is the minimum number of
-    misclassified lines; a nonzero minimum means the groups overlap and no
-    cutoff could have produced the labeling. orientation='auto' also tries
-    the reversed rule and keeps whichever fits better.
+    Scores all n+1 threshold positions of the rule "value >= t means
+    Sensitive": below everything, the n-1 midpoints of the sorted values,
+    and above everything. misfit_count is the minimum number of
+    misclassified lines, at the first candidate that reaches it; a nonzero
+    minimum means the groups overlap and no cutoff could have produced the
+    labeling. orientation='auto' also tries the reversed rule and keeps
+    whichever fits better, sensitive_high on a tie.
     """
     if orientation not in ("sensitive_high", "sensitive_low", "auto"):
         raise ValueError(f"unknown orientation {orientation!r}")
     sens, res = _group_values(records, labels)
     if not sens or not res:
         raise ValueError("both Sensitive and Resistant values are required")
-    values = sorted(sens + res)
+    values = np.sort(np.array(sens + res, dtype=np.float64), kind="stable")
     n = len(values)
-    # candidate thresholds: below everything, the n-1 midpoints, above everything
-    candidates = [values[0]]
-    candidates += [(values[i] + values[i + 1]) / 2.0 for i in range(n - 1)]
-    candidates.append(values[-1] + 1.0)
-
-    def best_for(sensitive_high: bool) -> tuple[float, int]:
-        best_t, best_misfits = candidates[0], n + 1
-        for t in candidates:
-            if sensitive_high:
-                misfits = sum(1 for v in sens if v < t) + sum(1 for v in res if v >= t)
-            else:
-                misfits = sum(1 for v in sens if v >= t) + sum(1 for v in res if v < t)
-            if misfits < best_misfits:
-                best_misfits = misfits
-                best_t = t
-        return best_t, best_misfits
-
+    candidates = np.concatenate(([values[0]], (values[:-1] + values[1:]) / 2.0, [values[-1] + 1.0]))
+    # Sensitive values below each cut plus Resistant values at or above it;
+    # the reversed rule misfits exactly the other n - high lines
+    high = np.searchsorted(np.sort(sens), candidates) + len(res) - np.searchsorted(np.sort(res), candidates)
+    misfits = {"sensitive_high": high, "sensitive_low": n - high}
+    names = ("sensitive_high", "sensitive_low") if orientation == "auto" else (orientation,)
     results = {}
-    if orientation in ("sensitive_high", "auto"):
-        results["sensitive_high"] = best_for(True)
-    if orientation in ("sensitive_low", "auto"):
-        results["sensitive_low"] = best_for(False)
-    chosen = min(results.items(), key=lambda kv: (kv[1][1], kv[0] != "sensitive_high"))
-    name, (t, misfits) = chosen
-    return SeparationResult(t, misfits, misfits > 0, name)
+    for name in names:
+        i = int(np.argmin(misfits[name]))  # the first minimum
+        results[name] = (float(candidates[i]), int(misfits[name][i]))
+    name, (t, count) = min(results.items(), key=lambda kv: (kv[1][1], kv[0] != "sensitive_high"))
+    return SeparationResult(t, count, count > 0, name)
 
 
 @dataclass(frozen=True)
 class ReversalResult:
     direction_stat: float  # AUC of "Sensitive values are higher"
     verdict: str  # ok | reversed | indeterminate
-    margin: float
 
     @property
     def reversed(self) -> bool:
@@ -132,7 +121,7 @@ def check_reversal(
         verdict = "ok"
     else:
         verdict = "indeterminate"
-    return ReversalResult(stat, verdict, margin)
+    return ReversalResult(stat, verdict)
 
 
 @dataclass(frozen=True)
@@ -175,39 +164,15 @@ def sentinel_check(
     findings: list[Finding] = []
     for s in sentinels:
         if s.sample_id not in labels:
-            findings.append(
-                Finding(
-                    "SENTINEL_VIOLATION",
-                    Severity.INFO,
-                    (s.sample_id,),
-                    {},
-                    f"sentinel {s.sample_id!r} absent from the labeling ({s.reason})",
-                )
-            )
+            severity, text = Severity.INFO, f"sentinel {s.sample_id!r} absent from the labeling ({s.reason})"
+        elif labels[s.sample_id] == s.expected:
             continue
-        actual = labels[s.sample_id]
-        if actual == s.expected:
-            continue
-        if actual == GroupLabel.UNKNOWN:
-            findings.append(
-                Finding(
-                    "SENTINEL_VIOLATION",
-                    Severity.INFO,
-                    (s.sample_id,),
-                    {},
-                    f"sentinel {s.sample_id!r} is unlabeled; expected {s.expected} ({s.reason})",
-                )
-            )
+        elif labels[s.sample_id] == GroupLabel.UNKNOWN:
+            severity, text = Severity.INFO, f"sentinel {s.sample_id!r} is unlabeled; expected {s.expected} ({s.reason})"
         else:
-            findings.append(
-                Finding(
-                    "SENTINEL_VIOLATION",
-                    Severity.CRITICAL,
-                    (s.sample_id,),
-                    {},
-                    f"sentinel {s.sample_id!r} labeled {actual}, expected {s.expected} ({s.reason})",
-                )
-            )
+            severity = Severity.CRITICAL
+            text = f"sentinel {s.sample_id!r} labeled {labels[s.sample_id]}, expected {s.expected} ({s.reason})"
+        findings.append(Finding("SENTINEL_VIOLATION", severity, (s.sample_id,), {}, text))
     return findings
 
 
@@ -286,32 +251,13 @@ def test_confounding(
 
     perfect means each treatment's samples occupy batch sets disjoint from
     every other treatment's - the design cannot distinguish treatment
-    effect from batch effect at all.
+    effect from batch effect at all. The table is ``cross_tabulate``'s,
+    batches on its rows.
     """
-    shared = [s for s in batches if s in treatments]
-    if not shared:
-        raise ValueError("batches and treatments share no samples")
-    batch_of = {s: str(batches[s]) for s in shared}
-    treat_of = {s: str(treatments[s]) for s in shared}
-    batch_levels = sorted(set(batch_of.values()))
-    treat_levels = sorted(set(treat_of.values()))
-    if len(batch_levels) < 2 or len(treat_levels) < 2:
+    table = cross_tabulate(batches, treatments)
+    if len(table.row_labels) < 2 or len(table.col_labels) < 2:
         raise ValueError("confounding test needs >= 2 batches and >= 2 treatments")
-    bi = {b: i for i, b in enumerate(batch_levels)}
-    ti = {t: i for i, t in enumerate(treat_levels)}
-    counts = [[0] * len(treat_levels) for _ in batch_levels]
-    for s in shared:
-        counts[bi[batch_of[s]]][ti[treat_of[s]]] += 1
-    table = ContingencyTable(tuple(batch_levels), tuple(treat_levels), tuple(tuple(r) for r in counts))
-    batch_sets: dict[str, set[str]] = {}
-    for s in shared:
-        batch_sets.setdefault(treat_of[s], set()).add(batch_of[s])
-    treats = list(batch_sets)
-    perfect = all(
-        batch_sets[a].isdisjoint(batch_sets[b])
-        for i, a in enumerate(treats)
-        for b in treats[i + 1 :]
-    )
+    perfect = all(sum(1 for c in row if c) <= 1 for row in table.counts)
     return ConfoundingResult(table, cramers_v(table), perfect)
 
 

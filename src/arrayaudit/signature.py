@@ -208,7 +208,9 @@ def fit_probit(scores: Sequence[float], labels: Sequence[int]) -> ProbitModel:
 
     Perfect separation (one class entirely above the other) makes the
     likelihood monotone with no finite optimum; it is detected up front
-    and reported via converged=False plus the separating threshold.
+    and reported via converged=False plus the separating threshold, with
+    the slope at the limit the likelihood climbs towards: +inf when class
+    1 lies above the threshold, -inf when it lies below.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = _check_binary(labels)
@@ -218,10 +220,10 @@ def fit_probit(scores: Sequence[float], labels: Sequence[int]) -> ProbitModel:
     s0 = s[y == 0]
     if s1.min() > s0.max():
         thr = float((s1.min() + s0.max()) / 2.0)
-        return ProbitModel(math.nan, math.nan, False, 0, separation_threshold=thr)
+        return ProbitModel(math.nan, math.inf, False, 0, separation_threshold=thr)
     if s1.max() < s0.min():
         thr = float((s1.max() + s0.min()) / 2.0)
-        return ProbitModel(math.nan, math.nan, False, 0, separation_threshold=thr)
+        return ProbitModel(math.nan, -math.inf, False, 0, separation_threshold=thr)
 
     a, b = 0.0, 0.0
     for it in range(1, _NEWTON_MAX_ITER + 1):
@@ -270,8 +272,9 @@ def predict(train: LabeledMatrix, test: LabeledMatrix, k: int) -> Predictions:
     metagene's feature direction u0, and a probit of the training classes
     (``CLASS_OF``) on the training scores. A perfectly separated training
     set has no probit optimum and gives hard calls at the separating
-    threshold instead. A test sample missing a signature gene is an
-    error naming the first such sample and gene, in column order.
+    threshold instead, 1 on the Sensitive training samples' side. A test
+    sample missing a signature gene is an error naming the first such
+    sample and gene, in column order.
     """
     g1, idx1, g2, idx2 = _two_groups(train)
     if {g1, g2} != CLASS_OF.keys():
@@ -289,9 +292,11 @@ def predict(train: LabeledMatrix, test: LabeledMatrix, k: int) -> Predictions:
     model = fit_probit(train_scores[y >= 0], y[y >= 0])
     if model.converged:
         return Predictions(test_sub.sample_ids, test_scores, predict_prob(model, test_scores), False)
-    if model.separation_threshold is None:
+    thr = model.separation_threshold
+    if thr is None:
         raise ValueError("probit fit failed and no separating threshold exists")
-    return Predictions(test_sub.sample_ids, test_scores, (test_scores >= model.separation_threshold).astype(float), True)
+    on_class_1_side = test_scores >= thr if model.slope > 0 else test_scores <= thr
+    return Predictions(test_sub.sample_ids, test_scores, on_class_1_side.astype(float), True)
 
 
 def _check_scores(scores: Sequence[float]) -> np.ndarray:
@@ -311,24 +316,23 @@ def _check_binary(labels: Sequence[int]) -> np.ndarray:
     return y
 
 
-def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> list[tuple[float, float]]:
-    """(fpr, tpr) points over all distinct score thresholds, highest
-    threshold first, starting at (0, 0) and ending at (1, 1)."""
+def _counts_at_or_above(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Positives and negatives scoring at or above each distinct score,
+    highest score first; the last entries are the class totals."""
     s = _check_scores(scores)
     y = _check_binary(labels)
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
-    p = int(y.sum())
-    n = len(y) - p
-    tps = np.cumsum(y_sorted)
-    fps = np.arange(1, len(y) + 1) - tps
-    distinct = np.nonzero(np.diff(s_sorted))[0]
-    idx = np.r_[distinct, len(y) - 1]
-    points = [(0.0, 0.0)]
-    for i in idx:
-        points.append((float(fps[i] / n), float(tps[i] / p)))
-    return points
+    last = np.r_[np.nonzero(np.diff(s_sorted))[0], len(y) - 1]  # last index of each distinct score
+    tp = np.cumsum(y[order])[last]
+    return tp, last + 1 - tp
+
+
+def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> list[tuple[float, float]]:
+    """(fpr, tpr) points over all distinct score thresholds, highest
+    threshold first, starting at (0, 0) and ending at (1, 1)."""
+    tp, fp = _counts_at_or_above(scores, labels)
+    return [(0.0, 0.0)] + [(float(x), float(t)) for x, t in zip(fp / fp[-1], tp / tp[-1])]
 
 
 _AUC_GRID = float(1 << 53)
@@ -344,36 +348,15 @@ def _round_half_even(num: int, den: int) -> int:
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the ROC curve with tied pairs counted 1/2.
 
-    Computed from exact integer pair counts via grouped ranks
-    (mathematically identical to the trapezoid over roc_curve). The final
-    ratio is rounded, in exact integer arithmetic, to the 2^-53 grid; on
-    that grid x -> 1 - x is exact, so auc(s, 1-y) == 1 - auc(s, y) holds
-    bitwise while staying within one part in 2^53 of the true value.
-    Non-finite scores are rejected.
+    The exact trapezoid over ``roc_curve``'s counts: twice the area times
+    p*n is the integer sum of dfp * (tp_prev + tp) over the distinct
+    scores, p and n the class sizes. The final ratio is rounded, in exact
+    integer arithmetic, to the 2^-53 grid; on that grid x -> 1 - x is
+    exact, so auc(s, 1-y) == 1 - auc(s, y) holds bitwise while staying
+    within one part in 2^53 of the true value. Non-finite scores are
+    rejected.
     """
-    s = _check_scores(scores)
-    y = _check_binary(labels)
-    p = int(y.sum())
-    n = len(y) - p
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    # 2*U = 2*concordant + ties, accumulated in exact integers
-    two_u = 0
-    below_neg = 0  # negatives with strictly smaller score
-    i = 0
-    while i < len(s_sorted):
-        j = i
-        tied_pos = 0
-        tied_neg = 0
-        while j < len(s_sorted) and s_sorted[j] == s_sorted[i]:
-            if y_sorted[j] == 1:
-                tied_pos += 1
-            else:
-                tied_neg += 1
-            j += 1
-        two_u += tied_pos * (2 * below_neg + tied_neg)
-        below_neg += tied_neg
-        i = j
-    denom = 2 * p * n
-    return _round_half_even(two_u << 53, denom) / _AUC_GRID
+    tp, fp = _counts_at_or_above(scores, labels)
+    tp_prev = np.r_[0, tp[:-1]]
+    two_area = int(np.dot(np.diff(fp, prepend=0), tp_prev + tp))
+    return _round_half_even(two_area << 53, 2 * int(tp[-1]) * int(fp[-1])) / _AUC_GRID

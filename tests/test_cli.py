@@ -89,6 +89,15 @@ def test_report_is_byte_deterministic(tmp_path):
     assert b"\r" not in bytes1
 
 
+def test_report_bytes_match_golden(tmp_path):
+    # the golden files are the reports of a known-good version; a change
+    # meant to alter report bytes regenerates them and says so
+    golden = Path(__file__).parent / "golden"
+    for name, write in (("corrupted", corpus.write_corrupted_corpus), ("clean", corpus.write_clean_corpus)):
+        run_audit(write(tmp_path / name))
+        assert (tmp_path / name / "report.json").read_bytes() == (golden / f"{name}_report.json").read_bytes(), name
+
+
 def test_finding_subjects_exist_in_inputs(tmp_path):
     manifest_path = corpus.write_corrupted_corpus(tmp_path / "bad")
     manifest = load_manifest(manifest_path)
@@ -388,6 +397,23 @@ def test_cli_signature_derive_and_predict(tmp_path, capsys):
         assert main([*argv, "--k", "5", "--out", str(scores_out)]) == code
     first = next(fid for fid in sig.feature_ids if fid in ("g0", "g2"))  # in signature order
     assert capsys.readouterr().err.splitlines()[-1] == f"error: test sample 't2' has no value for signature gene '{first}'"
+
+    # hard calls of a perfectly separated training set follow the class:
+    # the metagene puts the Sensitive lines above the Resistant ones at
+    # seed 0 and below them at seed 2; copies of the training columns are
+    # called as their class either way
+    for seed in (0, 2):
+        values = np.random.default_rng(seed).standard_normal((6, 10))
+        values[:3, :5] += 4.0
+        ids = tuple(f"L{j}" for j in range(10))
+        classes = {sid: GroupLabel.SENSITIVE if j < 5 else GroupLabel.RESISTANT for j, sid in enumerate(ids)}
+        panel = LabeledMatrix(tuple(f"g{i}" for i in range(6)), ids, values, classes)
+        (tmp_path / "train.tsv").write_text(ingest.serialize_matrix(panel))
+        (tmp_path / "test.tsv").write_text(ingest.serialize_matrix(LabeledMatrix(panel.feature_ids, ids, values)))
+        assert main([*argv, "--k", "3", "--out", str(scores_out)]) == 0
+        assert "perfect separation" in capsys.readouterr().err
+        calls = [row.split(",")[2] for row in scores_out.read_text().split("\n")[1:-1]]
+        assert calls == ["1"] * 5 + ["0"] * 5, seed
 
 
 def test_cli_roc(tmp_path, capsys):

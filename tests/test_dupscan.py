@@ -239,6 +239,12 @@ def test_cross_tabulate_diagonal_and_disjoint():
     a = {f"s{i}": S if i < 4 else R for i in range(10)}
     table = cross_tabulate(a, a)
     assert table.counts == ((4, 0), (0, 6))
+    # levels that are not labels follow the label levels in string order,
+    # whatever order they first appear in
+    runs = ["run7", "run2", "run10", "run5", "run1", "run8", "run3", "run4"]
+    table = cross_tabulate({f"s{i}": runs[i % 8] for i in range(10)}, a)
+    assert table.row_labels == ("run1", "run10", "run2", "run3", "run4", "run5", "run7", "run8")
+    assert table.col_labels == ("Sensitive", "Resistant")
     with pytest.raises(ValueError, match="share no samples"):
         cross_tabulate({"x": S}, {"y": S})
 

@@ -42,15 +42,19 @@ def _records(sens_vals, res_vals, drug="d", measure=Measure.GI50):
     return records, labels
 
 
-def _oracle_min_misfits(sens, res):
+def _oracle_min_misfits(sens, res, sensitive_high=True):
     """Independent exhaustive scan over every observed value as the cut."""
     values = sorted(set(sens) | set(res))
     cuts = [min(values) - 1.0] + values + [max(values) + 1.0]
     best = len(sens) + len(res)
     for t in cuts:
-        # rule: value >= t means Sensitive (cut just above each value too)
+        # rule: value >= t means Sensitive, or value < t when reversed
+        # (cut just above each value too)
         for tt in (t, t + 1e-9):
-            misfits = sum(1 for v in sens if v < tt) + sum(1 for v in res if v >= tt)
+            if sensitive_high:
+                misfits = sum(1 for v in sens if v < tt) + sum(1 for v in res if v >= tt)
+            else:
+                misfits = sum(1 for v in sens if v >= tt) + sum(1 for v in res if v < tt)
             best = min(best, misfits)
     return best
 
@@ -86,9 +90,17 @@ def test_separation_matches_oracle_on_random_instances():
         n_r = int(rng.integers(1, 10))
         sens = list(np.round(rng.normal(5, 1, n_s), 1))
         res_vals = list(np.round(rng.normal(4, 1, n_r), 1))
-        records, labels = _records(sens, res_vals)
-        got = check_separation(records, labels)
-        assert got.misfit_count == _oracle_min_misfits(sens, res_vals)
+        # each instance also with its groups swapped, where the reversed
+        # rule usually fits better
+        for a, b in ((sens, res_vals), (res_vals, sens)):
+            records, labels = _records(a, b)
+            high = _oracle_min_misfits(a, b)
+            low = _oracle_min_misfits(a, b, sensitive_high=False)
+            assert check_separation(records, labels).misfit_count == high
+            assert check_separation(records, labels, orientation="sensitive_low").misfit_count == low
+            auto = check_separation(records, labels, orientation="auto")
+            # a tie goes to sensitive_high
+            assert (auto.misfit_count, auto.orientation) == min((high, "sensitive_high"), (low, "sensitive_low"))
 
 
 def test_separation_auto_orientation():
@@ -264,6 +276,13 @@ def test_confounding_perfect_structure():
     findings = confounding_findings(res)
     assert findings[0].code == "CONFOUND_PERFECT"
     assert findings[0].severity == Severity.CRITICAL
+    # batch ids 1-10 are table levels in string order
+    batches = {f"s{i}": i % 10 + 1 for i in range(40)}
+    treatments = {s: "AC" if b <= 5 else "FEC" for s, b in batches.items()}
+    res = run_confounding(batches, treatments)
+    assert res.perfect
+    assert res.table.row_labels == ("1", "10", "2", "3", "4", "5", "6", "7", "8", "9")
+    assert res.table.col_labels == ("AC", "FEC")
 
 
 def test_confounding_balanced_random_low_v():

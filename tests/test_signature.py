@@ -228,6 +228,9 @@ def test_probit_perfect_separation_flagged():
     model = fit_probit(np.array([-1.0, 1.0]), np.array([0, 1]))
     assert not model.converged
     assert model.separation_threshold == 0.0
+    # the slope's sign is the side class 1 lies on
+    assert model.slope == math.inf
+    assert fit_probit(np.array([-1.0, 1.0]), np.array([1, 0])).slope == -math.inf
 
 
 def test_probit_simulation_recovers_truth():

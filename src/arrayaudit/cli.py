@@ -821,20 +821,21 @@ def _read_classes(path: str) -> dict[str, int]:
     that ``signature.CLASS_OF`` maps."""
     numbers = {str(c): c for c in _sig.CLASS_OF.values()}
     out: dict[str, int] = {}
-    for row, (sid, tok) in ingest.read_csv_rows(_read(path), 2, ("sample_id", "id"), exact=False):
-        try:
+    for row, (sid, tok, *_) in ingest.read_csv_rows(_read(path), 2, None, ("sample_id", "id")):
+        with ingest.row_context(row):
             cls = numbers[tok] if tok in numbers else _sig.CLASS_OF.get(ingest.normalize_label(tok))
-        except ingest.ParseError as exc:
-            raise ingest.ParseError(f"row {row}: {exc}") from None
-        if cls is None:
-            raise ingest.ParseError(f"row {row}: label {tok!r} for {sid!r} is neither 0/1 nor Sensitive/Resistant")
+            if cls is None:
+                raise ValueError(f"label {tok!r} for {sid!r} is neither 0/1 nor Sensitive/Resistant")
         out[sid] = cls
     return out
 
 
 def _parse_assignment_csv(path: str) -> Assignment:
-    rows = ingest.read_csv_rows(_read(path), 2, ("cell_line", "sample_id", "id"), exact=False)
-    return Assignment({line: ingest.normalize_label(tok) for _, (line, tok) in rows})
+    state: dict[str, GroupLabel] = {}
+    for row, (line, tok, *_) in ingest.read_csv_rows(_read(path), 2, None, ("cell_line", "sample_id", "id")):
+        with ingest.row_context(row):  # the one-line Assignment checks the search state
+            state.update(Assignment({line: ingest.normalize_label(tok)}).state)
+    return Assignment(state)
 
 
 def _audit_view(check: str):
@@ -945,8 +946,8 @@ def _cmd_signature_predict(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    rows = ingest.read_csv_rows(_read(args.scores), 2, ("sample_id", "id"), exact=False)
-    scores = {sid: ingest.number_cell(tok, row, 2) for row, (sid, tok) in rows}
+    rows = ingest.read_csv_rows(_read(args.scores), 2, None, ("sample_id", "id"))
+    scores = {sid: ingest.number_cell(tok, row, 2) for row, (sid, tok, *_) in rows}
     labels = _read_classes(args.labels)
     shared = [sid for sid in scores if sid in labels]
     if not shared:

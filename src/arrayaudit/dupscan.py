@@ -275,9 +275,6 @@ def compare_labelings(
 def check_signature_directions(sig) -> list[str]:
     """Feature ids a signature lists as up in both groups (its direction
     entries conflict). Signatures without direction data lint clean."""
-    conflicted = []
-    for fid in dict.fromkeys(sig.feature_ids):
-        dirs = {d for f, d in sig.direction_entries if f == fid}
-        if Direction.UP_IN_RESISTANT in dirs and Direction.UP_IN_SENSITIVE in dirs:
-            conflicted.append(fid)
-    return conflicted
+    dirs = sig.direction_map()
+    both = {Direction.UP_IN_RESISTANT, Direction.UP_IN_SENSITIVE}
+    return [fid for fid in dict.fromkeys(sig.feature_ids) if dirs.get(fid, set()) >= both]

@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from importlib import resources
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -62,6 +63,8 @@ _DIRECTION_TOKENS = {
     "up_in_sensitive": Direction.UP_IN_SENSITIVE,
 }
 
+_MEASURES = {m.value: m for m in Measure}
+
 
 def normalize_label(token: str) -> GroupLabel:
     """Map a source vocabulary token (NR, Resp, RES, SEN, ...) to a label."""
@@ -91,8 +94,9 @@ class MatrixFormat:
 
 
 def _split_lines(text: str) -> list[str]:
-    # LF or CRLF; a single trailing newline does not create an empty row
-    lines = text.replace("\r\n", "\n").split("\n")
+    # LF or CRLF; a leading byte-order mark is not part of the first cell,
+    # and a single trailing newline does not create an empty row
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
@@ -104,23 +108,38 @@ def _nonblank_lines(text: str) -> list[tuple[int, str]]:
 
 
 def read_csv_rows(
-    text: str, width: int, header_keys: tuple[str, ...] = (), exact: bool = True
+    text: str, width: int, most: Optional[int], header_keys: tuple[str, ...] = ()
 ) -> list[tuple[int, list[str]]]:
     """Comma-separated rows as ``(line number, cells)``, each cell stripped
     of the padding the number rule allows (spaces and tabs).
 
     Blank lines are skipped, and so is the first row when its first cell,
-    lowercased, is one of ``header_keys``. A row of another width raises
-    ParseError naming its line; with ``exact`` False a wider row is allowed
-    and cut to its first ``width`` cells.
+    lowercased, is one of ``header_keys``. A row of fewer than ``width`` or
+    more than ``most`` cells (None: no upper bound), or with an empty first
+    cell, the row's id (named after the first header key), raises
+    ParseError naming its line. Rows are returned whole.
     """
     rows = [(lineno, [c.strip(" \t") for c in line.split(",")]) for lineno, line in _nonblank_lines(text)]
     if rows and rows[0][1][0].lower() in header_keys:
         rows = rows[1:]
+    expected = f"{width}" if most == width else f"at least {width}" if most is None else f"{width} to {most}"
+    id_name = header_keys[0].replace("_", " ") if header_keys else "id"
     for lineno, cells in rows:
-        if len(cells) < width or (exact and len(cells) > width):
-            raise ParseError(f"row {lineno}: expected {'' if exact else 'at least '}{width} cells, got {len(cells)}")
-    return [(lineno, cells[:width]) for lineno, cells in rows]
+        if len(cells) < width or (most is not None and len(cells) > most):
+            raise ParseError(f"row {lineno}: expected {expected} cells, got {len(cells)}")
+        if not cells[0]:
+            raise ParseError(f"row {lineno}: empty {id_name}")
+    return rows
+
+
+@contextmanager
+def row_context(lineno: int) -> Iterator[None]:
+    """Name the row of any error raised while its cells become values: a
+    ValueError inside the block is raised again as "row N: <message>"."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(f"row {lineno}: {exc}") from None
 
 
 #: Any character outside an ASCII decimal number, its space/tab padding and
@@ -160,7 +179,8 @@ def parse_table(text: str) -> tuple[list[str], list[tuple[str, list[float]]]]:
     lines = _nonblank_lines(text)
     if not lines:
         raise ParseError("empty table file")
-    (_, header), *rows = read_csv_rows(text, lines[0][1].count(",") + 1)
+    width = lines[0][1].count(",") + 1
+    (_, header), *rows = read_csv_rows(text, width, width)
     return header[1:], [
         (cells[0], [number_cell(tok, row, j) for j, tok in enumerate(cells[1:], start=2)]) for row, cells in rows
     ]
@@ -237,6 +257,8 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
         for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
             head, *cells = line.split(sep)
             fid = head.strip()
+            if not fid:
+                raise ParseError(f"row {lineno}: empty feature id")
             if len(cells) != ncol:
                 raise ParseError(f"row {lineno}: ragged row ({len(cells)} cells, expected {ncol})")
             if fid in seen:
@@ -281,25 +303,13 @@ def serialize_matrix(m: LabeledMatrix, fmt: MatrixFormat = MatrixFormat()) -> st
 def parse_roster(text: str) -> LabelRoster:
     """Parse sample_id,label[,source,note] rows. Duplicate ids are kept:
     repeated and contradictory claims are exactly what gets audited."""
-    lines = _nonblank_lines(text)
-    if not lines:
-        raise ParseError("empty roster file")
-    if [c.strip().lower() for c in lines[0][1].split(",")][:2] == ["sample_id", "label"]:
-        lines = lines[1:]
     entries: list[RosterEntry] = []
-    for lineno, line in lines:
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) < 2:
-            raise ParseError(f"row {lineno}: roster rows need at least sample_id,label")
-        try:
-            label = normalize_label(cells[1])
-        except ParseError as exc:
-            raise ParseError(f"row {lineno}: {exc}") from None
-        source = cells[2] if len(cells) > 2 else ""
-        note = cells[3] if len(cells) > 3 and cells[3] else None
-        entries.append(RosterEntry(cells[0], label, source, note))
+    for lineno, (sample_id, label, *rest) in read_csv_rows(text, 2, 4, ("sample_id",)):
+        source, note = [*rest, "", ""][:2]
+        with row_context(lineno):
+            entries.append(RosterEntry(sample_id, normalize_label(label), source, note or None))
     if not entries:
-        raise ParseError("roster file has a header but no entries")
+        raise ParseError("roster file has a header but no entries" if text.strip() else "empty roster file")
     return LabelRoster(tuple(entries))
 
 
@@ -313,26 +323,17 @@ def serialize_roster(r: LabelRoster) -> str:
 def parse_signature(text: str) -> SignatureList:
     """Parse a reported gene list: one feature id per line, optionally
     followed by ,direction (UpInResistant / UpInSensitive)."""
-    lines = _nonblank_lines(text)
-    if not lines:
-        raise ParseError("empty signature file")
-    if lines[0][1].split(",")[0].strip().lower() == "feature_id":
-        lines = lines[1:]
     ids: list[str] = []
     dirs: list[tuple[str, Direction]] = []
-    for lineno, line in lines:
-        cells = [c.strip() for c in line.split(",")]
-        fid = cells[0]
-        if not fid:
-            raise ParseError(f"row {lineno}: empty feature id")
+    for lineno, (fid, *rest) in read_csv_rows(text, 1, 2, ("feature_id",)):
         ids.append(fid)
-        if len(cells) > 1 and cells[1]:
-            key = cells[1].lower()
-            if key not in _DIRECTION_TOKENS:
-                raise ParseError(f"row {lineno}: unknown direction token {cells[1]!r}")
-            dirs.append((fid, _DIRECTION_TOKENS[key]))
+        token = rest[0] if rest else ""
+        if token:
+            if token.lower() not in _DIRECTION_TOKENS:
+                raise ParseError(f"row {lineno}: unknown direction token {token!r}")
+            dirs.append((fid, _DIRECTION_TOKENS[token.lower()]))
     if not ids:
-        raise ParseError("signature file has a header but no entries")
+        raise ParseError("signature file has a header but no entries" if text.strip() else "empty signature file")
     return SignatureList(tuple(ids), tuple(dirs))
 
 
@@ -355,12 +356,17 @@ def serialize_signature(sig: SignatureList) -> str:
 
 def parse_annotation(text: str) -> AnnotationIndex:
     """Parse a platform annotation: platform id on the first line, then
-    one feature id per line in platform row order."""
-    lines = [ln.strip() for ln in _split_lines(text)]
-    lines = [ln for ln in lines if ln]
+    one feature id per line in platform row order. A line is one whole id,
+    commas included (platform titles may hold them)."""
+    lines = [(lineno, line.strip()) for lineno, line in _nonblank_lines(text)]
     if len(lines) < 2:
         raise ParseError("annotation needs a platform id line and at least one feature id")
-    return AnnotationIndex(lines[0], tuple(lines[1:]))
+    first_row: dict[str, int] = {}
+    for lineno, fid in lines[1:]:
+        if fid in first_row:
+            raise ParseError(f"row {lineno}: duplicate feature id {fid!r} (first on row {first_row[fid]})")
+        first_row[fid] = lineno
+    return AnnotationIndex(lines[0][1], tuple(first_row))
 
 
 def serialize_annotation(ann: AnnotationIndex) -> str:
@@ -370,18 +376,10 @@ def serialize_annotation(ann: AnnotationIndex) -> str:
 def parse_sensitivity(text: str) -> list[SensitivityRecord]:
     """Parse cell_line,drug_id,measure,value potency rows."""
     records: list[SensitivityRecord] = []
-    for lineno, (cell_line, drug_id, measure_tok, value_tok) in read_csv_rows(text, 4, ("cell_line",)):
-        try:
-            measure = Measure(measure_tok)
-        except ValueError:
-            raise ParseError(f"row {lineno}: unknown measure {measure_tok!r}") from None
-        value = parse_number(value_tok)
-        if value is None:
-            raise ParseError(f"row {lineno}: unparseable potency {value_tok!r}")
-        try:
-            records.append(SensitivityRecord(cell_line, drug_id, measure, value))
-        except ValueError as exc:
-            raise ParseError(f"row {lineno}: {exc}") from None
+    for lineno, (cell_line, drug_id, measure, value) in read_csv_rows(text, 4, 4, ("cell_line",)):
+        if measure not in _MEASURES:
+            raise ParseError(f"row {lineno}: unknown measure {measure!r}")
+        records.append(SensitivityRecord(cell_line, drug_id, _MEASURES[measure], number_cell(value, lineno, 4)))
     if not records:
         raise ParseError("sensitivity file has a header but no rows" if text.strip() else "empty sensitivity file")
     return records
@@ -394,15 +392,14 @@ def serialize_sensitivity(records: list[SensitivityRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_timestamp(token: str, lineno: int = 0) -> datetime:
+def parse_timestamp(token: str) -> datetime:
     tok = token.strip()
     if tok.endswith("Z"):
         tok = tok[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(tok)
     except ValueError:
-        where = f"row {lineno}: " if lineno else ""
-        raise ParseError(f"{where}unparseable ISO-8601 timestamp {token!r}") from None
+        raise ParseError(f"unparseable ISO-8601 timestamp {token!r}") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc).replace(microsecond=0)
@@ -411,11 +408,12 @@ def parse_timestamp(token: str, lineno: int = 0) -> datetime:
 def parse_sample_meta(text: str) -> list[SampleMeta]:
     """Parse sample_id,run_timestamp,scanner_id,treatment_arm,included rows."""
     metas: list[SampleMeta] = []
-    for lineno, (sample_id, stamp, scanner_id, arm, included) in read_csv_rows(text, 5, ("sample_id",)):
-        ts = parse_timestamp(stamp, lineno)
-        if included not in ("0", "1"):
-            raise ParseError(f"row {lineno}: included must be 0 or 1, got {included!r}")
-        metas.append(SampleMeta(sample_id, ts, scanner_id, arm, included == "1"))
+    for lineno, (sample_id, stamp, scanner_id, arm, included) in read_csv_rows(text, 5, 5, ("sample_id",)):
+        with row_context(lineno):
+            ts = parse_timestamp(stamp)
+            if included not in ("0", "1"):
+                raise ParseError(f"included must be 0 or 1, got {included!r}")
+            metas.append(SampleMeta(sample_id, ts, scanner_id, arm, included == "1"))
     if not metas:
         raise ParseError("metadata file has a header but no rows" if text.strip() else "empty sample metadata file")
     return metas

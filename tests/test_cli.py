@@ -655,6 +655,35 @@ def test_short_csv_row_exits_1_naming_its_line(tmp_path, capsys):
     assert "row 4: expected at least 2 cells, got 1" in capsys.readouterr().err
 
 
+def test_search_start_state_errors_name_their_row(tmp_path, capsys):
+    panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=10)
+    (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
+    (tmp_path / "target.csv").write_text(ingest.serialize_signature(target))
+    argv = ["search", "groups", "--panel", str(tmp_path / "panel.tsv"), "--target", str(tmp_path / "target.csv")]
+    line = next(iter(truth))
+    for state, message in (("wibble", "unknown group label token 'wibble'"), ("INT", f"{line!r} has non-search state")):
+        (tmp_path / "start.csv").write_text(f"cell_line,state\n{line},Sensitive\n\n{line},{state}\n")
+        assert main([*argv, "--k", "10", "--start", str(tmp_path / "start.csv")]) == 1
+        assert f"error: row 4: {message}" in capsys.readouterr().err
+
+
+def test_bom_headers_and_empty_ids_in_manifest_inputs(tmp_path, capsys):
+    (tmp_path / "sig.csv").write_text("\ufefffeature_id,direction\ng1,UpInResistant\n", encoding="utf-8")
+    (tmp_path / "ann.txt").write_text("\ufeffP\ng1\ng2\n", encoding="utf-8")
+    inputs = {"sig": {"path": "sig.csv", "kind": "signature"}, "ann": {"path": "ann.txt", "kind": "annotation"}}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"inputs": inputs, "checks": [{"check": "platform", "signature": "sig", "annotation": "ann"}]}))
+    assert main(["report", "run", "--manifest", str(manifest)]) == 0
+    assert "PLATFORM_MISMATCH" not in capsys.readouterr().out
+    (tmp_path / "ann.txt").write_text("P\ng1\ng2\ng1\n", encoding="utf-8")
+    assert main(["report", "run", "--manifest", str(manifest)]) == 1
+    assert "row 4: duplicate feature id 'g1' (first on row 2)" in capsys.readouterr().out
+
+    (tmp_path / "r.csv").write_text("GSM1,Sensitive\n,Resistant\n")
+    assert main(["audit", "roster", "--roster", str(tmp_path / "r.csv")]) == 1
+    assert "check 'roster' could not run: row 2: empty sample id" in capsys.readouterr().out
+
+
 def test_roc_and_search_read_predict_output_and_rosters(tmp_path, capsys):
     # the two-column readers take the first two cells of wider rows: the
     # scores that signature predict writes and the rows of a roster file
@@ -801,20 +830,45 @@ def _valid_inputs(command: str):
 
 _CELL_TOKENS = sorted(set(_HOSTILE) | {"1_0"})
 
+#: files read by the two-cell readers, which take the first two cells of a
+#: wider row (``roc --scores``/``--labels``, ``search groups --start``)
+_TWO_CELL_FILES = {"scores.csv", "labels.csv", "start.csv"}
+
+
+def _run_on_files(files, argv, tmp: str):
+    """Write ``files`` into ``tmp`` and run ``main`` on ``argv``; returns the
+    exit code, stdout, stderr and the bytes of the outputs written."""
+    paths = {name: str(Path(tmp) / name) for name in ("out.csv", "trace.json", *files)}
+    for name in ("out.csv", "trace.json"):
+        Path(paths[name]).unlink(missing_ok=True)
+    for name, (sep, rows, _) in files.items():
+        Path(paths[name]).write_text("".join(sep.join(cells) + "\n" for cells in rows), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([paths[a[1:-1]] if a[1:-1] in paths else a for a in argv])
+    written = {name: Path(paths[name]).read_bytes() for name in ("out.csv", "trace.json") if Path(paths[name]).exists()}
+    return code, out.getvalue(), err.getvalue(), written
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     st.sampled_from(["roc", "combo", "predict", "match rows", "match columns", "search"]),
-    st.sampled_from(["token", "ragged", "blank", "empty", "nan", "constant", "none"]),
+    st.sampled_from(["token", "ragged", "blank", "empty", "nan", "constant", "none", "bom", "extra cell", "empty id"]),
     st.sampled_from(_CELL_TOKENS),
     st.integers(0, 10**6),
 )
 @example("roc", "token", "1_0", 0)
 @example("predict", "constant", "", 0)
+@example("roc", "bom", "", 0)  # labels.csv: its first id
+@example("roc", "bom", "", 1)  # scores.csv: its header
+@example("search", "extra cell", "", 2)  # target.csv: a third cell after the direction
+@example("roc", "empty id", "", 1)  # scores.csv
 def test_main_on_hostile_files_exits_0_1_or_2_and_names_the_bad_cell(command, fault, token, where):
     """One fault in otherwise valid inputs: no exception escapes ``main``,
     exit 1 ends in an ``error:`` line, and a bad numeric cell is exit 1
-    naming that cell."""
+    naming that cell. A byte-order mark changes nothing; an extra cell in
+    the last row changes nothing for a two-cell reader and is exit 1
+    naming that row for every other reader, and so is an empty id."""
     files, argv = _valid_inputs(command)
     numeric = [
         (name, i, j)
@@ -823,7 +877,8 @@ def test_main_on_hostile_files_exits_0_1_or_2_and_names_the_bad_cell(command, fa
         for i in range(first, len(rows))
         for j in range(1, len(rows[i]))
     ]
-    bad_cell = None
+    bad_cell = bad_row = None
+    same_as_valid = fault == "bom"
     if fault == "token":
         name, i, j = bad_cell = numeric[where % len(numeric)]
         files[name][1][i][j] = token
@@ -839,19 +894,28 @@ def test_main_on_hostile_files_exits_0_1_or_2_and_names_the_bad_cell(command, fa
             rows[i] = rows[i][:-1]
         elif fault == "blank":
             rows.insert(where % (len(rows) + 1), [""])
+        elif fault == "bom":
+            rows[0][0] = "\ufeff" + rows[0][0]
+        elif fault == "extra cell":
+            rows[-1].append("x")
+            same_as_valid = name in _TWO_CELL_FILES
+            bad_row = None if same_as_valid else len(rows)
+        elif fault == "empty id":
+            rows[-1][0] = ""
+            bad_row = len(rows)
         else:
             rows.clear()
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {name: str(Path(tmp) / name) for name in ("out.csv", "trace.json", *files)}
-        for name, (sep, rows, _) in files.items():
-            Path(paths[name]).write_text("".join(sep.join(cells) + "\n" for cells in rows), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([paths[a[1:-1]] if a[1:-1] in paths else a for a in argv])
+        code, out, err, written = _run_on_files(files, argv, tmp)
+        if same_as_valid:
+            assert (code, out, err, written) == _run_on_files(_valid_inputs(command)[0], argv, tmp)
     assert code in (0, 1, 2)
     if code == 1:
-        assert err.getvalue().splitlines()[-1].startswith("error: ")
+        assert err.splitlines()[-1].startswith("error: ")
     if bad_cell is not None:
         _, i, j = bad_cell
         assert code == 1
-        assert f"error: row {i + 1}, column {j + 1}: " in err.getvalue()
+        assert f"error: row {i + 1}, column {j + 1}: " in err
+    if bad_row is not None:
+        assert code == 1
+        assert f"error: row {bad_row}: " in err

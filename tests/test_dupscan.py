@@ -336,3 +336,7 @@ def test_check_signature_directions():
     assert check_signature_directions(clean) == []
     no_dirs = SignatureList(("A", "B"))
     assert check_signature_directions(no_dirs) == []
+    # reported in signature order, whatever the order of the direction entries
+    up, down = Direction.UP_IN_RESISTANT, Direction.UP_IN_SENSITIVE
+    both = SignatureList(("B", "A", "B"), (("A", up), ("A", down), ("B", down), ("B", up)))
+    assert check_signature_directions(both) == ["B", "A"]

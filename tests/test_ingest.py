@@ -146,7 +146,7 @@ def test_parse_sensitivity_row():
 
 
 def test_parse_sensitivity_bad_measure():
-    with pytest.raises(ParseError, match="row 1"):
+    with pytest.raises(ParseError, match="^row 1: unknown measure 'XX50'$"):
         ingest.parse_sensitivity("MCF7,NSC26271,XX50,4.2\n")
 
 
@@ -161,8 +161,10 @@ def test_parse_sample_meta_and_timezone():
 
 
 def test_parse_sample_meta_bad_timestamp_names_row():
-    with pytest.raises(ParseError, match="row 2"):
+    with pytest.raises(ParseError, match="^row 2: unparseable ISO-8601 timestamp 'yesterday'$"):
         ingest.parse_sample_meta("A1,2007-01-03T10:00:00,SC01,FEC,1\nA2,yesterday,SC01,TET,1\n")
+    with pytest.raises(ParseError, match="^row 1: included must be 0 or 1, got 'yes'$"):
+        ingest.parse_sample_meta("A1,2007-01-03T10:00:00,SC01,FEC,yes\n")
 
 
 def test_meta_round_trip():
@@ -294,17 +296,17 @@ def test_parse_matrix_matches_per_cell_oracle(case):
 
 
 def test_parse_sensitivity_reads_potency_through_the_number_grammar():
-    with pytest.raises(ParseError, match=r"row 3: unparseable potency '1_0'"):
+    with pytest.raises(ParseError, match=r"^row 3, column 4: unparseable numeric cell '1_0'"):
         ingest.parse_sensitivity("cell_line,drug_id,measure,value\nMCF7,D1,GI50,4.2\nA549,D1,GI50,1_0\n")
-    with pytest.raises(ParseError, match=r"row 1: unparseable potency 'inf'"):
+    with pytest.raises(ParseError, match=r"^row 1, column 4: unparseable numeric cell 'inf'"):
         ingest.parse_sensitivity("MCF7,D1,GI50,inf\n")
-    with pytest.raises(ParseError, match=r"row 1: unparseable potency '1e999'"):
+    with pytest.raises(ParseError, match=r"^row 1, column 4: unparseable numeric cell '1e999'"):
         ingest.parse_sensitivity("MCF7,D1,GI50,1e999\n")
     assert ingest.parse_sensitivity("MCF7,D1,GI50,+5.\n")[0].value == 5.0
 
 
 def test_roster_and_signature_rows_are_file_line_numbers():
-    with pytest.raises(ParseError, match=r"^row 4: roster rows need at least sample_id,label"):
+    with pytest.raises(ParseError, match=r"^row 4: expected 2 to 4 cells, got 1"):
         ingest.parse_roster("sample_id,label\nGSM1,RES\n\nGSM2\n")
     with pytest.raises(ParseError, match=r"^row 3: unknown group label token 'wibble'"):
         ingest.parse_roster("GSM1,RES\n\nGSM2,wibble\n")
@@ -312,3 +314,59 @@ def test_roster_and_signature_rows_are_file_line_numbers():
         ingest.parse_signature("feature_id,direction\n\ng1,UpInResistant\ng2,sideways\n")
     with pytest.raises(ParseError, match=r"^row 3: empty feature id"):
         ingest.parse_signature("g1\n\n,UpInResistant\n")
+    with pytest.raises(ParseError, match=r"^row 2: expected 2 to 4 cells, got 5"):
+        ingest.parse_roster("GSM1,RES\nA,Sensitive,src,note,extra\n")
+    with pytest.raises(ParseError, match=r"^row 1: expected 1 to 2 cells, got 3"):
+        ingest.parse_signature("g1,UpInResistant,x\n")
+
+
+_KIND_TEXTS = {
+    "roster": (ingest.parse_roster, "sample_id,label,source,note\nGSM1,RES,site-a,\nGSM2,SEN\n"),
+    "signature": (ingest.parse_signature, "feature_id,direction\ng1,UpInResistant\ng2\n"),
+    "annotation": (ingest.parse_annotation, "U95Av2\nA\nB\n"),
+    "sensitivity": (ingest.parse_sensitivity, "cell_line,drug_id,measure,value\nMCF7,D1,GI50,4.2\n"),
+    "meta": (
+        ingest.parse_sample_meta,
+        "sample_id,run_timestamp,scanner_id,treatment_arm,included\nA1,2007-01-03T10:00:00,SC01,FEC,1\n",
+    ),
+    "matrix": (lambda text: ingest.serialize_matrix(ingest.parse_matrix(text)), TSV_2X2),
+    "table": (ingest.parse_table, "sample_id,T,F\np1,1,2\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_TEXTS))
+def test_every_kind_parses_the_same_with_and_without_a_bom(kind):
+    parse, text = _KIND_TEXTS[kind]
+    assert parse("\ufeff" + text) == parse(text)
+    assert parse("\ufeff" + text.replace("\n", "\r\n")) == parse(text)
+
+
+def test_roster_header_is_its_first_cell_and_cells_lose_spaces_and_tabs():
+    assert ingest.parse_roster("Sample_ID,group\nGSM1,RES\n").ids() == ["GSM1"]
+    assert ingest.parse_roster("GSM1\xa0,RES\n").ids() == ["GSM1\xa0"]
+    roster = ingest.parse_roster("GSM1, RES ,\tsite-a, \n")
+    assert roster.entries[0].label == GroupLabel.RESISTANT
+    assert (roster.entries[0].source_id, roster.entries[0].note) == ("site-a", None)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (ingest.parse_roster, "GSM1,RES\n,Resistant\n", "row 2: empty sample id"),
+        (ingest.parse_sensitivity, "cell_line,drug_id,measure,value\n ,D1,GI50,4.2\n", "row 2: empty cell line"),
+        (ingest.parse_sample_meta, ",2007-01-03T10:00:00,SC01,FEC,1\n", "row 1: empty sample id"),
+        (ingest.parse_table, "sample_id,T\np1,1\n,2\n", "row 3: empty id"),
+        (ingest.parse_matrix, "id\tS1\ng1\t1\n \t2\n", "row 3: empty feature id"),
+    ],
+    ids=["roster", "sensitivity", "meta", "table", "matrix"],
+)
+def test_an_empty_id_is_an_error_naming_its_row(parse, text, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse(text)
+
+
+def test_annotation_duplicate_names_both_rows():
+    with pytest.raises(ParseError, match=r"^row 5: duplicate feature id 'A' \(first on row 2\)$"):
+        ingest.parse_annotation("P\nA\nB\n\nA\n")
+    assert ingest.parse_annotation("GPL96, HG-U133A\nA\n").platform_id == "GPL96, HG-U133A"
+

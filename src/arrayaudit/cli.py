@@ -188,6 +188,22 @@ def _input_decl(name: str, spec) -> InputDecl:
         raise ManifestError(f"input {name!r}: bad format: {exc}") from None
 
 
+def _input_refs(chk: dict) -> list[tuple[str, object, str]]:
+    """``(where, reference, kind)`` for every input reference of a manifest
+    check whose name is in ``CHECKS``."""
+    spec = CHECKS[chk["check"]]
+    refs = [(param, chk.get(param), kind) for param, kind in spec.inputs.items()]
+    for lst, fields in spec.item_inputs.items():  # malformed lists are the parameter check's
+        items = chk[lst] if isinstance(chk.get(lst), list) else []
+        refs += [
+            (f"{lst}[{j}].{fld}", it.get(fld), kind)
+            for j, it in enumerate(items)
+            if isinstance(it, dict)
+            for fld, kind in fields.items()
+        ]
+    return refs
+
+
 def _validate_manifest(doc: dict, base_dir: Path) -> AuditManifest:
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -203,17 +219,7 @@ def _validate_manifest(doc: dict, base_dir: Path) -> AuditManifest:
         name = chk["check"]
         if not isinstance(name, str) or name not in CHECKS:
             raise ManifestError(f"check #{i + 1}: unknown check {name!r}")
-        spec = CHECKS[name]
-        refs = [(param, chk.get(param), kind) for param, kind in spec.inputs.items()]
-        for lst, fields in spec.item_inputs.items():  # malformed lists are the parameter check's
-            items = chk[lst] if isinstance(chk.get(lst), list) else []
-            refs += [
-                (f"{lst}[{j}].{fld}", it.get(fld), kind)
-                for j, it in enumerate(items)
-                if isinstance(it, dict)
-                for fld, kind in fields.items()
-            ]
-        for where, ref, kind in refs:
+        for where, ref, kind in _input_refs(chk):
             if ref is None:
                 raise ManifestError(f"check #{i + 1} ({name}): missing input reference {where!r}")
             if not isinstance(ref, str) or ref not in inputs:
@@ -239,21 +245,9 @@ def load_manifest(path: str | Path) -> AuditManifest:
     return _validate_manifest(doc, p.parent)
 
 
-class _InputLoader:
-    """Lazy, caching loader for declared inputs."""
-
-    def __init__(self, manifest: AuditManifest):
-        self.manifest = manifest
-        self._cache: dict[str, object] = {}
-
-    def load(self, name: str):
-        if name in self._cache:
-            return self._cache[name]
-        decl = self.manifest.inputs[name]
-        text = self.manifest.resolve(decl).read_text(encoding="utf-8")
-        value = _INPUT_KINDS[decl.kind](text, decl.format)
-        self._cache[name] = value
-        return value
+#: What a check adapter gets its inputs from: the parsed value of a
+#: declared input, by name.
+Loader = Callable[[str], object]
 
 
 def _strict_roster_labeling(roster) -> dict[str, GroupLabel]:
@@ -341,16 +335,16 @@ def _degenerate(severity: Severity, subject: str, message: str) -> Finding:
     return Finding("DEGENERATE_DATA", severity, (subject,), {}, message)
 
 
-def _check_validate(loader: _InputLoader, chk: dict) -> list[Finding]:
-    m: LabeledMatrix = loader.load(chk["matrix"])
+def _check_validate(load: Loader, chk: dict) -> list[Finding]:
+    m: LabeledMatrix = load(chk["matrix"])
     return [
         _degenerate(Severity.WARNING, v.subject, f"{chk['matrix']}: invalid {v.field}: {v.message}")
         for v in validate(m)
     ]
 
 
-def _check_dup(loader: _InputLoader, chk: dict) -> list[Finding]:
-    m: LabeledMatrix = loader.load(chk["matrix"])
+def _check_dup(load: Loader, chk: dict) -> list[Finding]:
+    m: LabeledMatrix = load(chk["matrix"])
     cfg = _dup.DupScanConfig(
         corr_threshold=chk["threshold"],
         compare_on=chk["compare_on"],
@@ -395,8 +389,8 @@ def _check_dup(loader: _InputLoader, chk: dict) -> list[Finding]:
     return findings
 
 
-def _check_roster(loader: _InputLoader, chk: dict) -> list[Finding]:
-    roster = loader.load(chk["roster"])
+def _check_roster(load: Loader, chk: dict) -> list[Finding]:
+    roster = load(chk["roster"])
     n_distinct, duplicated, inconsistent = _dup.roster_duplicates(roster)
     findings = []
     if duplicated:
@@ -423,10 +417,10 @@ def _check_roster(loader: _InputLoader, chk: dict) -> list[Finding]:
     return findings
 
 
-def _check_offset(loader: _InputLoader, chk: dict) -> list[Finding]:
-    reported = loader.load(chk["reported"])
-    generated = loader.load(chk["generated"])
-    ann = loader.load(chk["annotation"])
+def _check_offset(load: Loader, chk: dict) -> list[Finding]:
+    reported = load(chk["reported"])
+    generated = load(chk["generated"])
+    ann = load(chk["annotation"])
     res = _match.detect_offset(reported, ann, generated, max_shift=chk["max_shift"])
     findings = []
     if res.best_shift != 0:
@@ -460,9 +454,9 @@ def _check_offset(loader: _InputLoader, chk: dict) -> list[Finding]:
     return findings
 
 
-def _check_platform(loader: _InputLoader, chk: dict) -> list[Finding]:
-    sig = loader.load(chk["signature"])
-    ann = loader.load(chk["annotation"])
+def _check_platform(load: Loader, chk: dict) -> list[Finding]:
+    sig = load(chk["signature"])
+    ann = load(chk["annotation"])
     absent = _match.check_platform_membership(sig, ann)
     if not absent:
         return []
@@ -477,9 +471,9 @@ def _check_platform(loader: _InputLoader, chk: dict) -> list[Finding]:
     ]
 
 
-def _check_dose(loader: _InputLoader, chk: dict) -> list[Finding]:
-    records = loader.load(chk["sensitivity"])
-    roster = loader.load(chk["labels"])
+def _check_dose(load: Loader, chk: dict) -> list[Finding]:
+    records = load(chk["sensitivity"])
+    roster = load(chk["labels"])
     labels = _strict_roster_labeling(roster)
     drug = chk["drug"]
     measure = chk["measure"]
@@ -535,8 +529,8 @@ def _check_dose(loader: _InputLoader, chk: dict) -> list[Finding]:
     return findings
 
 
-def _check_confound(loader: _InputLoader, chk: dict) -> list[Finding]:
-    metas = loader.load(chk["meta"])
+def _check_confound(load: Loader, chk: dict) -> list[Finding]:
+    metas = load(chk["meta"])
     included = [m for m in metas if m.included] or list(metas)
     treatments = {m.sample_id: m.treatment_arm for m in included}
     if chk["by"] == "scanner":
@@ -552,8 +546,8 @@ def _check_confound(loader: _InputLoader, chk: dict) -> list[Finding]:
     return [replace(f, message=f"{chk['meta']} ({label}): {f.message}") for f in findings]
 
 
-def _check_blocks(loader: _InputLoader, chk: dict) -> list[Finding]:
-    m = loader.load(chk["matrix"])
+def _check_blocks(load: Loader, chk: dict) -> list[Finding]:
+    m = load(chk["matrix"])
     threshold = chk["threshold"]
     report = _integ.detect_blocks(m, corr_threshold=threshold)
     if len(report.components) < chk["min_blocks"]:
@@ -570,9 +564,9 @@ def _check_blocks(loader: _InputLoader, chk: dict) -> list[Finding]:
     ]
 
 
-def _check_reuse(loader: _InputLoader, chk: dict) -> list[Finding]:
-    a = loader.load(chk["a"])
-    b = loader.load(chk["b"])
+def _check_reuse(load: Loader, chk: dict) -> list[Finding]:
+    a = load(chk["a"])
+    b = load(chk["b"])
     digits = chk["digits"]
     if not _dup.matrices_identical(a, b, digits):
         return []
@@ -588,8 +582,8 @@ def _check_reuse(loader: _InputLoader, chk: dict) -> list[Finding]:
     ]
 
 
-def _check_directions(loader: _InputLoader, chk: dict) -> list[Finding]:
-    sig = loader.load(chk["signature"])
+def _check_directions(load: Loader, chk: dict) -> list[Finding]:
+    sig = load(chk["signature"])
     conflicted = _dup.check_signature_directions(sig)
     if not conflicted:
         return []
@@ -604,10 +598,10 @@ def _check_directions(loader: _InputLoader, chk: dict) -> list[Finding]:
     ]
 
 
-def _check_flips(loader: _InputLoader, chk: dict) -> list[Finding]:
+def _check_flips(load: Loader, chk: dict) -> list[Finding]:
     sources = []
     for src in chk["sources"]:
-        roster = loader.load(src["roster"])
+        roster = load(src["roster"])
         sources.append((src["source_id"], src["drug_id"], _strict_roster_labeling(roster)))
     if not sources:
         raise ValueError("flips check needs at least one source")
@@ -626,8 +620,8 @@ def _check_flips(loader: _InputLoader, chk: dict) -> list[Finding]:
     return findings
 
 
-def _check_sentinels(loader: _InputLoader, chk: dict) -> list[Finding]:
-    m = loader.load(chk["matrix"])
+def _check_sentinels(load: Loader, chk: dict) -> list[Finding]:
+    m = load(chk["matrix"])
     sentinels = [
         _integ.Sentinel(s["sample_id"], GroupLabel(s["expected"]), s.get("reason", "")) for s in chk["sentinels"]
     ]
@@ -651,7 +645,7 @@ class CheckSpec:
 
     inputs: dict[str, str]
     params: dict[str, tuple]
-    run: Callable[[_InputLoader, dict], list[Finding]]
+    run: Callable[[Loader, dict], list[Finding]]
     item_inputs: dict[str, dict[str, str]] = field(default_factory=dict)
 
 
@@ -722,8 +716,21 @@ CHECKS: dict[str, CheckSpec] = {
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _load_input(path: Path, decl: InputDecl, parse: bool) -> tuple[str, object]:
+    """One read of an input: the SHA-256 of its bytes and, when ``parse``,
+    the value parsed from the same bytes (decoded as ``Path.read_text``
+    decodes a file: UTF-8, universal newlines) or the error parsing
+    raised. An OSError from the read propagates."""
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if not parse:
+        return digest, None
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        del data  # only the text is kept while it is parsed
+        return digest, _INPUT_KINDS[decl.kind](text, decl.format)
+    except _INPUT_ERRORS as exc:
+        return digest, exc
 
 
 def report_to_json(report: FindingsReport) -> str:
@@ -772,17 +779,24 @@ def run_audit(manifest: AuditManifest | str | Path) -> tuple[FindingsReport, int
     findings: list[Finding] = []
     digests: dict[str, str] = {}
     had_error = False
+    used = {ref for chk in manifest.checks for _, ref, _ in _input_refs(chk)}
+    values: dict[str, object] = {}  # parsed input, or the error reading or parsing it raised
     for name, decl in manifest.inputs.items():
-        path = manifest.resolve(decl)
         try:
-            digests[decl.path] = _sha256_file(path)
+            digests[decl.path], values[name] = _load_input(manifest.resolve(decl), decl, name in used)
         except OSError as exc:
             had_error = True
             findings.append(_degenerate(Severity.WARNING, name, f"input {name!r} ({decl.path}) is unreadable: {exc}"))
-    loader = _InputLoader(manifest)
+            values[name] = exc
+
+    def load(name: str):
+        if isinstance(values[name], Exception):
+            raise values[name]
+        return values[name]
+
     for chk in manifest.checks:
         try:
-            new = CHECKS[chk["check"]].run(loader, _resolve(chk))
+            new = CHECKS[chk["check"]].run(load, _resolve(chk))
         except _INPUT_ERRORS as exc:
             had_error = True
             findings.append(_degenerate(Severity.WARNING, chk["check"], f"check {chk['check']!r} could not run: {exc}"))
@@ -799,8 +813,7 @@ def run_audit(manifest: AuditManifest | str | Path) -> tuple[FindingsReport, int
     else:
         code = 0
     if manifest.output:
-        out_path = manifest.base_dir / manifest.output
-        out_path.write_text(report_to_json(report), encoding="utf-8", newline="\n")
+        _output(report_to_json(report), manifest.base_dir / manifest.output)
     return report, code
 
 
@@ -812,6 +825,18 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _output(text: str, path: Optional[str | Path], what: str = "") -> None:
+    """The one writer of the tool's files: ``text`` as UTF-8 with LF line
+    ends to ``path``, then "<what> written to PATH" when ``what`` is given;
+    without a path, ``text`` goes to stdout."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    if what:
+        print(f"{what} written to {path}")
+
+
 def _load_matrix(path: str, delimiter: str = "tab") -> LabeledMatrix:
     return ingest.parse_matrix(_read(path), ingest.MatrixFormat(delimiter=delimiter))
 
@@ -821,7 +846,7 @@ def _read_classes(path: str) -> dict[str, int]:
     that ``signature.CLASS_OF`` maps."""
     numbers = {str(c): c for c in _sig.CLASS_OF.values()}
     out: dict[str, int] = {}
-    for row, (sid, tok, *_) in ingest.read_csv_rows(_read(path), 2, None, ("sample_id", "id")):
+    for row, (sid, tok, *_) in ingest.read_csv_rows(_read(path), 2, None, ("sample_id", "id"), unique=True):
         with ingest.row_context(row):
             cls = numbers[tok] if tok in numbers else _sig.CLASS_OF.get(ingest.normalize_label(tok))
             if cls is None:
@@ -832,7 +857,8 @@ def _read_classes(path: str) -> dict[str, int]:
 
 def _parse_assignment_csv(path: str) -> Assignment:
     state: dict[str, GroupLabel] = {}
-    for row, (line, tok, *_) in ingest.read_csv_rows(_read(path), 2, None, ("cell_line", "sample_id", "id")):
+    rows = ingest.read_csv_rows(_read(path), 2, None, ("cell_line", "sample_id", "id"), unique=True)
+    for row, (line, tok, *_) in rows:
         with ingest.row_context(row):  # the one-line Assignment checks the search state
             state.update(Assignment({line: ingest.normalize_label(tok)}).state)
     return Assignment(state)
@@ -881,11 +907,8 @@ def _cmd_match(args, by_rows: bool) -> int:
         f"ambiguous {res.n_ambiguous}, degenerate {len(res.degenerate)}"
     )
     if args.out:
-        lines = ["query_id,reference_id"]
-        for qid, rid in res.mapping.items():
-            lines.append(f"{qid},{rid or ''}")
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"mapping written to {args.out}")
+        rows = [("query_id", "reference_id"), *((qid, rid or "") for qid, rid in res.mapping.items())]
+        _output(ingest.format_rows(rows), args.out, "mapping")
     else:
         for qid, rid in res.mapping.items():
             suffix = rid if rid else ("AMBIGUOUS " + str(list(res.ambiguous.get(qid, ()))) if qid in res.ambiguous else "-")
@@ -916,20 +939,14 @@ def _cmd_search_groups(args) -> int:
             "neighbors_per_step": list(result.neighbors_per_step),
             "budget_exceeded": result.budget_exceeded,
         }
-        Path(args.trace).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        print(f"trace written to {args.trace}")
+        _output(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.trace, "trace")
     return 0
 
 
 def _cmd_signature_derive(args) -> int:
     m = _load_matrix(args.matrix, args.delimiter)
     sig = _sig.select_top_genes(m, args.k)
-    text = ingest.serialize_signature(sig)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"signature ({len(sig)} genes) written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _output(ingest.serialize_signature(sig), args.out, f"signature ({len(sig)} genes)")
     return 0
 
 
@@ -937,16 +954,15 @@ def _cmd_signature_predict(args) -> int:
     pred = _sig.predict(_load_matrix(args.train, args.delimiter), _load_matrix(args.test, args.delimiter), args.k)
     if pred.hard_calls:
         print("warning: perfect separation; emitting hard 0/1 calls", file=sys.stderr)
-    lines = ["sample_id,metagene_score,p_sensitive"]
+    rows = [("sample_id", "metagene_score", "p_sensitive")]
     for sid, sc, pr in zip(pred.sample_ids, pred.scores, pred.probabilities):
-        lines.append(f"{sid},{format(float(sc), '.17g')},{format(float(pr), '.17g')}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"{len(pred.sample_ids)} predictions written to {args.out}")
+        rows.append((sid, format(float(sc), ".17g"), format(float(pr), ".17g")))
+    _output(ingest.format_rows(rows), args.out, f"{len(pred.sample_ids)} predictions")
     return 0
 
 
 def _cmd_roc(args) -> int:
-    rows = ingest.read_csv_rows(_read(args.scores), 2, None, ("sample_id", "id"))
+    rows = ingest.read_csv_rows(_read(args.scores), 2, None, ("sample_id", "id"), unique=True)
     scores = {sid: ingest.number_cell(tok, row, 2) for row, (sid, tok, *_) in rows}
     labels = _read_classes(args.labels)
     shared = [sid for sid in scores if sid in labels]
@@ -957,10 +973,8 @@ def _cmd_roc(args) -> int:
     value = _sig.auc(s, y)
     print(f"n = {len(shared)}, AUC = {value:.6f}")
     if args.out:
-        pts = _sig.roc_curve(s, y)
-        lines = ["fpr,tpr"] + [f"{x:.10g},{ypt:.10g}" for x, ypt in pts]
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"curve written to {args.out}")
+        rows = [("fpr", "tpr"), *((f"{x:.10g}", f"{ypt:.10g}") for x, ypt in _sig.roc_curve(s, y))]
+        _output(ingest.format_rows(rows), args.out, "curve")
     return 0
 
 
@@ -972,21 +986,11 @@ def _cmd_combo(args) -> int:
         raise ValueError(f"input file is missing drug column(s) {missing}")
     if not rows:
         raise ValueError("no input rows")
-    raw_rows = [(sid, _integ.raw_combination_score(dict(zip(columns, values)), rule)) for sid, values in rows]
-    values = [v for _, v in raw_rows]
-    normalized = _integ.renormalize_batch(values, rule) if args.batch_normalize else None
-    lines = ["sample_id,raw" + (",normalized" if normalized else "")]
-    for idx, (sid, raw) in enumerate(raw_rows):
-        row = f"{sid},{format(raw, '.17g')}"
-        if normalized is not None:
-            row += f",{format(normalized[idx], '.17g')}"
-        lines.append(row)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"{len(raw_rows)} combination scores written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    raw = [_integ.raw_combination_score(dict(zip(columns, values)), rule) for _, values in rows]
+    scores = [raw, _integ.renormalize_batch(raw, rule)] if args.batch_normalize else [raw]
+    table = [["sample_id", "raw", "normalized"][: 1 + len(scores)]]
+    table += [[sid, *(format(col[i], ".17g") for col in scores)] for i, (sid, _) in enumerate(rows)]
+    _output(ingest.format_rows(table), args.out, f"{len(rows)} combination scores")
     return 0
 
 

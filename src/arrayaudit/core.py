@@ -286,6 +286,13 @@ class ContingencyTable:
         return "\n".join(lines)
 
 
+def first_cell(m: LabeledMatrix, bad: np.ndarray) -> tuple[str, str, float]:
+    """(feature id, sample id, value) of the first True cell of ``bad``, a
+    mask shaped like ``m.values``, in column order; one must exist."""
+    j, i = np.argwhere(bad.T)[0]
+    return m.feature_ids[i], m.sample_ids[j], float(m.values[i, j])
+
+
 def validate(m: LabeledMatrix) -> list[Violation]:
     """Report every invariant violation in a matrix.
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import ContingencyTable, Direction, GroupLabel, LabeledMatrix, LabelRoster
+from .core import ContingencyTable, Direction, GroupLabel, LabeledMatrix, LabelRoster, first_cell
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,16 @@ class DupComponents:
     degenerate_columns: tuple[str, ...] = ()
 
 
-def _correlation_matrix(values: np.ndarray, cfg: DupScanConfig) -> np.ndarray:
-    vals = np.asarray(values, dtype=np.float64)
+def _correlation_matrix(m: LabeledMatrix, cfg: DupScanConfig) -> np.ndarray:
+    vals = m.values
     if cfg.missing_policy == "fail" and np.isnan(vals).any():
-        raise ValueError("matrix contains missing values and missing_policy is 'fail'")
+        fid, sid, _ = first_cell(m, np.isnan(vals))
+        raise ValueError(f"missing_policy is 'fail' but the value at feature {fid!r}, sample {sid!r} is missing")
     if cfg.compare_on == "log":
         bad = (vals <= 0) & np.isfinite(vals)
         if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise ValueError(
-                f"compare_on='log' requires positive values; value {vals[i, j]!r} at row {i}, column {j}"
-            )
+            fid, sid, value = first_cell(m, bad)
+            raise ValueError(f"compare_on='log' requires positive values; value {value!r} at feature {fid!r}, sample {sid!r}")
         vals = np.log(vals)
     return _kernels.column_correlations(vals)
 
@@ -81,7 +80,7 @@ def find_duplicate_columns(m: LabeledMatrix, cfg: DupScanConfig = DupScanConfig(
         raise ValueError("duplicate scan needs at least 2 samples")
     if m.n_features < 3:
         raise ValueError("duplicate scan needs at least 3 features")
-    corr = _correlation_matrix(m.values, cfg)
+    corr = _correlation_matrix(m, cfg)
     n = m.n_samples
     # a NaN diagonal is the degeneracy marker in both kernel paths
     degenerate_idx = [i for i in range(n) if np.isnan(corr[i, i])]

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from importlib import resources
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -102,13 +102,28 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
+#: The padding a cell loses on reading, and a blank line holds only.
+_PADDING = " \t"
+
+
 def _nonblank_lines(text: str) -> list[tuple[int, str]]:
     """Non-blank lines as ``(line number, line)``; blank lines count."""
-    return [(lineno, line) for lineno, line in enumerate(_split_lines(text), start=1) if line.strip()]
+    return [(lineno, line) for lineno, line in enumerate(_split_lines(text), start=1) if line.strip(_PADDING)]
+
+
+def _first_rows(ids: Iterable[tuple[int, str]], id_name: str) -> dict[str, int]:
+    """The row of each id's first appearance; a repeated id raises
+    ParseError naming both rows."""
+    first_row: dict[str, int] = {}
+    for lineno, key in ids:
+        if key in first_row:
+            raise ParseError(f"row {lineno}: duplicate {id_name} {key!r} (first on row {first_row[key]})")
+        first_row[key] = lineno
+    return first_row
 
 
 def read_csv_rows(
-    text: str, width: int, most: Optional[int], header_keys: tuple[str, ...] = ()
+    text: str, width: int, most: Optional[int], header_keys: tuple[str, ...] = (), unique: bool = False
 ) -> list[tuple[int, list[str]]]:
     """Comma-separated rows as ``(line number, cells)``, each cell stripped
     of the padding the number rule allows (spaces and tabs).
@@ -117,9 +132,10 @@ def read_csv_rows(
     lowercased, is one of ``header_keys``. A row of fewer than ``width`` or
     more than ``most`` cells (None: no upper bound), or with an empty first
     cell, the row's id (named after the first header key), raises
-    ParseError naming its line. Rows are returned whole.
+    ParseError naming its line; with ``unique``, so does a repeated id,
+    naming both rows. Rows are returned whole.
     """
-    rows = [(lineno, [c.strip(" \t") for c in line.split(",")]) for lineno, line in _nonblank_lines(text)]
+    rows = [(lineno, [c.strip(_PADDING) for c in line.split(",")]) for lineno, line in _nonblank_lines(text)]
     if rows and rows[0][1][0].lower() in header_keys:
         rows = rows[1:]
     expected = f"{width}" if most == width else f"at least {width}" if most is None else f"{width} to {most}"
@@ -129,7 +145,36 @@ def read_csv_rows(
             raise ParseError(f"row {lineno}: expected {expected} cells, got {len(cells)}")
         if not cells[0]:
             raise ParseError(f"row {lineno}: empty {id_name}")
+    if unique:
+        _first_rows(((lineno, cells[0]) for lineno, cells in rows), id_name)
     return rows
+
+
+def format_rows(rows: Iterable[Sequence[str]], sep: str = ",") -> str:
+    """The one writer of delimited rows and the exact inverse of the
+    readers: cells joined by ``sep``, each row ended by LF, no quoting. A
+    cell the readers would not return unchanged raises ValueError naming
+    its 1-based row and column: one holding ``sep``, CR or LF, one with
+    leading or trailing spaces or tabs, an empty first cell (the row's id)
+    and a byte-order mark opening the first row."""
+    lines = []
+    for i, cells in enumerate(rows, start=1):
+        for j, cell in enumerate(cells, start=1):
+            if "\r" in cell or "\n" in cell:
+                fault = "holds a line break"
+            elif sep in cell:
+                fault = f"holds the delimiter {sep!r}"
+            elif cell != cell.strip(_PADDING):
+                fault = "has leading or trailing spaces or tabs"
+            elif j == 1 and not cell:
+                fault = "is an empty id"
+            elif i == j == 1 and cell[:1] == "\ufeff":
+                fault = "opens with a byte-order mark"
+            else:
+                continue
+            raise ValueError(f"row {i}, column {j}: cell {cell!r} {fault}")
+        lines.append(sep.join(cells) + "\n")
+    return "".join(lines)
 
 
 @contextmanager
@@ -212,6 +257,20 @@ def _check_finite(values: np.ndarray, lines: list[str], first_row: int, sep: str
         number_cell(lines[first_row - 1 + i].split(sep)[j + 1], first_row + i, j + 2)
 
 
+def _check_sample_ids(sample_ids: Sequence[str]) -> None:
+    """The header rule of a matrix: at least one sample id, none empty or
+    repeated; a ParseError names the column of the first bad one."""
+    if not sample_ids:
+        raise ParseError("header row declares no sample ids")
+    first_column: dict[str, int] = {}
+    for j, sid in enumerate(sample_ids, start=2):
+        if not sid:
+            raise ParseError(f"row 1, column {j}: empty sample id")
+        if sid in first_column:
+            raise ParseError(f"row 1, column {j}: duplicate sample id {sid!r} (first in column {first_column[sid]})")
+        first_column[sid] = j
+
+
 def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix:
     """Parse a delimited expression matrix.
 
@@ -224,17 +283,15 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
     if not lines:
         raise ParseError("empty matrix file")
     sep = fmt.sep
-    header = lines[0].split(sep)
-    sample_ids = [c.strip() for c in header[1:]]
-    if not sample_ids:
-        raise ParseError("header row declares no sample ids")
+    sample_ids = [c.strip(_PADDING) for c in lines[0].split(sep)[1:]]
+    _check_sample_ids(sample_ids)
     ncol = len(sample_ids)
 
     body_start = 1
     labels: Optional[dict[str, GroupLabel]] = None
     if fmt.has_label_row and len(lines) > 1:
         cells = lines[1].split(sep)
-        if cells and cells[0].strip() == fmt.label_row_key:
+        if cells[0].strip(_PADDING) == fmt.label_row_key:
             if len(cells) - 1 != ncol:
                 raise ParseError(
                     f"row 2: label row has {len(cells) - 1} cells, expected {ncol}"
@@ -247,24 +304,22 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
                     raise ParseError(f"row 2, column {j}: {exc}") from None
             body_start = 2
 
-    feature_ids: list[str] = []
+    first_row: dict[str, int] = {}  # feature id -> its row, in row order
     rows: list[list[float]] = []
-    seen: set[str] = set()
     missing = fmt.missing_token
     # a whitelist-clean token ("", "-999") could pass as a number: look for it
     find_missing = not _NOT_NUMERIC.search(missing)
     try:
         for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
             head, *cells = line.split(sep)
-            fid = head.strip()
+            fid = head.strip(_PADDING)
             if not fid:
                 raise ParseError(f"row {lineno}: empty feature id")
             if len(cells) != ncol:
                 raise ParseError(f"row {lineno}: ragged row ({len(cells)} cells, expected {ncol})")
-            if fid in seen:
-                raise ParseError(f"row {lineno}: duplicate feature id {fid!r}")
-            seen.add(fid)
-            feature_ids.append(fid)
+            if fid in first_row:
+                raise ParseError(f"row {lineno}: duplicate feature id {fid!r} (first on row {first_row[fid]})")
+            first_row[fid] = lineno
             # whole-row fast path: one whitelist search, then a C-level float loop
             start = len(head) + 1
             if not (_NOT_NUMERIC.search(line, start) or (find_missing and line.find(missing, start) >= 0)):
@@ -277,27 +332,43 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
     except ParseError:
         _check_finite(np.array(rows, dtype=np.float64), lines, body_start + 1, sep)  # an earlier overflow comes first
         raise
-    if not feature_ids:
+    if not first_row:
         raise ParseError("matrix has no feature rows")
     values = np.array(rows, dtype=np.float64)
     _check_finite(values, lines, body_start + 1, sep)
-    return LabeledMatrix(tuple(feature_ids), tuple(sample_ids), values, labels)
+    return LabeledMatrix(tuple(first_row), tuple(sample_ids), values, labels)
 
 
 def serialize_matrix(m: LabeledMatrix, fmt: MatrixFormat = MatrixFormat()) -> str:
     """Inverse of parse_matrix up to canonicalization (canonical label
-    tokens, numbers at 17 significant digits)."""
-    sep = fmt.sep
-    out = [sep.join(["id", *m.sample_ids])]
-    if m.labels is not None:
-        out.append(sep.join([fmt.label_row_key, *(m.label_of(s).value for s in m.sample_ids)]))
-    for i, fid in enumerate(m.feature_ids):
-        cells = [
-            fmt.missing_token if np.isnan(v) else format(v, ".17g")
-            for v in m.values[i]
-        ]
-        out.append(sep.join([fid, *cells]))
-    return "\n".join(out) + "\n"
+    tokens, numbers at 17 significant digits). A matrix that would read
+    back otherwise raises ValueError naming the cell: besides the cells
+    ``format_rows`` refuses, an empty or repeated id, a label row the
+    format has no place for or a feature row that would read as one, and a
+    value that is infinite or prints as the missing token. So does a
+    matrix without feature rows or whose values do not fit its ids."""
+    if not m.n_features or m.values.shape != (m.n_features, m.n_samples):
+        raise ValueError(f"{m.values.shape} values under {m.n_features} feature and {m.n_samples} sample ids")
+    _check_sample_ids(m.sample_ids)
+    if m.labels is not None and not fmt.has_label_row:
+        raise ValueError("row 2, column 1: the matrix has labels but the format has no label row")
+    if m.labels is None and fmt.has_label_row and m.feature_ids[:1] == (fmt.label_row_key,):
+        raise ValueError(f"row 2, column 1: feature id {fmt.label_row_key!r} would read as the label row")
+    labels = [] if m.labels is None else [[fmt.label_row_key, *(m.label_of(s).value for s in m.sample_ids)]]
+    first = 2 + len(labels)
+    _first_rows(enumerate(m.feature_ids, start=first), "feature id")
+    bad = np.isinf(m.values)
+    clash = parse_number(fmt.missing_token)
+    if clash is not None and format(clash, ".17g") == fmt.missing_token:  # that number would read back as missing
+        bad |= (m.values == clash) & (np.signbit(m.values) == np.signbit(clash))
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        raise ValueError(f"row {first + i}, column {j + 2}: value {float(m.values[i, j])!r} would not read back")
+    body = (
+        [fid, *(fmt.missing_token if np.isnan(v) else format(v, ".17g") for v in row)]
+        for fid, row in zip(m.feature_ids, m.values)
+    )
+    return format_rows([["id", *m.sample_ids], *labels, *body], fmt.sep)
 
 
 def parse_roster(text: str) -> LabelRoster:
@@ -314,10 +385,8 @@ def parse_roster(text: str) -> LabelRoster:
 
 
 def serialize_roster(r: LabelRoster) -> str:
-    lines = ["sample_id,label,source,note"]
-    for e in r.entries:
-        lines.append(f"{e.sample_id},{e.label.value},{e.source_id},{e.note or ''}")
-    return "\n".join(lines) + "\n"
+    rows = ([e.sample_id, e.label.value, e.source_id, e.note or ""] for e in r.entries)
+    return format_rows([["sample_id", "label", "source", "note"], *rows])
 
 
 def parse_signature(text: str) -> SignatureList:
@@ -338,39 +407,33 @@ def parse_signature(text: str) -> SignatureList:
 
 
 def serialize_signature(sig: SignatureList) -> str:
-    dmap: dict[str, list[Direction]] = {}
-    for fid, d in sig.direction_entries:
-        dmap.setdefault(fid, []).append(d)
-    consumed: dict[str, int] = {}
-    lines = []
-    for fid in sig.feature_ids:
-        k = consumed.get(fid, 0)
-        ds = dmap.get(fid, [])
-        if k < len(ds):
-            lines.append(f"{fid},{ds[k].value}")
-            consumed[fid] = k + 1
-        else:
-            lines.append(fid)
-    return "\n".join(lines) + "\n"
+    """One row per feature id, its direction entries given to its
+    occurrences in order; a header only when the first id would read as
+    one. An id with more direction entries than rows raises ValueError."""
+    pending: dict[str, list[Direction]] = {}
+    for fid, d in reversed(sig.direction_entries):
+        pending.setdefault(fid, []).append(d)
+    rows = [[fid, pending[fid].pop().value] if pending.get(fid) else [fid] for fid in sig.feature_ids]
+    for fid, left in pending.items():
+        if left:
+            raise ValueError(f"feature id {fid!r} has more direction entries than rows")
+    header = [["feature_id", "direction"]] if sig.feature_ids[0].lower() == "feature_id" else []
+    return format_rows([*header, *rows])
 
 
 def parse_annotation(text: str) -> AnnotationIndex:
     """Parse a platform annotation: platform id on the first line, then
     one feature id per line in platform row order. A line is one whole id,
     commas included (platform titles may hold them)."""
-    lines = [(lineno, line.strip()) for lineno, line in _nonblank_lines(text)]
+    lines = [(lineno, line.strip(_PADDING)) for lineno, line in _nonblank_lines(text)]
     if len(lines) < 2:
         raise ParseError("annotation needs a platform id line and at least one feature id")
-    first_row: dict[str, int] = {}
-    for lineno, fid in lines[1:]:
-        if fid in first_row:
-            raise ParseError(f"row {lineno}: duplicate feature id {fid!r} (first on row {first_row[fid]})")
-        first_row[fid] = lineno
-    return AnnotationIndex(lines[0][1], tuple(first_row))
+    return AnnotationIndex(lines[0][1], tuple(_first_rows(lines[1:], "feature id")))
 
 
 def serialize_annotation(ann: AnnotationIndex) -> str:
-    return "\n".join([ann.platform_id, *ann.feature_ids]) + "\n"
+    # one cell per line: the delimiter rule is the line-break rule
+    return format_rows([[line] for line in (ann.platform_id, *ann.feature_ids)], "\n")
 
 
 def parse_sensitivity(text: str) -> list[SensitivityRecord]:
@@ -386,10 +449,8 @@ def parse_sensitivity(text: str) -> list[SensitivityRecord]:
 
 
 def serialize_sensitivity(records: list[SensitivityRecord]) -> str:
-    lines = ["cell_line,drug_id,measure,value"]
-    for r in records:
-        lines.append(f"{r.cell_line},{r.drug_id},{r.measure.value},{format(r.value, '.17g')}")
-    return "\n".join(lines) + "\n"
+    rows = ([r.cell_line, r.drug_id, r.measure.value, format(r.value, ".17g")] for r in records)
+    return format_rows([["cell_line", "drug_id", "measure", "value"], *rows])
 
 
 def parse_timestamp(token: str) -> datetime:
@@ -420,8 +481,7 @@ def parse_sample_meta(text: str) -> list[SampleMeta]:
 
 
 def serialize_sample_meta(metas: list[SampleMeta]) -> str:
-    lines = ["sample_id,run_timestamp,scanner_id,treatment_arm,included"]
-    for m in metas:
-        ts = m.run_timestamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S+00:00")
-        lines.append(f"{m.sample_id},{ts},{m.scanner_id},{m.treatment_arm},{int(m.included)}")
-    return "\n".join(lines) + "\n"
+    # isoformat pads the year to four digits, as fromisoformat needs
+    stamps = (m.run_timestamp.astimezone(timezone.utc).replace(microsecond=0).isoformat() for m in metas)
+    rows = ([m.sample_id, ts, m.scanner_id, m.treatment_arm, str(int(m.included))] for m, ts in zip(metas, stamps))
+    return format_rows([["sample_id", "run_timestamp", "scanner_id", "treatment_arm", "included"], *rows])

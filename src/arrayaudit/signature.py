@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from . import _kernels
-from .core import Direction, GroupLabel, LabeledMatrix, SignatureList, extract_submatrix
+from .core import Direction, GroupLabel, LabeledMatrix, SignatureList, extract_submatrix, first_cell
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -73,13 +73,6 @@ def pooled_t(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return t
 
 
-def _first_missing(m: LabeledMatrix, columns: Sequence[int]) -> tuple[str, str]:
-    """(sample id, feature id) of the first missing value in ``columns`` of
-    ``m``, in column order; one must exist."""
-    j, i = np.argwhere(~np.isfinite(m.values[:, columns].T))[0]
-    return m.sample_ids[columns[j]], m.feature_ids[i]
-
-
 def pooled_t_statistics(m: LabeledMatrix) -> np.ndarray:
     """Pooled-variance two-sample t per feature, first group (by label
     enum order) minus second (see ``pooled_t``). Missing values are
@@ -89,7 +82,8 @@ def pooled_t_statistics(m: LabeledMatrix) -> np.ndarray:
     x1 = m.values[:, idx1]
     x2 = m.values[:, idx2]
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        sid, fid = _first_missing(m, sorted(idx1 + idx2))
+        grouped = m.take_samples(sorted(idx1 + idx2))
+        fid, sid, _ = first_cell(grouped, ~np.isfinite(grouped.values))
         raise ValueError(
             f"gene ranking requires complete (non-missing) values in both groups; gene {fid!r} is missing in sample {sid!r}"
         )
@@ -133,7 +127,7 @@ def _metagene(sub: LabeledMatrix) -> tuple[np.ndarray, np.ndarray]:
     if sub.n_features < 2 or sub.n_samples < 2:
         raise ValueError("metagene needs at least a 2x2 submatrix")
     if not np.isfinite(sub.values).all():
-        sid, fid = _first_missing(sub, range(sub.n_samples))
+        fid, sid, _ = first_cell(sub, ~np.isfinite(sub.values))
         raise ValueError(f"metagene scoring requires complete (non-missing) values; gene {fid!r} is missing in sample {sid!r}")
     x = sub.values - sub.values.mean(axis=1, keepdims=True)
     if not _kernels.varying((x * x).sum(), (sub.values * sub.values).sum(), sub.n_samples):
@@ -282,7 +276,7 @@ def predict(train: LabeledMatrix, test: LabeledMatrix, k: int) -> Predictions:
     sig = select_top_genes(train, k)
     test_sub, _ = extract_submatrix(test, sig)
     if not np.isfinite(test_sub.values).all():
-        sid, fid = _first_missing(test_sub, range(test_sub.n_samples))
+        fid, sid, _ = first_cell(test_sub, ~np.isfinite(test_sub.values))
         raise ValueError(f"test sample {sid!r} has no value for signature gene {fid!r}")
     train_sub, _ = extract_submatrix(train, SignatureList(test_sub.feature_ids))
     train_scores, direction = _metagene(train_sub)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import _kernels
-from .core import LabeledMatrix
+from .core import LabeledMatrix, first_cell
 
 _BASES = {"e": math.e, "2": 2.0, "10": 10.0}
 _KIND_ORDER = {"log": 0, "zscore": 1, "exp": 2, "round": 3}
@@ -109,17 +109,14 @@ class TransformError(ValueError):
     pass
 
 
-def _apply_values(values: np.ndarray, p: TransformPipeline, feature_ids: Sequence[str]) -> np.ndarray:
-    out = np.array(values, dtype=np.float64, copy=True)
+def _apply_values(m: LabeledMatrix, p: TransformPipeline) -> np.ndarray:
+    out = np.array(m.values, dtype=np.float64, copy=True)
     for step in p.steps:
-        if step.kind == "log":
+        if step.kind == "log":  # always the first step: out still holds m.values
             bad = (out <= 0) & np.isfinite(out)
             if bad.any():
-                i, j = map(int, np.argwhere(bad)[0])
-                raise TransformError(
-                    f"log of nonpositive value {out[i, j]!r} at feature row {i} "
-                    f"({feature_ids[i]!r}), sample column {j}"
-                )
+                fid, sid, value = first_cell(m, bad)
+                raise TransformError(f"log of nonpositive value {value!r} at feature {fid!r}, sample {sid!r}")
             out = np.log(out) / math.log(_BASES[step.param])
         elif step.kind == "zscore":
             ddof = 1 if step.param == "n-1" else 0
@@ -128,7 +125,7 @@ def _apply_values(values: np.ndarray, p: TransformPipeline, feature_ids: Sequenc
             if (counts < 2).any():
                 i = int(np.argwhere(counts < 2)[0][0])
                 raise TransformError(
-                    f"zscore needs >= 2 present values per row; feature {feature_ids[i]!r} has {counts[i]}"
+                    f"zscore needs >= 2 present values per row; feature {m.feature_ids[i]!r} has {counts[i]}"
                 )
             with np.errstate(invalid="ignore"):
                 means = np.nanmean(out, axis=1, keepdims=True)
@@ -138,7 +135,7 @@ def _apply_values(values: np.ndarray, p: TransformPipeline, feature_ids: Sequenc
             flat = ~_kernels.varying(centered_sq, centered_sq + counts * means[:, 0] ** 2, counts)
             if flat.any():
                 i = int(np.flatnonzero(flat)[0])
-                raise TransformError(f"zero-variance row under zscore: feature {feature_ids[i]!r}")
+                raise TransformError(f"zero-variance row under zscore: feature {m.feature_ids[i]!r}")
             out = (out - means) / sds
         elif step.kind == "exp":
             out = np.power(_BASES[step.param], out)
@@ -149,7 +146,7 @@ def _apply_values(values: np.ndarray, p: TransformPipeline, feature_ids: Sequenc
 
 def apply_pipeline(m: LabeledMatrix, p: TransformPipeline) -> LabeledMatrix:
     """Transform values row-wise; ids and labels pass through unchanged."""
-    return LabeledMatrix(m.feature_ids, m.sample_ids, _apply_values(m.values, p, m.feature_ids), m.labels)
+    return LabeledMatrix(m.feature_ids, m.sample_ids, _apply_values(m, p), m.labels)
 
 
 def default_candidate_grid() -> list[TransformPipeline]:
@@ -212,7 +209,7 @@ def infer_pipeline(
     best_vals: np.ndarray | None = None
     for pos, cand in enumerate(cands):
         try:
-            transformed = _apply_values(reference.values, cand, reference.feature_ids)
+            transformed = _apply_values(reference, cand)
         except TransformError:
             continue
         fit = _mean_row_correlation(query.values, transformed)

@@ -107,7 +107,6 @@ def write_corrupted_corpus(root: Path) -> Path:
         ("RRAGD", "SFN", "SLC43A3", "ERCC1"),
         (
             ("RRAGD", Direction.UP_IN_RESISTANT),
-            ("RRAGD", Direction.UP_IN_SENSITIVE),
             ("SFN", Direction.UP_IN_SENSITIVE),
             ("SLC43A3", Direction.UP_IN_SENSITIVE),
             ("ERCC1", Direction.UP_IN_RESISTANT),

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -660,9 +661,9 @@ def test_search_start_state_errors_name_their_row(tmp_path, capsys):
     (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
     (tmp_path / "target.csv").write_text(ingest.serialize_signature(target))
     argv = ["search", "groups", "--panel", str(tmp_path / "panel.tsv"), "--target", str(tmp_path / "target.csv")]
-    line = next(iter(truth))
+    other, line = list(truth)[:2]
     for state, message in (("wibble", "unknown group label token 'wibble'"), ("INT", f"{line!r} has non-search state")):
-        (tmp_path / "start.csv").write_text(f"cell_line,state\n{line},Sensitive\n\n{line},{state}\n")
+        (tmp_path / "start.csv").write_text(f"cell_line,state\n{other},Sensitive\n\n{line},{state}\n")
         assert main([*argv, "--k", "10", "--start", str(tmp_path / "start.csv")]) == 1
         assert f"error: row 4: {message}" in capsys.readouterr().err
 
@@ -919,3 +920,115 @@ def test_main_on_hostile_files_exits_0_1_or_2_and_names_the_bad_cell(command, fa
     if bad_row is not None:
         assert code == 1
         assert f"error: row {bad_row}: " in err
+
+
+# --- what the tool writes reads back ------------------------------------------
+
+
+def _separated_panel(feature_ids, sample_ids) -> LabeledMatrix:
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((len(feature_ids), len(sample_ids)))
+    half = len(sample_ids) // 2
+    values[:2, :half] += 4.0
+    labels = {sid: GroupLabel.SENSITIVE if j < half else GroupLabel.RESISTANT for j, sid in enumerate(sample_ids)}
+    return LabeledMatrix(tuple(feature_ids), tuple(sample_ids), values, labels)
+
+
+def test_outputs_refuse_an_id_that_would_shift_a_column(tmp_path, capsys):
+    # a comma in a tab-delimited matrix's ids is fine there, but not in the
+    # comma-separated files written from them: exit 1 and no file
+    panel = _separated_panel([f"g{i}" for i in range(6)], ["s0", "A,x", "s2", "s3", "s4", "s5"])
+    (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
+    out = tmp_path / "scores.csv"
+    argv = ["signature", "predict", "--train", str(tmp_path / "panel.tsv"), "--test", str(tmp_path / "panel.tsv")]
+    assert main([*argv, "--k", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: row 3, column 1: cell 'A,x' holds the delimiter ','"
+    assert not out.exists()
+
+    panel = _separated_panel(["g0", "g,1", "g2", "g3", "g4", "g5"], [f"s{j}" for j in range(6)])
+    (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
+    out = tmp_path / "sig.csv"
+    argv = ["signature", "derive", "--matrix", str(tmp_path / "panel.tsv"), "--k", "3"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: row 2, column 1: cell 'g,1' holds the delimiter ','"
+    assert not out.exists()
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_match_out_bytes_are_unchanged_on_valid_ids(tmp_path, capsys):
+    (tmp_path / "ref.tsv").write_text("id\tc0\tc1\tc2\nr0\t1\t2\t4\nr1\t3\t1\t2\nr2\t5\t9\t1\n")
+    (tmp_path / "q.tsv").write_text("id\tc0\tc1\tc2\nq0\t5\t9\t1\nq1\t1\t2\t4\nq2\t2\t2\t7\n")
+    out = tmp_path / "map.csv"
+    argv = ["match", "rows", "--query", str(tmp_path / "q.tsv"), "--reference", str(tmp_path / "ref.tsv")]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert out.read_bytes() == b"query_id,reference_id\nq0,r2\nq1,r0\nq2,\n"
+    assert capsys.readouterr().out.splitlines()[-1] == f"mapping written to {out}"
+
+
+@pytest.mark.parametrize("reader", ["roc --scores", "roc --labels", "search groups --start"])
+def test_two_column_readers_refuse_a_repeated_id(tmp_path, capsys, reader):
+    files = {"scores.csv": "sample_id,score\nA,0.9\nB,0.2\n", "labels.csv": "A,1\nB,0\n"}
+    argv = ["roc", "--scores", "{scores.csv}", "--labels", "{labels.csv}"]
+    if reader == "roc --scores":
+        files["scores.csv"] += "A,0.2\n"
+        message = "row 4: duplicate sample id 'A' (first on row 2)"
+    elif reader == "roc --labels":
+        files["labels.csv"] += "\nA,0\n"
+        message = "row 4: duplicate sample id 'A' (first on row 1)"
+    else:
+        panel, truth, target = fx.planted_panel(2025, 3, 3, 2, n_noise=4, k=3)
+        line = next(iter(truth))
+        files = {
+            "panel.tsv": ingest.serialize_matrix(panel),
+            "target.csv": ingest.serialize_signature(target),
+            "start.csv": "cell_line,state\n" + "".join(f"{l},{lab.value}\n" for l, lab in truth.items()) + f"{line},Unused\n",
+        }
+        argv = ["search", "groups", "--panel", "{panel.tsv}", "--target", "{target.csv}", "--k", "3", "--start", "{start.csv}"]
+        message = f"row {len(truth) + 2}: duplicate cell line {line!r} (first on row 2)"
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_run_audit_reads_each_input_once_and_parses_only_used_ones(tmp_path, monkeypatch):
+    manifest_path = corpus.write_corrupted_corpus(tmp_path)
+    doc = json.loads(manifest_path.read_text())
+    doc["inputs"]["spare"] = {"path": "spare.tsv", "kind": "matrix"}  # no check uses it
+    manifest_path.write_text(json.dumps(doc))
+    (tmp_path / "spare.tsv").write_text("id\tS1\ng1\t1\n")
+    opened: dict[str, int] = {}
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened[self.name] = opened.get(self.name, 0) + 1
+        return real_open(self, *args, **kwargs)
+
+    parsed = []
+    real_parse = ingest.parse_matrix
+    monkeypatch.setattr(Path, "open", counting_open)
+    monkeypatch.setattr(ingest, "parse_matrix", lambda text, fmt: parsed.append(text) or real_parse(text, fmt))
+    report, code = run_audit(manifest_path)
+    monkeypatch.undo()
+    paths = [spec["path"] for spec in doc["inputs"].values()]
+    assert {p: opened.get(p) for p in paths} == dict.fromkeys(paths, 1)
+    matrices = sorted(spec["path"] for name, spec in doc["inputs"].items() if spec["kind"] == "matrix" and name != "spare")
+    assert sorted(parsed) == sorted((tmp_path / p).read_text() for p in matrices)
+    assert code == 2 and report.input_digests["spare.tsv"] == hashlib.sha256(b"id\tS1\ng1\t1\n").hexdigest()
+
+
+def test_cr_and_crlf_inputs_parse_as_lf_inputs(tmp_path):
+    text = "sample_id,label\nGSM1,RES\nGSM2,SEN\n\nGSM2,RES\n"
+    findings = []
+    for ending in ("\n", "\r", "\r\n"):
+        data = text.replace("\n", ending).encode()
+        (tmp_path / "roster.csv").write_bytes(data)
+        manifest = {"inputs": {"r": {"path": "roster.csv", "kind": "roster"}}, "checks": [{"check": "roster", "roster": "r"}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        report, code = run_audit(tmp_path / "manifest.json")
+        assert code == 2 and report.input_digests == {"roster.csv": hashlib.sha256(data).hexdigest()}
+        findings.append(report.findings)
+    assert findings[0] == findings[1] == findings[2]
+    assert [f.code for f in findings[0]] == ["ROSTER_DUP", "ROSTER_CONFLICT"]

@@ -155,6 +155,18 @@ def test_missing_policy():
     assert comps.n_distinct == 3
 
 
+def test_unusable_cells_are_named_by_feature_and_sample_in_column_order():
+    values = np.exp(np.random.default_rng(3).standard_normal((4, 3)))
+    values[2, 0] = values[1, 2] = np.nan
+    values[3, 1] = -1.5
+    values[0, 2] = 0.0
+    m = _matrix(values)
+    with pytest.raises(ValueError, match=r"^missing_policy is 'fail' but the value at feature 'g2', sample 'c0' is missing$"):
+        find_duplicate_columns(m, DupScanConfig(missing_policy="fail"))
+    with pytest.raises(ValueError, match=r"; value -1.5 at feature 'g3', sample 'c1'$"):
+        find_duplicate_columns(m, DupScanConfig(compare_on="log"))
+
+
 def test_compare_on_log_detects_scaled_copies():
     rng = np.random.default_rng(12)
     base = np.exp(rng.standard_normal(12))

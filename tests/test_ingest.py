@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+from datetime import timezone
 
 import numpy as np
 import pytest
@@ -7,7 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrayaudit import ingest
-from arrayaudit.core import GroupLabel, LabeledMatrix, label_census
+from arrayaudit.core import (
+    AnnotationIndex,
+    Direction,
+    GroupLabel,
+    LabeledMatrix,
+    LabelRoster,
+    Measure,
+    RosterEntry,
+    SampleMeta,
+    SensitivityRecord,
+    SignatureList,
+    label_census,
+)
 from arrayaudit.ingest import MatrixFormat, ParseError
 
 TSV_2X2 = "id\tS1\tS2\nlabel\tNR\tResp\ngene1\t1.5\t2.5\ngene2\t-3\t4e-2\n"
@@ -370,3 +384,197 @@ def test_annotation_duplicate_names_both_rows():
         ingest.parse_annotation("P\nA\nB\n\nA\n")
     assert ingest.parse_annotation("GPL96, HG-U133A\nA\n").platform_id == "GPL96, HG-U133A"
 
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("id\tS1\t\tS3\ng1\t1\t2\t3\n", "row 1, column 3: empty sample id"),
+        ("id\tS1\tS1\t\ng1\t1\t2\t3\n", "row 1, column 3: duplicate sample id 'S1' (first in column 2)"),
+        ("id\tS1\tS2\tS1\ng1\t1\t2\t3\n", "row 1, column 4: duplicate sample id 'S1' (first in column 2)"),
+        ("id\tS1\ng1\t1\n g1 \t2\n", "row 3: duplicate feature id 'g1' (first on row 2)"),
+    ],
+    ids=["empty", "repeated", "repeated later", "feature"],
+)
+def test_matrix_header_ids_are_nonempty_and_unique(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        ingest.parse_matrix(text, NO_LABELS)
+
+
+def test_matrix_ids_lose_spaces_and_tabs_only():
+    m = ingest.parse_matrix("id\t S1 \t\xa0S2\nlabel \tRes\tSen\n g1\xa0\t1\t2\n", MatrixFormat())
+    assert m.sample_ids == ("S1", "\xa0S2")
+    assert m.feature_ids == ("g1\xa0",)
+    assert m.labels == {"S1": GroupLabel.RESISTANT, "\xa0S2": GroupLabel.SENSITIVE}
+    text = "id,S1,S2\n\tg1 ,1,2\n"
+    assert ingest.parse_matrix(text, MatrixFormat(delimiter="comma")).feature_ids == ("g1",)
+
+
+# --- the one writer -----------------------------------------------------------
+
+
+def test_format_rows_joins_cells_and_ends_every_row_with_lf():
+    assert ingest.format_rows([("id", "a", ""), ["x", "", "1"]]) == "id,a,\nx,,1\n"
+    assert ingest.format_rows([["g1", "", "", "2"]], "\t") == "g1\t\t\t2\n"  # empty missing cells
+    assert ingest.format_rows([["a,b c"], ["\xa0d"]], "\n") == "a,b c\n\xa0d\n"
+    assert ingest.format_rows([]) == ""
+
+
+@pytest.mark.parametrize(
+    "rows, sep, message",
+    [
+        ([["sample_id", "score"], ["A,x", "1"]], ",", "row 2, column 1: cell 'A,x' holds the delimiter ','"),
+        ([["g1", "1", "2\t3"]], "\t", "row 1, column 3: cell '2\\t3' holds the delimiter '\\t'"),
+        ([["a", "x\ry"]], ",", "row 1, column 2: cell 'x\\ry' holds a line break"),
+        ([["P"], ["g\n1"]], "\n", "row 2, column 1: cell 'g\\n1' holds a line break"),
+        ([["a", " b"]], ",", "row 1, column 2: cell ' b' has leading or trailing spaces or tabs"),
+        ([["a", "1"], ["b\t", "2"]], ",", "row 2, column 1: cell 'b\\t' has leading or trailing spaces or tabs"),
+        ([["P"], ["g1 "]], "\n", "row 2, column 1: cell 'g1 ' has leading or trailing spaces or tabs"),
+        ([["a", "1"], ["", "2"]], ",", "row 2, column 1: cell '' is an empty id"),
+        ([["a", "1"], ["", ""]], "\t", "row 2, column 1: cell '' is an empty id"),
+        ([["﻿g1", "1"]], ",", "row 1, column 1: cell '\\ufeffg1' opens with a byte-order mark"),
+    ],
+)
+def test_format_rows_refuses_a_cell_the_readers_would_not_return(rows, sep, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ingest.format_rows(rows, sep)
+
+
+def test_serializers_refuse_what_their_parser_would_read_otherwise():
+    m = LabeledMatrix(("label", "g2"), ("S1", "S2"), [[1.0, -999.0], [np.inf, 2.0]])
+    cases = [
+        (lambda: ingest.serialize_matrix(m), "row 2, column 1: feature id 'label' would read as the label row"),
+        (lambda: ingest.serialize_matrix(m.with_labels({}), NO_LABELS), "row 2, column 1: the matrix has labels but"),
+        (lambda: ingest.serialize_matrix(m, NO_LABELS), "row 3, column 2: value inf would not read back"),
+        (
+            lambda: ingest.serialize_matrix(m, MatrixFormat(has_label_row=False, missing_token="-999")),
+            "row 2, column 3: value -999.0 would not read back",
+        ),
+        (
+            lambda: ingest.serialize_matrix(LabeledMatrix(("g", "g"), ("S1",), [[1.0], [2.0]]), NO_LABELS),
+            "row 3: duplicate feature id 'g' (first on row 2)",
+        ),
+        (
+            lambda: ingest.serialize_matrix(LabeledMatrix(("g",), ("S1", ""), [[1.0, 2.0]])),
+            "row 1, column 3: empty sample id",
+        ),
+        (lambda: ingest.serialize_matrix(LabeledMatrix(("g", "h"), ("S1",), [[1.0]])), "(1, 1) values under 2 feature"),
+        (lambda: ingest.serialize_matrix(LabeledMatrix((), ("S1",), np.empty((0, 1)))), "(0, 1) values under 0 feature"),
+        (
+            lambda: ingest.serialize_signature(SignatureList(("g1",), (("g1", Direction.UP_IN_RESISTANT),) * 2)),
+            "feature id 'g1' has more direction entries than rows",
+        ),
+    ]
+    for write, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            write()
+    # a first feature id that reads as the header gets the header written
+    sig = SignatureList(("Feature_ID", "g2"), (("g2", Direction.UP_IN_SENSITIVE),))
+    assert ingest.serialize_signature(sig) == "feature_id,direction\nFeature_ID\ng2,UpInSensitive\n"
+    assert ingest.parse_signature(ingest.serialize_signature(sig)) == sig
+
+
+# Every character the row format gives a meaning to, and ids that read as a
+# header, a label row or the missing token.
+_TEXT = st.text(st.sampled_from("ab,\t\r\n ﻿\xa0\x0c"), max_size=4)
+_ID = st.one_of(
+    _TEXT,
+    st.sampled_from(["label", "Feature_ID", "sample_id", "cell_line", "-999", "NA"]),
+    st.text("abc12", min_size=1, max_size=3),
+)
+_CELL_ERROR = re.compile(r"^row \d+(, column \d+)?: ")
+
+
+@st.composite
+def _matrices(draw):
+    fmt = MatrixFormat(
+        delimiter=draw(st.sampled_from(["tab", "comma"])),
+        has_label_row=draw(st.booleans()),
+        missing_token=draw(st.sampled_from(["NA", "", "-999"])),
+    )
+    fids = draw(st.lists(_ID, min_size=1, max_size=3))
+    sids = draw(st.lists(_ID, min_size=1, max_size=3))
+    cell = st.one_of(st.floats(), st.sampled_from([-999.0, -0.0]))
+    values = draw(st.lists(st.lists(cell, min_size=len(sids), max_size=len(sids)), min_size=len(fids), max_size=len(fids)))
+    labels = draw(st.one_of(st.none(), st.dictionaries(st.sampled_from(sids), st.sampled_from(GroupLabel))))
+    return fmt, LabeledMatrix(tuple(fids), tuple(sids), np.array(values, dtype=np.float64), labels)
+
+
+def _matrix_key(m: LabeledMatrix):
+    """Ids, labels per sample, missing cells and the bits of the others."""
+    labels = None if m.labels is None else [m.label_of(s) for s in m.sample_ids]
+    missing = np.isnan(m.values)
+    return m.feature_ids, m.sample_ids, labels, missing.tobytes(), np.where(missing, 0.0, m.values).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_matrix_round_trip_or_refusal_naming_the_cell(case):
+    fmt, m = case
+    try:
+        text = ingest.serialize_matrix(m, fmt)
+    except ValueError as exc:
+        assert _CELL_ERROR.match(str(exc)), exc
+        return
+    assert _matrix_key(ingest.parse_matrix(text, fmt)) == _matrix_key(m)
+
+
+@st.composite
+def _signatures(draw):
+    ids = draw(st.lists(_ID, min_size=1, max_size=4))
+    dirs = draw(st.lists(st.one_of(st.none(), st.sampled_from(Direction)), min_size=len(ids), max_size=len(ids)))
+    return SignatureList(tuple(ids), tuple((fid, d) for fid, d in zip(ids, dirs) if d))
+
+
+_TIMESTAMPS = st.datetimes(timezones=st.just(timezone.utc)).map(lambda ts: ts.replace(microsecond=0))
+
+#: kind -> (values, serialize, parse, the form both sides are compared in)
+_ROUND_TRIPS = {
+    "roster": (
+        st.lists(st.builds(RosterEntry, _ID, st.sampled_from(GroupLabel), _TEXT, st.none() | _TEXT), min_size=1, max_size=4)
+        .map(lambda entries: LabelRoster(tuple(entries))),
+        ingest.serialize_roster,
+        ingest.parse_roster,
+        # an empty note is no note
+        lambda r: [dataclasses.replace(e, note=e.note or None) for e in r.entries],
+    ),
+    "signature": (
+        _signatures(),
+        ingest.serialize_signature,
+        ingest.parse_signature,
+        # the rows of an id take its directions in order, whichever rows they came from
+        lambda s: (s.feature_ids, {fid: [d for f, d in s.direction_entries if f == fid] for fid in s.feature_ids}),
+    ),
+    "annotation": (
+        st.builds(AnnotationIndex, _ID, st.lists(_ID, min_size=1, max_size=4, unique=True).map(tuple)),
+        ingest.serialize_annotation,
+        ingest.parse_annotation,
+        lambda a: a,
+    ),
+    "sensitivity": (
+        st.lists(st.builds(SensitivityRecord, _ID, _TEXT, st.sampled_from(Measure), _FINITE), min_size=1, max_size=3),
+        ingest.serialize_sensitivity,
+        ingest.parse_sensitivity,
+        lambda records: records,
+    ),
+    "meta": (
+        st.lists(st.builds(SampleMeta, _ID.filter(bool), _TIMESTAMPS, _TEXT, _TEXT, st.booleans()), min_size=1, max_size=3),
+        ingest.serialize_sample_meta,
+        ingest.parse_sample_meta,
+        lambda metas: metas,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROUND_TRIPS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_round_trip_or_refusal_naming_the_cell(kind, data):
+    values, serialize, parse, key = _ROUND_TRIPS[kind]
+    value = data.draw(values)
+    try:
+        text = serialize(value)
+    except ValueError as exc:
+        assert _CELL_ERROR.match(str(exc)), exc
+        return
+    assert key(parse(text)) == key(value)

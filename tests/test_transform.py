@@ -45,7 +45,7 @@ def test_zero_variance_row_names_feature():
 
 def test_log_nonpositive_reports_coordinates():
     m = _matrix([[1.0, -2.0]])
-    with pytest.raises(TransformError, match="sample column 1"):
+    with pytest.raises(TransformError, match=r"^log of nonpositive value -2.0 at feature 'g0', sample 's1'$"):
         apply_pipeline(m, TransformPipeline((log_step(),)))
 
 

@@ -1,6 +1,6 @@
-"""Dose-response sanity checks, sentinel label checks, run-date batch
-inference, block detection, confounding tests, and the combination rules
-with their renormalizations.
+"""Dose-response sanity checks, run-date batch inference, block
+detection, confounding tests, and the combination rules with their
+renormalizations.
 
 Potency convention throughout: values are on the -log10(molar) scale, so
 larger means more potent and a correctly labeled Sensitive group sits at
@@ -19,12 +19,10 @@ import numpy as np
 from . import _kernels
 from .core import (
     ContingencyTable,
-    Finding,
     GroupLabel,
     LabeledMatrix,
     SampleMeta,
     SensitivityRecord,
-    Severity,
 )
 from .dupscan import cross_tabulate
 from .signature import auc
@@ -143,37 +141,6 @@ def check_flat_response(
     q1, q3 = np.percentile(values, [25, 75])
     iqr = float(q3 - q1)
     return FlatResponseResult(float(values.max() - values.min()), iqr, iqr < epsilon)
-
-
-@dataclass(frozen=True)
-class Sentinel:
-    sample_id: str
-    expected: GroupLabel
-    reason: str
-
-
-def sentinel_check(
-    labels: Mapping[str, GroupLabel], sentinels: Sequence[Sentinel]
-) -> list[Finding]:
-    """Check samples whose correct label is known a priori (e.g. a cell
-    line selected for resistance must not sit in the sensitive group).
-
-    A present sentinel with a definite conflicting label is Critical; a
-    present-but-Unknown or absent sentinel is reported as Info.
-    """
-    findings: list[Finding] = []
-    for s in sentinels:
-        if s.sample_id not in labels:
-            severity, text = Severity.INFO, f"sentinel {s.sample_id!r} absent from the labeling ({s.reason})"
-        elif labels[s.sample_id] == s.expected:
-            continue
-        elif labels[s.sample_id] == GroupLabel.UNKNOWN:
-            severity, text = Severity.INFO, f"sentinel {s.sample_id!r} is unlabeled; expected {s.expected} ({s.reason})"
-        else:
-            severity = Severity.CRITICAL
-            text = f"sentinel {s.sample_id!r} labeled {labels[s.sample_id]}, expected {s.expected} ({s.reason})"
-        findings.append(Finding("SENTINEL_VIOLATION", severity, (s.sample_id,), {}, text))
-    return findings
 
 
 def infer_batches(
@@ -340,31 +307,3 @@ def renormalize_batch(raw_scores: Sequence[float], rule: str | CombinationRule) 
     if r.kind == "affine_mean":
         return [min(1.0, max(0.0, v)) for v in scores]
     return scores
-
-
-def confounding_findings(result: ConfoundingResult, high_v: float = 0.8) -> list[Finding]:
-    """Translate a confounding test into report findings."""
-    subjects = result.table.col_labels
-    metrics = {"cramers_v": result.cramers_v, "n_batches": len(result.table.row_labels)}
-    if result.perfect:
-        return [
-            Finding(
-                "CONFOUND_PERFECT",
-                Severity.CRITICAL,
-                subjects,
-                metrics,
-                "treatment arms occupy disjoint run batches: treatment effect and "
-                "batch effect are indistinguishable",
-            )
-        ]
-    if result.cramers_v >= high_v:
-        return [
-            Finding(
-                "CONFOUND_HIGH",
-                Severity.WARNING,
-                subjects,
-                metrics,
-                f"treatment is strongly associated with run batch (V = {result.cramers_v:.3f})",
-            )
-        ]
-    return []

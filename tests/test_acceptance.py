@@ -13,7 +13,7 @@ import scipy.stats
 import corpus
 import fixtures_lib as fx
 from arrayaudit import ingest
-from arrayaudit.cli import FINDING_CODES, run_audit
+from arrayaudit.audit import FINDING_CODES, run_audit
 from arrayaudit.core import (
     AnnotationIndex,
     GroupLabel,

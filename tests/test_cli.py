@@ -18,7 +18,7 @@ import corpus
 import fixtures_lib as fx
 from test_ingest import _HOSTILE
 from arrayaudit import ingest
-from arrayaudit.cli import (
+from arrayaudit.audit import (
     _INPUT_KINDS,
     CHECKS,
     Bounds,
@@ -27,10 +27,10 @@ from arrayaudit.cli import (
     _param,
     explain,
     load_manifest,
-    main,
     report_to_json,
     run_audit,
 )
+from arrayaudit.cli import main
 from arrayaudit.core import GroupLabel, LabeledMatrix, LabelRoster, RosterEntry, Severity
 from arrayaudit.signature import auc
 
@@ -743,7 +743,8 @@ from pathlib import Path
 # a scan of every shift up to max_shift would need gigabytes: fail fast instead
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from arrayaudit import ingest
-from arrayaudit.cli import main, report_to_json, run_audit
+from arrayaudit.audit import report_to_json, run_audit
+from arrayaudit.cli import main
 from arrayaudit.matchscan import detect_offset
 
 root, max_shift = Path(sys.argv[1]), int(sys.argv[2])

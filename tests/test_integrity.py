@@ -7,20 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures_lib as fx
+from arrayaudit.audit import Sentinel, confounding_findings, sentinel_check
 from arrayaudit.core import ContingencyTable, GroupLabel, Measure, SensitivityRecord, Severity
 from arrayaudit.integrity import (
-    Sentinel,
     check_flat_response,
     check_reversal,
     check_separation,
     combine_probabilities,
-    confounding_findings,
     cramers_v,
     detect_blocks,
     infer_batches,
     raw_combination_score,
     renormalize_batch,
-    sentinel_check,
     test_confounding as run_confounding,
 )
 

@@ -103,13 +103,15 @@ def write_corrupted_corpus(root: Path) -> Path:
     pem_roster = LabelRoster(tuple(RosterEntry(line, lab, "panel") for line, lab in pem_labels.items()))
     _write(root / "lines_roster.csv", ingest.serialize_roster(pem_roster))
 
+    # RRAGD is listed twice, up in each group: a direction conflict
     dir_sig = SignatureList(
-        ("RRAGD", "SFN", "SLC43A3", "ERCC1"),
+        ("RRAGD", "SFN", "SLC43A3", "ERCC1", "RRAGD"),
         (
             ("RRAGD", Direction.UP_IN_RESISTANT),
             ("SFN", Direction.UP_IN_SENSITIVE),
             ("SLC43A3", Direction.UP_IN_SENSITIVE),
             ("ERCC1", Direction.UP_IN_RESISTANT),
+            ("RRAGD", Direction.UP_IN_SENSITIVE),
         ),
     )
     _write(root / "dir_sig.csv", ingest.serialize_signature(dir_sig))

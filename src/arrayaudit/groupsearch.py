@@ -264,9 +264,14 @@ def steepest_ascent(
     one; ties break by lower line index in panel order, then by state
     order Resistant < Sensitive < Unused. Unscorable or generator-failing
     neighbors score -1 and can never be selected over a valid state; an
-    unscorable or generator-failing start raises instead.
+    unscorable or generator-failing start raises instead. Panel lines the
+    start omits begin Unused; a start line the panel lacks raises ValueError.
     """
     lines = list(panel.sample_ids)
+    on_panel = set(lines)
+    missing = next((line for line in start.state if line not in on_panel), None)
+    if missing is not None:
+        raise ValueError(f"start line {missing!r} is not a line of the panel")
     current = Assignment({line: start.state.get(line, GroupLabel.UNUSED) for line in lines})
     current_score = score_assignment(current, panel, target, k, generator)
     start_score = current_score

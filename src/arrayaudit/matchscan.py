@@ -6,6 +6,9 @@ The row/column matcher is deliberately exhaustive: at the scales these
 audits run at (thousands of features by tens of samples) an O(Q x R x C)
 scan finishes in seconds, and nothing beats it for explainability. The
 scan itself is one BLAS matmul, ``_kernels.cross_row_correlations``.
+"In seconds" is about time only: the scan holds the whole query x
+reference correlation matrix, about 16 bytes per pair (1 GB at 8,000 x
+8,000 rows), so its memory grows with the product of the two row counts.
 
 Offsets are applied in annotation row space, not list position: a shift
 of +1 replaces each reported id with the id on the next platform row.

@@ -99,6 +99,36 @@ def test_report_bytes_match_golden(tmp_path):
         assert (tmp_path / name / "report.json").read_bytes() == (golden / f"{name}_report.json").read_bytes(), name
 
 
+def _confound_high_manifest(root: Path) -> Path:
+    """A one-check confound manifest whose arms share a run batch but are
+    strongly associated with it: batch x arm counts [[10, 1], [0, 10]]."""
+    rows = [f"a{i},2020-01-01T{i:02d}:00:00+00:00,X,A,1" for i in range(10)]
+    rows += ["b0,2020-01-01T10:00:00+00:00,X,B,1"]
+    rows += [f"b{i},2020-03-01T{i:02d}:00:00+00:00,X,B,1" for i in range(1, 11)]
+    root.mkdir()
+    (root / "meta.csv").write_text("sample_id,run_timestamp,scanner_id,treatment_arm,included\n" + "\n".join(rows) + "\n")
+    inputs = {"meta": {"path": "meta.csv", "kind": "meta"}}
+    (root / "manifest.json").write_text(json.dumps({"inputs": inputs, "checks": [{"check": "confound", "meta": "meta"}]}))
+    return root / "manifest.json"
+
+
+def test_confound_high_when_arms_share_a_batch(tmp_path, capsys):
+    report, code = run_audit(_confound_high_manifest(tmp_path / "high"))
+    assert code == 2
+    [f] = report.findings
+    assert (f.code, f.severity, f.subjects) == ("CONFOUND_HIGH", Severity.WARNING, ("A", "B"))
+    assert f.metrics == {"cramers_v": pytest.approx(10 / 11, abs=1e-12), "n_batches": 2}
+    assert f.message == "meta (run batch): treatment is strongly associated with run batch (V = 0.909)"
+    assert main(["audit", "confound", "--meta", str(tmp_path / "high" / "meta.csv")]) == 2
+    assert "[ Warning] CONFOUND_HIGH: " in capsys.readouterr().out
+
+
+def test_corpus_and_confound_high_cover_every_finding_code(tmp_path):
+    codes = {f.code for f in run_audit(corpus.write_corrupted_corpus(tmp_path / "bad"))[0].findings}
+    codes |= {f.code for f in run_audit(_confound_high_manifest(tmp_path / "high"))[0].findings}
+    assert codes == set(FINDING_CODES) - {"DEGENERATE_DATA"}
+
+
 def test_finding_subjects_exist_in_inputs(tmp_path):
     manifest_path = corpus.write_corrupted_corpus(tmp_path / "bad")
     manifest = load_manifest(manifest_path)
@@ -666,6 +696,18 @@ def test_search_start_state_errors_name_their_row(tmp_path, capsys):
         (tmp_path / "start.csv").write_text(f"cell_line,state\n{other},Sensitive\n\n{line},{state}\n")
         assert main([*argv, "--k", "10", "--start", str(tmp_path / "start.csv")]) == 1
         assert f"error: row 4: {message}" in capsys.readouterr().err
+
+
+def test_search_start_line_missing_from_panel_exits_1(tmp_path, capsys):
+    panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=10)
+    (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
+    (tmp_path / "target.csv").write_text(ingest.serialize_signature(target))
+    rows = [f"{l},{lab.value}" for l, lab in truth.items()]
+    (tmp_path / "start.csv").write_text("\n".join(["cell_line,state", *rows[:3], "TYPO,Sensitive", *rows[3:]]) + "\n")
+    argv = ["search", "groups", "--panel", str(tmp_path / "panel.tsv"), "--target", str(tmp_path / "target.csv")]
+    assert main([*argv, "--k", "10", "--start", str(tmp_path / "start.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: start line 'TYPO' is not a line of the panel\n" and captured.out == ""
 
 
 def test_bom_headers_and_empty_ids_in_manifest_inputs(tmp_path, capsys):

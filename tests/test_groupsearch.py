@@ -53,6 +53,13 @@ def test_start_at_optimum_gives_empty_trajectory():
     assert result.start_score == 20
 
 
+def test_start_line_missing_from_panel_raises():
+    panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=20)
+    start = {**truth, "TYPO": S, "GHOST": R}
+    with pytest.raises(ValueError, match=r"^start line 'TYPO' is not a line of the panel$"):
+        steepest_ascent(Assignment(start), panel, target, 20)
+
+
 def test_neighbor_count_is_2n_every_step():
     panel, truth, target = fx.planted_panel(2026, 10, 10, 10, k=20)
     start = dict(truth)

@@ -84,13 +84,14 @@ FINDING_CODES: dict[str, str] = {
         "explained by moving the threshold."
     ),
     "CONFOUND_PERFECT": (
-        "Treatment arms occupy disjoint run batches: processing effects and "
-        "treatment effects are mathematically indistinguishable, and any "
-        "classifier may be learning the batch."
+        "Treatment arms occupy disjoint run batches or scanners: processing "
+        "effects and treatment effects are mathematically indistinguishable, "
+        "and any classifier may be learning the batch or scanner."
     ),
     "CONFOUND_HIGH": (
         "Treatment arm is strongly (but not perfectly) associated with run "
-        "batch; batch effects will leak into any treatment comparison."
+        "batch or scanner; batch or scanner effects will leak into any "
+        "treatment comparison."
     ),
     "BLOCK_STRUCTURE": (
         "Samples form high-correlation blocks, typically reflecting runs "
@@ -520,9 +521,17 @@ def _check_dose(load: Loader, chk: dict) -> list[Finding]:
     return findings
 
 
-def confounding_findings(result: _integ.ConfoundingResult, high_v: float = 0.8, prefix: str = "") -> list[Finding]:
-    """Translate a confounding test into report findings whose messages
-    start with ``prefix``."""
+#: A confound grouping (the check's ``by``) -> its noun and plural in findings
+_CONFOUND_NOUNS = {"batch": ("run batch", "run batches"), "scanner": ("scanner", "scanners")}
+
+
+def confounding_findings(
+    result: _integ.ConfoundingResult, high_v: float = 0.8, prefix: str = "", by: str = "batch"
+) -> list[Finding]:
+    """Translate a confounding test of treatment arms against the grouping
+    ``by`` (a key of ``_CONFOUND_NOUNS``) into report findings whose
+    messages start with ``prefix``."""
+    noun, nouns = _CONFOUND_NOUNS[by]
     subjects = result.table.col_labels
     metrics = {"cramers_v": result.cramers_v, "n_batches": len(result.table.row_labels)}
     if result.perfect:
@@ -532,8 +541,8 @@ def confounding_findings(result: _integ.ConfoundingResult, high_v: float = 0.8, 
                 Severity.CRITICAL,
                 subjects,
                 metrics,
-                f"{prefix}treatment arms occupy disjoint run batches: treatment effect and "
-                "batch effect are indistinguishable",
+                f"{prefix}treatment arms occupy disjoint {nouns}: treatment effect and "
+                f"{by} effect are indistinguishable",
             )
         ]
     if result.cramers_v >= high_v:
@@ -543,7 +552,7 @@ def confounding_findings(result: _integ.ConfoundingResult, high_v: float = 0.8, 
                 Severity.WARNING,
                 subjects,
                 metrics,
-                f"{prefix}treatment is strongly associated with run batch (V = {result.cramers_v:.3f})",
+                f"{prefix}treatment is strongly associated with {noun} (V = {result.cramers_v:.3f})",
             )
         ]
     return []
@@ -553,16 +562,15 @@ def _check_confound(load: Loader, chk: dict) -> list[Finding]:
     metas = load(chk["meta"])
     included = [m for m in metas if m.included] or list(metas)
     treatments = {m.sample_id: m.treatment_arm for m in included}
-    if chk["by"] == "scanner":
+    by = chk["by"]
+    if by == "scanner":
         grouping = {m.sample_id: m.scanner_id for m in included}
-        label = "scanner"
     else:
         grouping = _integ.infer_batches(included, gap=timedelta(days=chk["gap_days"]))
-        label = "run batch"
     if len(set(grouping.values())) < 2 or len(set(treatments.values())) < 2:
         return []
     result = _integ.test_confounding(grouping, treatments)
-    return confounding_findings(result, chk["high_v"], f"{chk['meta']} ({label}): ")
+    return confounding_findings(result, chk["high_v"], f"{chk['meta']} ({_CONFOUND_NOUNS[by][0]}): ", by)
 
 
 def _check_blocks(load: Loader, chk: dict) -> list[Finding]:

@@ -235,9 +235,9 @@ _NAN = float("nan")
 
 
 def _parse_cells(cells: list[str], missing: str, row: int) -> list[float]:
-    """A row that holds the missing token or failed the row check: missing
-    cells become NaN, checked once over the rest; else the first bad cell
-    raises."""
+    """A row that holds the missing token, a character outside the number
+    whitelist or no text: missing cells become NaN, checked once over the
+    rest; else the first bad cell raises."""
     marked = [_NAN if tok.strip(" \t") == missing else tok for tok in cells]
     if not _NOT_NUMERIC.search(",".join([tok for tok in marked if tok is not _NAN])):
         try:
@@ -247,14 +247,51 @@ def _parse_cells(cells: list[str], missing: str, row: int) -> list[float]:
     return [tok if tok is _NAN else number_cell(tok, row, j) for j, tok in enumerate(marked, start=2)]
 
 
-def _check_finite(values: np.ndarray, lines: list[str], first_row: int, sep: str) -> None:
-    """Raise for the first infinite value, in reading order, of the rows
-    parsed from ``lines[first_row - 1:]``: the fast path lets a decimal
-    that overflows (``1e999``) through as infinity."""
-    bad = np.isinf(values)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        number_cell(lines[first_row - 1 + i].split(sep)[j + 1], first_row + i, j + 2)
+def _first_bad_cell(lines: list[str], rows: range, sep: str, missing: str) -> None:
+    """The error locator of ``parse_matrix``: raise ParseError for the first
+    cell, in reading order, of the rows ``lines[i]`` (``i`` in ``rows``)
+    that is neither the missing token nor a number by ``number_cell``."""
+    for i in rows:
+        for j, tok in enumerate(lines[i].split(sep)[1:], start=2):
+            if tok.strip(_PADDING) != missing:
+                number_cell(tok, i + 1, j)
+
+
+def _convert_body(
+    lines: list[str], start: int, bulk: list[str], held: dict[int, list[float]], ncol: int, sep: str, missing: str
+) -> np.ndarray:
+    """The values of the body rows from ``lines[start]`` on. ``bulk`` holds,
+    in reading order, the numeric text of the rows converted by one C call,
+    which parses each cell with the routine ``float()`` uses; ``held`` the
+    values of the others by body index. The first cell in reading order
+    that is not a finite number raises ParseError, found by the error
+    locator."""
+    n = len(bulk) + len(held)
+    try:
+        converted = (
+            np.loadtxt(bulk, delimiter=sep, dtype=np.float64, comments=None, quotechar=None, ndmin=2)
+            if bulk
+            else np.empty((0, ncol))
+        )
+        if converted.shape != (len(bulk), ncol):  # the reader skips a line it takes for empty
+            raise ValueError(f"{converted.shape} values from {len(bulk)} rows of {ncol} cells")
+    except ValueError:
+        _first_bad_cell(lines, range(start, start + n), sep, missing)
+        raise
+    if held:
+        values = np.empty((n, ncol))
+        in_bulk = np.ones(n, dtype=bool)
+        in_bulk[list(held)] = False
+        values[in_bulk] = converted
+        values[list(held)] = list(held.values())
+    else:
+        values = converted
+    # a decimal that overflows (1e999) converts to infinity
+    overflow = np.isinf(values).any(axis=1)
+    if overflow.any():
+        i = start + int(overflow.argmax())
+        _first_bad_cell(lines, range(i, i + 1), sep, missing)
+    return values
 
 
 def _check_sample_ids(sample_ids: Sequence[str]) -> None:
@@ -278,6 +315,15 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
     label row whose first cell equals ``fmt.label_row_key``, then one row
     per feature (feature id followed by numeric cells). Label tokens are
     normalized through the synonym table; an empty token means Unknown.
+
+    Each feature row is checked in reading order: a non-empty id, the
+    header's width, an id not seen before, then one whitelist search over
+    its cells. The rows that pass and hold no missing token are converted
+    together by one C call, ``np.loadtxt``; the others cell by cell, the
+    missing token as NaN. Every value equals ``float()`` of its cell. When
+    a row check fails, the C call raises or a value overflows,
+    ``number_cell`` locates the error, so the ParseError names the first
+    fault in reading order.
     """
     lines = _split_lines(text)
     if not lines:
@@ -305,37 +351,35 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
             body_start = 2
 
     first_row: dict[str, int] = {}  # feature id -> its row, in row order
-    rows: list[list[float]] = []
+    bulk: list[str] = []  # numeric text of the rows left to the one C call
+    held: dict[int, list[float]] = {}  # body index -> values of the other rows
     missing = fmt.missing_token
     # a whitelist-clean token ("", "-999") could pass as a number: look for it
     find_missing = not _NOT_NUMERIC.search(missing)
     try:
-        for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
-            head, *cells = line.split(sep)
+        for i, line in enumerate(lines[body_start:]):
+            lineno = body_start + 1 + i
+            head, _, rest = line.partition(sep)
             fid = head.strip(_PADDING)
             if not fid:
                 raise ParseError(f"row {lineno}: empty feature id")
-            if len(cells) != ncol:
-                raise ParseError(f"row {lineno}: ragged row ({len(cells)} cells, expected {ncol})")
+            n_cells = line.count(sep)
+            if n_cells != ncol:
+                raise ParseError(f"row {lineno}: ragged row ({n_cells} cells, expected {ncol})")
             if fid in first_row:
                 raise ParseError(f"row {lineno}: duplicate feature id {fid!r} (first on row {first_row[fid]})")
             first_row[fid] = lineno
-            # whole-row fast path: one whitelist search, then a C-level float loop
-            start = len(head) + 1
-            if not (_NOT_NUMERIC.search(line, start) or (find_missing and line.find(missing, start) >= 0)):
-                try:
-                    rows.append(list(map(float, cells)))
-                    continue
-                except ValueError:
-                    pass
-            rows.append(_parse_cells(cells, missing, lineno))
+            # one whitelist search per row; the C reader would skip an empty one
+            if rest and not (_NOT_NUMERIC.search(rest) or (find_missing and missing in rest)):
+                bulk.append(rest)
+            else:
+                held[i] = _parse_cells(rest.split(sep), missing, lineno)
     except ParseError:
-        _check_finite(np.array(rows, dtype=np.float64), lines, body_start + 1, sep)  # an earlier overflow comes first
+        _convert_body(lines, body_start, bulk, held, ncol, sep, missing)  # a fault in an earlier row comes first
         raise
     if not first_row:
         raise ParseError("matrix has no feature rows")
-    values = np.array(rows, dtype=np.float64)
-    _check_finite(values, lines, body_start + 1, sep)
+    values = _convert_body(lines, body_start, bulk, held, ncol, sep, missing)
     return LabeledMatrix(tuple(first_row), tuple(sample_ids), values, labels)
 
 

@@ -99,17 +99,23 @@ def test_report_bytes_match_golden(tmp_path):
         assert (tmp_path / name / "report.json").read_bytes() == (golden / f"{name}_report.json").read_bytes(), name
 
 
+def _confound_manifest(root: Path, rows: list[str], **params) -> Path:
+    """A manifest of one confound check, with ``params``, over metadata ``rows``."""
+    root.mkdir()
+    (root / "meta.csv").write_text("sample_id,run_timestamp,scanner_id,treatment_arm,included\n" + "\n".join(rows) + "\n")
+    inputs = {"meta": {"path": "meta.csv", "kind": "meta"}}
+    checks = [{"check": "confound", "meta": "meta", **params}]
+    (root / "manifest.json").write_text(json.dumps({"inputs": inputs, "checks": checks}))
+    return root / "manifest.json"
+
+
 def _confound_high_manifest(root: Path) -> Path:
     """A one-check confound manifest whose arms share a run batch but are
     strongly associated with it: batch x arm counts [[10, 1], [0, 10]]."""
     rows = [f"a{i},2020-01-01T{i:02d}:00:00+00:00,X,A,1" for i in range(10)]
     rows += ["b0,2020-01-01T10:00:00+00:00,X,B,1"]
     rows += [f"b{i},2020-03-01T{i:02d}:00:00+00:00,X,B,1" for i in range(1, 11)]
-    root.mkdir()
-    (root / "meta.csv").write_text("sample_id,run_timestamp,scanner_id,treatment_arm,included\n" + "\n".join(rows) + "\n")
-    inputs = {"meta": {"path": "meta.csv", "kind": "meta"}}
-    (root / "manifest.json").write_text(json.dumps({"inputs": inputs, "checks": [{"check": "confound", "meta": "meta"}]}))
-    return root / "manifest.json"
+    return _confound_manifest(root, rows)
 
 
 def test_confound_high_when_arms_share_a_batch(tmp_path, capsys):
@@ -121,6 +127,26 @@ def test_confound_high_when_arms_share_a_batch(tmp_path, capsys):
     assert f.message == "meta (run batch): treatment is strongly associated with run batch (V = 0.909)"
     assert main(["audit", "confound", "--meta", str(tmp_path / "high" / "meta.csv")]) == 2
     assert "[ Warning] CONFOUND_HIGH: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "b_scanners, code, message",
+    [
+        (
+            "Y" * 10,
+            "CONFOUND_PERFECT",
+            "meta (scanner): treatment arms occupy disjoint scanners: treatment effect and scanner effect "
+            "are indistinguishable",
+        ),
+        ("X" + "Y" * 10, "CONFOUND_HIGH", "meta (scanner): treatment is strongly associated with scanner (V = 0.909)"),
+    ],
+)
+def test_confound_by_scanner_words_findings_as_scanners(tmp_path, b_scanners, code, message):
+    # one run batch throughout: arm A on scanner X, arm B on the scanners drawn
+    rows = [f"a{i},2020-01-01T00:00:00+00:00,X,A,1" for i in range(10)]
+    rows += [f"b{i},2020-01-01T00:00:00+00:00,{s},B,1" for i, s in enumerate(b_scanners)]
+    [f] = run_audit(_confound_manifest(tmp_path / "scanner", rows, by="scanner"))[0].findings
+    assert (f.code, f.subjects, f.metrics["n_batches"], f.message) == (code, ("A", "B"), 2, message)
 
 
 def test_corpus_and_confound_high_cover_every_finding_code(tmp_path):

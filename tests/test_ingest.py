@@ -309,6 +309,72 @@ def test_parse_matrix_matches_per_cell_oracle(case):
     np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
 
 
+#: Tokens of the number whitelist that are not numbers or overflow: the
+#: C conversion sees them, so the error locator must name them.
+_CLEAN_FAULTS = ["1e", "--1", "1.2.3", "1e999", "-1e400"]
+
+
+@st.composite
+def _matrix_with_structural_fault(draw):
+    """A matrix of ``_matrix_cells`` with one row inserted at a drawn index
+    that has an empty id, a wrong width or an earlier row's id, and the
+    rows before it, of which one may hold a whitelist-clean fault."""
+    delimiter, missing, cells = draw(_matrix_cells())
+    kind = draw(st.sampled_from(["empty id", "ragged", "repeated id"]))
+    at = draw(st.integers(1 if kind == "repeated id" else 0, len(cells)))
+    if at and draw(st.booleans()):
+        faults = _CLEAN_FAULTS + (["1,5"] if delimiter == "tab" else [])
+        i, j = draw(st.integers(0, at - 1)), draw(st.integers(0, len(cells[0]) - 1))
+        cells[i][j] = draw(st.sampled_from(faults))
+    fault_cells = list(draw(st.sampled_from(cells)))
+    if kind == "ragged":
+        fault_cells = fault_cells[:-1] if draw(st.booleans()) else [*fault_cells, "1"]
+    fid = draw(st.sampled_from(["", " "])) if kind == "empty id" else "h"
+    if kind == "repeated id":
+        fid = f"g{draw(st.integers(0, at - 1))}"
+    return delimiter, missing, cells, at, kind, fid, fault_cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_with_structural_fault())
+def test_parse_matrix_raises_the_first_fault_in_reading_order(case):
+    delimiter, missing, cells, at, kind, fid, fault_cells = case
+    fmt = MatrixFormat(delimiter=delimiter, has_label_row=False, missing_token=missing)
+    sep = fmt.sep
+    ncol = len(cells[0])
+    rows = [sep.join([f"g{i}", *row]) for i, row in enumerate(cells)]
+    rows.insert(at, sep.join([fid, *fault_cells]))
+    text = "\n".join([sep.join(["id", *(f"S{j}" for j in range(ncol))]), *rows]) + "\n"
+    _, bad = _reference_cells(cells[:at], missing)
+    if bad is not None:
+        expected = rf"^row {bad[0]}, column {bad[1]}: unparseable numeric cell "
+    elif kind == "empty id":
+        expected = rf"^row {at + 2}: empty feature id$"
+    elif kind == "ragged":
+        expected = rf"^row {at + 2}: ragged row \({len(fault_cells)} cells, expected {ncol}\)$"
+    else:
+        expected = rf"^row {at + 2}: duplicate feature id '{fid}' \(first on row {int(fid[1:]) + 2}\)$"
+    with pytest.raises(ParseError, match=expected):
+        ingest.parse_matrix(text, fmt)
+
+
+@pytest.mark.parametrize("missing", ["NA", "", "-999"])
+@pytest.mark.parametrize("delimiter, cell", [("tab", ""), ("tab", " "), ("comma", ""), ("comma", "  "), ("comma", " \t")])
+@pytest.mark.parametrize("around", [False, True])
+def test_parse_matrix_one_column_row_of_empty_or_padding_cell(missing, delimiter, cell, around):
+    fmt = MatrixFormat(delimiter=delimiter, has_label_row=False, missing_token=missing)
+    sep = fmt.sep
+    body = [f"g0{sep}1", f"g1{sep}{cell}", f"g2{sep}2"] if around else [f"g1{sep}{cell}"]
+    text = "\n".join([f"id{sep}S1", *body]) + "\n"
+    if missing == "":
+        expected = [[1.0], [np.nan], [2.0]] if around else [[np.nan]]
+        np.testing.assert_array_equal(ingest.parse_matrix(text, fmt).values, expected)
+    else:
+        row = 2 + around
+        with pytest.raises(ParseError, match=rf"^row {row}, column 2: unparseable numeric cell {re.escape(repr(cell))}$"):
+            ingest.parse_matrix(text, fmt)
+
+
 def test_parse_sensitivity_reads_potency_through_the_number_grammar():
     with pytest.raises(ParseError, match=r"^row 3, column 4: unparseable numeric cell '1_0'"):
         ingest.parse_sensitivity("cell_line,drug_id,measure,value\nMCF7,D1,GI50,4.2\nA549,D1,GI50,1_0\n")

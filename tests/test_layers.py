@@ -1,7 +1,8 @@
 """The layer rules of ``src/arrayaudit``, read from the source with ``ast``:
 the runner (``audit``) is the one module that builds a ``Finding``, the
-command line (``cli``) is the one module that parses arguments, and no
-module depends on the command line."""
+command line (``cli``) is the one module that parses arguments, no module
+depends on the command line, and ingest is the one module that hands text
+to numpy's text readers."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,14 @@ def test_no_module_imports_the_command_line():
         return any(name in (".cli", "arrayaudit.cli") for name in _imported(node))
 
     assert _modules_where(imports_cli) == set()
+
+
+def test_only_ingest_calls_numpys_text_readers():
+    # text-to-number conversion, and the grammar checks around it, stay in one place
+    def reads_text(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) in ("loadtxt", "genfromtxt")
+            or getattr(node.func, "attr", None) in ("loadtxt", "genfromtxt")
+        )
+
+    assert _modules_where(reads_text) == {"ingest.py"}

@@ -309,8 +309,8 @@ def test_parse_matrix_matches_per_cell_oracle(case):
     np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
 
 
-#: Tokens of the number whitelist that are not numbers or overflow: the
-#: C conversion sees them, so the error locator must name them.
+#: Whitelist-clean tokens that are not numbers or overflow: they reach the
+#: C conversion, so the error locator must name them.
 _CLEAN_FAULTS = ["1e", "--1", "1.2.3", "1e999", "-1e400"]
 
 

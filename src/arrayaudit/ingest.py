@@ -74,6 +74,23 @@ def normalize_label(token: str) -> GroupLabel:
     raise ParseError(f"unknown group label token {token!r}")
 
 
+#: The padding a cell loses on reading, and a blank line holds only.
+_PADDING = " \t"
+
+
+def _unreadable(cell: str, sep: str) -> Optional[str]:
+    """Why the readers cannot return ``cell`` unchanged from a row split on
+    ``sep``, or None: it holds CR or LF, holds ``sep``, or has leading or
+    trailing spaces or tabs."""
+    if "\r" in cell or "\n" in cell:
+        return "holds a line break"
+    if sep in cell:
+        return f"holds the delimiter {sep!r}"
+    if cell != cell.strip(_PADDING):
+        return "has leading or trailing spaces or tabs"
+    return None
+
+
 @dataclass(frozen=True)
 class MatrixFormat:
     delimiter: str = "tab"
@@ -87,6 +104,10 @@ class MatrixFormat:
                 raise ValueError(f"{f.name} must be a {type(f.default).__name__}, got {getattr(self, f.name)!r}")
         if self.delimiter not in ("tab", "comma"):
             raise ValueError(f"delimiter must be tab|comma, got {self.delimiter!r}")
+        for name, token in (("label_row_key", self.label_row_key), ("missing_token", self.missing_token)):
+            fault = _unreadable(token, self.sep)  # a token is compared with a read cell
+            if fault:
+                raise ValueError(f"{name} {token!r} can equal no cell: it {fault}")
 
     @property
     def sep(self) -> str:
@@ -100,10 +121,6 @@ def _split_lines(text: str) -> list[str]:
     if lines and lines[-1] == "":
         lines.pop()
     return lines
-
-
-#: The padding a cell loses on reading, and a blank line holds only.
-_PADDING = " \t"
 
 
 def _nonblank_lines(text: str) -> list[tuple[int, str]]:
@@ -160,19 +177,13 @@ def format_rows(rows: Iterable[Sequence[str]], sep: str = ",") -> str:
     lines = []
     for i, cells in enumerate(rows, start=1):
         for j, cell in enumerate(cells, start=1):
-            if "\r" in cell or "\n" in cell:
-                fault = "holds a line break"
-            elif sep in cell:
-                fault = f"holds the delimiter {sep!r}"
-            elif cell != cell.strip(_PADDING):
-                fault = "has leading or trailing spaces or tabs"
-            elif j == 1 and not cell:
+            fault = _unreadable(cell, sep)
+            if fault is None and j == 1 and not cell:
                 fault = "is an empty id"
-            elif i == j == 1 and cell[:1] == "\ufeff":
+            elif fault is None and i == j == 1 and cell[:1] == "\ufeff":
                 fault = "opens with a byte-order mark"
-            else:
-                continue
-            raise ValueError(f"row {i}, column {j}: cell {cell!r} {fault}")
+            if fault:
+                raise ValueError(f"row {i}, column {j}: cell {cell!r} {fault}")
         lines.append(sep.join(cells) + "\n")
     return "".join(lines)
 
@@ -231,22 +242,6 @@ def parse_table(text: str) -> tuple[list[str], list[tuple[str, list[float]]]]:
     ]
 
 
-_NAN = float("nan")
-
-
-def _parse_cells(cells: list[str], missing: str, row: int) -> list[float]:
-    """A row that holds the missing token, a character outside the number
-    whitelist or no text: missing cells become NaN, checked once over the
-    rest; else the first bad cell raises."""
-    marked = [_NAN if tok.strip(" \t") == missing else tok for tok in cells]
-    if not _NOT_NUMERIC.search(",".join([tok for tok in marked if tok is not _NAN])):
-        try:
-            return list(map(float, marked))
-        except ValueError:
-            pass
-    return [tok if tok is _NAN else number_cell(tok, row, j) for j, tok in enumerate(marked, start=2)]
-
-
 def _first_bad_cell(lines: list[str], rows: range, sep: str, missing: str) -> None:
     """The error locator of ``parse_matrix``: raise ParseError for the first
     cell, in reading order, of the rows ``lines[i]`` (``i`` in ``rows``)
@@ -257,35 +252,23 @@ def _first_bad_cell(lines: list[str], rows: range, sep: str, missing: str) -> No
                 number_cell(tok, i + 1, j)
 
 
-def _convert_body(
-    lines: list[str], start: int, bulk: list[str], held: dict[int, list[float]], ncol: int, sep: str, missing: str
-) -> np.ndarray:
-    """The values of the body rows from ``lines[start]`` on. ``bulk`` holds,
-    in reading order, the numeric text of the rows converted by one C call,
-    which parses each cell with the routine ``float()`` uses; ``held`` the
-    values of the others by body index. The first cell in reading order
-    that is not a finite number raises ParseError, found by the error
-    locator."""
-    n = len(bulk) + len(held)
+def _convert_body(lines: list[str], start: int, body: list[str], ncol: int, sep: str, missing: str) -> np.ndarray:
+    """The values of the body rows ``lines[start:start + len(body)]``.
+    ``body`` holds their numeric text, in reading order, with each missing
+    cell written ``nan``; one C call converts it, parsing each cell with the
+    routine ``float()`` uses. The first cell in reading order that is not a
+    finite number raises ParseError, found by the error locator."""
     try:
-        converted = (
-            np.loadtxt(bulk, delimiter=sep, dtype=np.float64, comments=None, quotechar=None, ndmin=2)
-            if bulk
+        values = (
+            np.loadtxt(body, delimiter=sep, dtype=np.float64, comments=None, quotechar=None, ndmin=2)
+            if body
             else np.empty((0, ncol))
         )
-        if converted.shape != (len(bulk), ncol):  # the reader skips a line it takes for empty
-            raise ValueError(f"{converted.shape} values from {len(bulk)} rows of {ncol} cells")
+        if values.shape != (len(body), ncol):  # the reader skips a line it takes for empty
+            raise ValueError(f"{values.shape} values from {len(body)} rows of {ncol} cells")
     except ValueError:
-        _first_bad_cell(lines, range(start, start + n), sep, missing)
+        _first_bad_cell(lines, range(start, start + len(body)), sep, missing)
         raise
-    if held:
-        values = np.empty((n, ncol))
-        in_bulk = np.ones(n, dtype=bool)
-        in_bulk[list(held)] = False
-        values[in_bulk] = converted
-        values[list(held)] = list(held.values())
-    else:
-        values = converted
     # a decimal that overflows (1e999) converts to infinity
     overflow = np.isinf(values).any(axis=1)
     if overflow.any():
@@ -318,12 +301,14 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
 
     Each feature row is checked in reading order: a non-empty id, the
     header's width, an id not seen before, then one whitelist search over
-    its cells. The rows that pass and hold no missing token are converted
-    together by one C call, ``np.loadtxt``; the others cell by cell, the
-    missing token as NaN. Every value equals ``float()`` of its cell. When
-    a row check fails, the C call raises or a value overflows,
-    ``number_cell`` locates the error, so the ParseError names the first
-    fault in reading order.
+    its cells. A row that fails the search, or may hold the missing token,
+    is split into cells: a cell that is the missing token once stripped of
+    spaces and tabs is written ``nan``, and every other cell must pass the
+    whitelist. The text of every row then goes to one C call,
+    ``np.loadtxt``, so every value equals ``float()`` of its cell and every
+    missing cell is NaN. When a row check fails, the C call raises or a
+    value overflows, ``number_cell`` locates the error, so the ParseError
+    names the first fault in reading order.
     """
     lines = _split_lines(text)
     if not lines:
@@ -351,8 +336,7 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
             body_start = 2
 
     first_row: dict[str, int] = {}  # feature id -> its row, in row order
-    bulk: list[str] = []  # numeric text of the rows left to the one C call
-    held: dict[int, list[float]] = {}  # body index -> values of the other rows
+    body: list[str] = []  # numeric text of each row, missing cells as nan
     missing = fmt.missing_token
     # a whitelist-clean token ("", "-999") could pass as a number: look for it
     find_missing = not _NOT_NUMERIC.search(missing)
@@ -371,15 +355,21 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
             first_row[fid] = lineno
             # one whitelist search per row; the C reader would skip an empty one
             if rest and not (_NOT_NUMERIC.search(rest) or (find_missing and missing in rest)):
-                bulk.append(rest)
-            else:
-                held[i] = _parse_cells(rest.split(sep), missing, lineno)
+                body.append(rest)
+                continue
+            cells = rest.split(sep)
+            marked = ["nan" if c.strip(_PADDING) == missing else c for c in cells]
+            # the C reader reads nan and inf, so the cells left unmarked (the same
+            # objects) must pass the whitelist; it would skip an empty row
+            if not rest or _NOT_NUMERIC.search(sep.join([c for c, k in zip(cells, marked) if c is k])):
+                _first_bad_cell(lines, range(lineno - 1, lineno), sep, missing)
+            body.append(sep.join(marked))
     except ParseError:
-        _convert_body(lines, body_start, bulk, held, ncol, sep, missing)  # a fault in an earlier row comes first
+        _convert_body(lines, body_start, body, ncol, sep, missing)  # a fault in an earlier row comes first
         raise
     if not first_row:
         raise ParseError("matrix has no feature rows")
-    values = _convert_body(lines, body_start, bulk, held, ncol, sep, missing)
+    values = _convert_body(lines, body_start, body, ncol, sep, missing)
     return LabeledMatrix(tuple(first_row), tuple(sample_ids), values, labels)
 
 

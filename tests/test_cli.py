@@ -194,6 +194,10 @@ def test_manifest_validation_errors(tmp_path):
         ({"inputs": {"m": dict(matrix, format={"has_label_row": "yes"})}, "checks": [dup]}, "has_label_row"),
         ({"inputs": {"m": dict(matrix, format={"delimiter": "pipe"})}, "checks": [dup]}, "delimiter"),
         ({"inputs": {"m": dict(matrix, format={"sep": ","})}, "checks": [dup]}, "input 'm': bad format"),
+        (
+            {"inputs": {"m": dict(matrix, format={"missing_token": " -999"})}, "checks": [dup]},
+            "input 'm': bad format: missing_token ' -999' can equal no cell: it has leading or trailing spaces",
+        ),
         ({"inputs": {"m": matrix}, "checks": [flips("r")]}, "undeclared input 'r'"),
         ({"inputs": {"m": matrix}, "checks": [flips("m")]}, "kind"),
         ({"inputs": {"m": matrix}, "checks": [dup], "output": 5}, "output must be a string"),

@@ -223,9 +223,59 @@ def test_parse_matrix_reports_the_first_fault_in_reading_order():
 
 
 def test_parse_matrix_bad_cell_beside_missing_cells_names_its_column():
+    fmt = MatrixFormat(delimiter="comma", has_label_row=False)
     text = "id,S1,S2,S3,S4\ngene1,NA,1,x1,NA\n"
     with pytest.raises(ParseError, match=r"row 2, column 4: unparseable numeric cell 'x1'"):
-        ingest.parse_matrix(text, MatrixFormat(delimiter="comma", has_label_row=False))
+        ingest.parse_matrix(text, fmt)
+    for before in ("gene0,1,1e,2,3", "gene0,NA,1e,NA,3"):  # a whitelist-clean fault on an earlier row comes first
+        with pytest.raises(ParseError, match=r"^row 2, column 3: unparseable numeric cell '1e'$"):
+            ingest.parse_matrix(text.replace("\n", f"\n{before}\n", 1), fmt)
+
+
+@pytest.mark.parametrize("field", ["missing_token", "label_row_key"])
+@pytest.mark.parametrize(
+    "delimiter, token, fault",
+    [
+        ("tab", " -999", "has leading or trailing spaces or tabs"),
+        ("comma", "NA ", "has leading or trailing spaces or tabs"),
+        ("comma", "NA\t", "has leading or trailing spaces or tabs"),
+        ("tab", "NA\t", "holds the delimiter '\\t'"),
+        ("comma", "1,5", "holds the delimiter ','"),
+        ("comma", ",", "holds the delimiter ','"),
+        ("tab", "N\rA", "holds a line break"),
+        ("comma", "NA\n", "holds a line break"),
+    ],
+)
+def test_matrix_format_refuses_a_token_no_cell_can_equal(field, delimiter, token, fault):
+    message = rf"^{field} {re.escape(repr(token))} can equal no cell: it {re.escape(fault)}$"
+    with pytest.raises(ValueError, match=message):
+        MatrixFormat(delimiter=delimiter, **{field: token})
+
+
+def test_matrix_format_accepts_a_token_a_cell_can_equal():
+    fmt = MatrixFormat(has_label_row=False, missing_token="1,5", label_row_key="N A")
+    m = ingest.parse_matrix("id\tS1\tS2\ngene1\t1,5\t2\n", fmt)
+    np.testing.assert_array_equal(m.values, [[np.nan, 2.0]])
+    for token in ("", "-999", "N A"):
+        assert MatrixFormat(delimiter="comma", missing_token=token, label_row_key=token).missing_token == token
+
+
+@pytest.mark.parametrize("missing", ["NA", "", "-999"])
+def test_parse_matrix_converts_every_row_in_one_c_call(monkeypatch, missing):
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(rows, *args, **kwargs):
+        calls.append(list(rows))
+        return loadtxt(rows, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    rows = [[missing, "1", "2"], ["3", f" {missing} ", "4"], [missing, missing, missing], ["5", "-9990", missing]]
+    text = "id,S1,S2,S3\n" + "".join(f"gene{i},{','.join(row)}\n" for i, row in enumerate(rows))
+    m = ingest.parse_matrix(text, MatrixFormat(delimiter="comma", has_label_row=False, missing_token=missing))
+    nan = np.nan
+    np.testing.assert_array_equal(m.values, [[nan, 1, 2], [3, nan, 4], [nan, nan, nan], [5, -9990, nan]])
+    assert len(calls) == 1 and len(calls[0]) == len(rows)
 
 
 def test_parse_matrix_non_default_missing_tokens():

@@ -1,18 +1,22 @@
 """Hot numeric kernels: all-pairs and query-vs-reference Pearson scans, and
 the connected components of a thresholded correlation graph.
 
-One numpy implementation per scan. The dense scans are one BLAS matmul
-over standardized vectors. The missing-data scan is four matmuls over the
-presence mask and the column-centered, zero-filled values. Centering comes
-first because the uncentered single-pass form (sum x^2 - (sum x)^2 / n)
-cancels catastrophically on raw intensities (Chan, Golub & LeVeque 1983).
+One numpy implementation per scan. The dense all-pairs scan is one BLAS
+matmul over standardized vectors. The query-vs-reference scan is the same
+matmul taken a tile at a time, keeping only the pairs that reach a
+threshold, so its memory is bounded by the tile and the hits rather than
+by the product of the row counts. The missing-data scan is four matmuls
+over the presence mask and the column-centered, zero-filled values.
+Centering comes first because the uncentered single-pass form
+(sum x^2 - (sum x)^2 / n) cancels catastrophically on raw intensities
+(Chan, Golub & LeVeque 1983).
 
 The public scans are looked up as module attributes at call time, so a
 caller (or a tracer) that replaces one sees every call to it, including
 the one ``column_correlations`` makes for a matrix with missing values.
 
-Degenerate (zero-variance) rows/columns yield NaN correlations; callers
-decide how to report them.
+Degenerate (zero-variance) rows/columns yield NaN correlations, or no
+hits; callers decide how to report them.
 """
 
 from __future__ import annotations
@@ -60,14 +64,70 @@ def column_correlations(values: np.ndarray) -> np.ndarray:
     return corr
 
 
-def cross_row_correlations(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Pearson correlation of every query row against every reference row."""
-    q, qok = _standardize_rows(query)
-    r, rok = _standardize_rows(reference)
-    corr = np.clip(q @ r.T, -1.0, 1.0)
-    corr[~qok, :] = np.nan
-    corr[:, ~rok] = np.nan
-    return corr
+#: query x reference pairs per matmul of ``cross_row_correlations``: a 4 MiB
+#: float64 tile, whatever the row counts
+_PAIR_BUDGET = 1 << 19
+#: reference rows per tile; the query rows per tile are the budget's rest
+_REF_TILE = 2048
+
+
+def _dot_tolerance(n: int) -> float:
+    """The rounding bound of a correlation computed as the dot product of
+    two rows of ``n`` values standardized by ``_standardize_rows``:
+    2 * (n + 4) * eps. Each standardized value carries a relative error of
+    at most (n / 2 + 4) eps, to first order: one rounding in centering,
+    n / 2 from the sum of n squares through the square root, and one each
+    from the square root and the division. (The rounding of the mean
+    shifts a row's values alike, orthogonally to the centered row, which
+    moves a correlation only to second order.) These move the exact dot
+    product of the two rows by at most (n + 8) eps, and computing it over
+    n positions adds n eps, in any summation order. So a copy of a row
+    correlates with it at 1 - a few ulps, and which ulps depends on how
+    BLAS blocks the product."""
+    return 2.0 * (n + 4) * _EPS
+
+
+def _live_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The standardized rows of ``x`` that are finite and vary
+    (``varying``), and their row indices."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = np.flatnonzero(np.isfinite(x).all(axis=1))
+    z, ok = _standardize_rows(x[rows])
+    return z[ok], rows[ok]
+
+
+def cross_row_correlations(
+    query: np.ndarray, reference: np.ndarray, min_corr: float
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The reference rows each query row correlates with at ``min_corr`` or
+    more, within ``_dot_tolerance`` of the shared width.
+
+    Returns ``(live, hits)``: ``live[i]`` holds when query row ``i`` has a
+    correlation at all, that is when it and at least one reference row are
+    finite and vary; ``hits[i]`` holds the indices of its hits in
+    reference order. Both sides are standardized once. The scan then takes
+    ``_PAIR_BUDGET // _REF_TILE`` query rows by ``_REF_TILE`` reference
+    rows per matmul and keeps each tile's hits as flat indices into the
+    query x reference grid, which one sort puts in query, then reference,
+    order.
+    """
+    q, qrows = _live_rows(query)
+    r, rrows = _live_rows(reference)
+    floor = min_corr - _dot_tolerance(q.shape[1])
+    step = _PAIR_BUDGET // _REF_TILE
+    flat = [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, len(q), step):
+        for rlo in range(0, len(r), _REF_TILE):
+            tile = r[rlo : rlo + _REF_TILE]
+            # one expression, so each tile's products are freed before the next's
+            i, j = np.divmod(np.flatnonzero(q[lo : lo + step] @ tile.T >= floor), len(tile))
+            flat.append((lo + i) * len(r) + rlo + j)
+    qi, ri = np.divmod(np.sort(np.concatenate(flat)), len(r))
+    qi, ri = qrows[qi], rrows[ri]
+    live = np.zeros(len(query), dtype=bool)
+    live[qrows] = len(r) > 0
+    starts = np.searchsorted(qi, np.arange(len(live) + 1))
+    return live, [ri[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 def pairwise_complete_column_correlations(

@@ -300,15 +300,16 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
     normalized through the synonym table; an empty token means Unknown.
 
     Each feature row is checked in reading order: a non-empty id, the
-    header's width, an id not seen before, then one whitelist search over
-    its cells. A row that fails the search, or may hold the missing token,
-    is split into cells: a cell that is the missing token once stripped of
-    spaces and tabs is written ``nan``, and every other cell must pass the
-    whitelist. The text of every row then goes to one C call,
-    ``np.loadtxt``, so every value equals ``float()`` of its cell and every
-    missing cell is NaN. When a row check fails, the C call raises or a
-    value overflows, ``number_cell`` locates the error, so the ParseError
-    names the first fault in reading order.
+    header's width, an id not seen before, then one whitelist search. A
+    row that may hold the missing token is split into cells without that
+    search, and so is a row that fails it: a cell that is the missing
+    token once stripped of spaces and tabs is written ``nan``, and the
+    other cells must pass the whitelist, all in one search. The text of
+    every row then goes to one C call, ``np.loadtxt``, so every value
+    equals ``float()`` of its cell and every missing cell is NaN. When a
+    row check fails, the C call raises or a value overflows,
+    ``number_cell`` locates the error, so the ParseError names the first
+    fault in reading order.
     """
     lines = _split_lines(text)
     if not lines:
@@ -338,8 +339,12 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
     first_row: dict[str, int] = {}  # feature id -> its row, in row order
     body: list[str] = []  # numeric text of each row, missing cells as nan
     missing = fmt.missing_token
-    # a whitelist-clean token ("", "-999") could pass as a number: look for it
-    find_missing = not _NOT_NUMERIC.search(missing)
+    # a row that may hold the token is split without searching its whole text:
+    # a whitelist-clean token ("", "-999") could pass as a number, so look for
+    # it; any other one fails the search, so look for its first character the
+    # search would stop at (one memchr for "NA")
+    bad = _NOT_NUMERIC.search(missing)
+    probe = bad.group() if bad else missing
     try:
         for i, line in enumerate(lines[body_start:]):
             lineno = body_start + 1 + i
@@ -354,7 +359,7 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
                 raise ParseError(f"row {lineno}: duplicate feature id {fid!r} (first on row {first_row[fid]})")
             first_row[fid] = lineno
             # one whitelist search per row; the C reader would skip an empty one
-            if rest and not (_NOT_NUMERIC.search(rest) or (find_missing and missing in rest)):
+            if rest and probe not in rest and not _NOT_NUMERIC.search(rest):
                 body.append(rest)
                 continue
             cells = rest.split(sep)

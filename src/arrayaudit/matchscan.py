@@ -5,10 +5,10 @@ platform row order.
 The row/column matcher is deliberately exhaustive: at the scales these
 audits run at (thousands of features by tens of samples) an O(Q x R x C)
 scan finishes in seconds, and nothing beats it for explainability. The
-scan itself is one BLAS matmul, ``_kernels.cross_row_correlations``.
-"In seconds" is about time only: the scan holds the whole query x
-reference correlation matrix, about 16 bytes per pair (1 GB at 8,000 x
-8,000 rows), so its memory grows with the product of the two row counts.
+scan is ``_kernels.cross_row_correlations``: BLAS matmuls over fixed-size
+tiles of the query x reference grid that keep only each tile's hits, so
+its memory is the two standardized inputs, one 4 MiB tile and the hits,
+whatever the product of the row counts (22,283 x 22,283 rows fit).
 
 Offsets are applied in annotation row space, not list position: a shift
 of +1 replaces each reported id with the id on the next platform row.
@@ -29,10 +29,14 @@ from .core import AnnotationIndex, LabeledMatrix, SignatureList
 class MatchResult:
     """Outcome of matching query rows (or columns) against a reference.
 
+    A reference row is a hit when it correlates with the query row at
+    ``min_corr`` or more, within the rounding error of computing the
+    correlation, so exact copies are hits at ``min_corr`` 1.
     ``mapping`` sends each query id to its unique hit, or None when there
     is no hit or more than one; multi-hit queries are listed in
-    ``ambiguous`` with all their hits. Degenerate (zero-variance or
-    NaN-containing) rows can never match and are listed separately.
+    ``ambiguous`` with all their hits, in reference order. Degenerate
+    (zero-variance or NaN-containing) rows, and every row when no
+    reference row varies, can never match and are listed separately.
     """
 
     mapping: dict[str, Optional[str]]
@@ -56,37 +60,26 @@ def _match(
         )
     if query_values.shape[1] < 3:
         raise ValueError("matching needs at least 3 shared positions")
-    qbad = ~np.isfinite(query_values).all(axis=1)
-    rbad = ~np.isfinite(ref_values).all(axis=1)
-    corr = _kernels.cross_row_correlations(
-        np.where(qbad[:, None], 0.0, query_values),
-        np.where(rbad[:, None], 0.0, ref_values),
-    )
-    corr[qbad, :] = np.nan
-    corr[:, rbad] = np.nan
+    live, hits = _kernels.cross_row_correlations(query_values, ref_values, min_corr)
 
     mapping: dict[str, Optional[str]] = {}
     ambiguous: dict[str, tuple[str, ...]] = {}
     degenerate: list[str] = []
     n_matched = n_unmatched = n_ambiguous = 0
-    with np.errstate(invalid="ignore"):
-        hit_mask = corr >= min_corr
-    for qi, qid in enumerate(query_ids):
-        if np.isnan(corr[qi]).all():
+    for qid, is_live, found in zip(query_ids, live, hits):
+        if not is_live:
             degenerate.append(qid)
             mapping[qid] = None
             n_unmatched += 1
-            continue
-        hits = np.nonzero(hit_mask[qi])[0]
-        if hits.size == 1:
-            mapping[qid] = ref_ids[int(hits[0])]
+        elif found.size == 1:
+            mapping[qid] = ref_ids[int(found[0])]
             n_matched += 1
-        elif hits.size == 0:
+        elif found.size == 0:
             mapping[qid] = None
             n_unmatched += 1
         else:
             mapping[qid] = None
-            ambiguous[qid] = tuple(ref_ids[int(h)] for h in hits)
+            ambiguous[qid] = tuple(ref_ids[int(h)] for h in found)
             n_ambiguous += 1
     return MatchResult(
         mapping=mapping,

@@ -407,6 +407,23 @@ def test_cli_match_rows_roundtrip(tmp_path, capsys):
         assert rid == f"g{perm[int(qid[1:])]}"
 
 
+def test_cli_match_rows_exact_copies_at_min_corr_one(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    from arrayaudit.core import LabeledMatrix
+
+    vals = rng.standard_normal((200, 24))
+    ref = LabeledMatrix(tuple(f"g{i}" for i in range(200)), tuple(f"s{j}" for j in range(24)), vals)
+    rows = rng.choice(200, size=40, replace=False)
+    query = LabeledMatrix(tuple(f"q{i}" for i in range(40)), ref.sample_ids, vals[rows])
+    (tmp_path / "ref.tsv").write_text(ingest.serialize_matrix(ref))
+    (tmp_path / "q.tsv").write_text(ingest.serialize_matrix(query))
+    argv = ["match", "rows", "--query", str(tmp_path / "q.tsv"), "--reference", str(tmp_path / "ref.tsv")]
+    assert main([*argv, "--min-corr", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("matched 40, unmatched 0, ambiguous 0, degenerate 0\n")
+    assert all(f"  q{i} -> g{r}\n" in out for i, r in enumerate(rows))
+
+
 def test_cli_signature_derive_and_predict(tmp_path, capsys):
     rng = np.random.default_rng(2)
     from arrayaudit.core import LabeledMatrix

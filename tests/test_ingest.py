@@ -278,6 +278,26 @@ def test_parse_matrix_converts_every_row_in_one_c_call(monkeypatch, missing):
     assert len(calls) == 1 and len(calls[0]) == len(rows)
 
 
+@pytest.mark.parametrize("missing", ["NA", "", "-999"])
+def test_parse_matrix_searches_each_row_once(monkeypatch, missing):
+    # a row holding the missing token is split without a search of its whole text
+    searched = []
+    pattern = ingest._NOT_NUMERIC
+
+    class Spy:
+        def search(self, text):
+            searched.append(text)
+            return pattern.search(text)
+
+    fmt = MatrixFormat(delimiter="comma", has_label_row=False, missing_token=missing)
+    rows = [[missing, "1", "2"], ["3", "4", "5"], ["6", f" {missing} ", "-9990"]]
+    text = "id,S1,S2,S3\n" + "".join(f"gene{i},{','.join(row)}\n" for i, row in enumerate(rows))
+    monkeypatch.setattr(ingest, "_NOT_NUMERIC", Spy())
+    m = ingest.parse_matrix(text, fmt)
+    np.testing.assert_array_equal(m.values, [[np.nan, 1, 2], [3, 4, 5], [6, np.nan, -9990]])
+    assert searched[0] == missing and len(searched) == 1 + len(rows)  # the token, then each row
+
+
 def test_parse_matrix_non_default_missing_tokens():
     fmt = MatrixFormat(has_label_row=False, missing_token="-999")
     m = ingest.parse_matrix("id\tS1\tS2\tS3\ngene1\t-999\t-9990\t 1\ngene2\t1\t2\t -999 \n", fmt)

@@ -63,8 +63,12 @@ def test_cross_row_correlations_against_corrcoef():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((40, 15))
     r = rng.standard_normal((60, 15))
-    got = _kernels.cross_row_correlations(q, r)
-    np.testing.assert_allclose(got, np.corrcoef(q, r)[:40, 40:], atol=1e-12)
+    oracle = np.corrcoef(q, r)[:40, 40:]
+    for min_corr in (-0.5, 0.0, 0.3, 0.6):
+        assert np.abs(oracle - min_corr).min() > 1e-12  # no pair on the threshold
+        live, hits = _kernels.cross_row_correlations(q, r, min_corr)
+        assert live.all()
+        assert [h.tolist() for h in hits] == [np.flatnonzero(row >= min_corr).tolist() for row in oracle]
 
 
 def test_pairwise_complete_matches_masked_oracle():

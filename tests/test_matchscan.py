@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures_lib as fx
+from arrayaudit import _kernels
 from arrayaudit.core import AnnotationIndex, LabeledMatrix, SignatureList
 from arrayaudit.matchscan import (
     check_platform_membership,
@@ -121,6 +126,107 @@ def test_match_columns_identical_reference_columns_ambiguous():
     res = match_columns(query, reference, min_corr=0.9999)
     assert res.n_ambiguous == 1
     assert set(res.ambiguous["q0"]) == {"CL0", "CL1"}
+
+
+@pytest.mark.parametrize("width", [3, 24, 60])
+def test_match_rows_finds_exact_and_affine_copies_at_min_corr_one(width):
+    # a copy correlates at 1 - a few ulps, whatever rows share its matmul
+    rng = np.random.default_rng(width)
+    ref_vals = rng.standard_normal((2000, width))
+    reference = _matrix(ref_vals, prefix="r")
+    rows = rng.choice(2000, size=40, replace=False)
+    for copies in (ref_vals[rows], 2.5 * ref_vals[rows] - 4.0):
+        res = match_rows(_matrix(copies, prefix="q"), reference, min_corr=1.0)
+        assert res.n_matched == 40
+        assert res.mapping == {f"q{i}": f"r{r}" for i, r in enumerate(rows)}
+
+
+def test_match_rows_memory_is_bounded_by_the_tile():
+    # the full 4,000 x 4,000 correlation matrix alone would be 128 MB
+    rng = np.random.default_rng(12)
+    ref_vals = rng.standard_normal((4000, 24))
+    reference = _matrix(ref_vals, prefix="r")
+    perm = rng.permutation(4000)
+    query = _matrix(ref_vals[perm], prefix="q")
+    tracemalloc.start()
+    try:
+        res = match_rows(query, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_matched == 4000
+    assert peak <= 16e6
+
+
+@st.composite
+def _panel_pair(draw):
+    """Reference and query rows of one width: random, copies or affine
+    images of earlier reference rows (ties, ambiguous hits), rows with a
+    NaN or infinite value, and constants that do not round (7.3)."""
+    width = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.lists(st.sampled_from(["random", "copy", "affine", "bad", "constant"]), max_size=9)
+
+    def rows(kinds, pool):
+        out = []
+        for kind in kinds:
+            row = rng.standard_normal(width)
+            if kind in ("copy", "affine") and pool:
+                row = pool[rng.integers(len(pool))]
+                row = row if kind == "copy" else rng.uniform(0.5, 3.0) * row + rng.uniform(-10.0, 10.0)
+            elif kind == "bad":
+                row[rng.integers(width)] = rng.choice([np.nan, np.inf, -np.inf])
+            elif kind == "constant":
+                row = np.full(width, rng.choice([7.3, 0.1, 1e7 + 0.3]))
+            out.append(row)
+            if kind == "random":
+                pool.append(row)
+        return np.array(out).reshape(len(kinds), width)
+
+    pool = []
+    ref_vals = rows(draw(kinds), pool)
+    return rows(draw(kinds), pool), ref_vals
+
+
+def _oracle_check(res, q_vals, ref_vals, min_corr):
+    """Hits against np.corrcoef: a live pair 1e-9 above min_corr, or
+    within 1e-12 of 1, is a hit, one 1e-9 below it is not."""
+    def live(v):
+        return np.isfinite(v).all() and v.max() > v.min()
+
+    ref_live = [j for j, v in enumerate(ref_vals) if live(v)]
+    for i, v in enumerate(q_vals):
+        qid = f"q{i}"
+        if not (live(v) and ref_live):
+            assert qid in res.degenerate
+            continue
+        found = res.ambiguous.get(qid) or ((res.mapping[qid],) if res.mapping[qid] else ())
+        assert list(found) == sorted(found, key=lambda rid: int(rid[1:]))
+        for j in ref_live:
+            r = np.corrcoef(v, ref_vals[j])[0, 1]
+            if r >= min_corr + 1e-9 or r >= 1 - 1e-12:
+                assert f"r{j}" in found, (i, j, r)
+            elif r < min_corr - 1e-9:
+                assert f"r{j}" not in found, (i, j, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_panel_pair(), st.sampled_from([1.0, 0.9999, 0.5, 1e-9]))
+def test_match_is_the_same_for_every_block_size(panels, min_corr):
+    q_vals, ref_vals = panels
+    query, reference = _matrix(q_vals, prefix="q"), _matrix(ref_vals, prefix="r")
+    # the same panels with rows as columns, under the same ids
+    query_t = LabeledMatrix(query.sample_ids, query.feature_ids, q_vals.T)
+    reference_t = LabeledMatrix(reference.sample_ids, reference.feature_ids, ref_vals.T)
+    want = match_rows(query, reference, min_corr=min_corr)
+    _oracle_check(want, q_vals, ref_vals, min_corr)
+    # query rows x reference rows per matmul: 1 x 1, odd x odd, all x one tile
+    for step, tile in ((1, 1), (3, 5), (len(q_vals) + 1, 2048)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_REF_TILE", tile)
+            mp.setattr(_kernels, "_PAIR_BUDGET", step * tile)
+            assert repr(match_rows(query, reference, min_corr=min_corr)) == repr(want)
+            assert repr(match_columns(query_t, reference_t, min_corr=min_corr)) == repr(want)
 
 
 # --- offset detection ---------------------------------------------------

@@ -1,5 +1,5 @@
 """Hot numeric kernels: all-pairs and query-vs-reference Pearson scans, and
-the connected components of a thresholded correlation graph.
+the column-correlation graph, all thresholded by one rule (``_hit_floor``).
 
 One numpy implementation per scan. The dense all-pairs scan is one BLAS
 matmul over standardized vectors. The query-vs-reference scan is the same
@@ -13,7 +13,7 @@ Centering comes first because the uncentered single-pass form
 
 The public scans are looked up as module attributes at call time, so a
 caller (or a tracer) that replaces one sees every call to it, including
-the one ``column_correlations`` makes for a matrix with missing values.
+those ``column_correlations`` and ``correlated_components`` make.
 
 Degenerate (zero-variance) rows/columns yield NaN correlations, or no
 hits; callers decide how to report them.
@@ -87,6 +87,12 @@ def _dot_tolerance(n: int) -> float:
     return 2.0 * (n + 4) * _EPS
 
 
+def _hit_floor(threshold: float, n: int) -> float:
+    """The hit rule of every thresholded scan: a correlation over ``n``
+    values is a hit when it reaches ``threshold`` within ``_dot_tolerance``."""
+    return threshold - _dot_tolerance(n)
+
+
 def _live_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The standardized rows of ``x`` that are finite and vary
     (``varying``), and their row indices."""
@@ -100,7 +106,7 @@ def cross_row_correlations(
     query: np.ndarray, reference: np.ndarray, min_corr: float
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The reference rows each query row correlates with at ``min_corr`` or
-    more, within ``_dot_tolerance`` of the shared width.
+    more, by ``_hit_floor`` over the shared width.
 
     Returns ``(live, hits)``: ``live[i]`` holds when query row ``i`` has a
     correlation at all, that is when it and at least one reference row are
@@ -113,7 +119,7 @@ def cross_row_correlations(
     """
     q, qrows = _live_rows(query)
     r, rrows = _live_rows(reference)
-    floor = min_corr - _dot_tolerance(q.shape[1])
+    floor = _hit_floor(min_corr, q.shape[1])
     step = _PAIR_BUDGET // _REF_TILE
     flat = [np.zeros(0, dtype=np.intp)]
     for lo in range(0, len(q), step):
@@ -142,6 +148,17 @@ def pairwise_complete_column_correlations(
     as zero, so a column that is constant on the overlap gives NaN however
     its constant rounds. The diagonal is exactly 1.0, or NaN for a column
     with too few observations or no variance.
+
+    ``_hit_floor`` holds here too, with n the row count, for two columns
+    missing the same cells (a copy that kept its column's holes): their
+    ``s`` terms cancel the rounding of the column means, and counting unit
+    roundoffs u = eps / 2 to first order, relative to the product of the
+    column norms, gives n + 3 for the numerator (centering, ``c``, its
+    ``s`` term) and n + 6.5 for the norms (centered squares, ``q``, the
+    ``s`` terms, product, root) and the division: (n + 4.75) eps in all,
+    inside 2 * (n + 4) eps. Pairs missing different cells have no such
+    bound: centering a column on part of its observations can cancel most
+    of its digits.
     """
     x = np.asarray(values, dtype=np.float64)
     present = np.isfinite(x)
@@ -183,3 +200,18 @@ def connected_components(adjacency: np.ndarray) -> list[list[int]]:
             stack.extend(new.tolist())
         comps.append(sorted(members))
     return comps
+
+
+def correlated_components(values: np.ndarray, threshold: float) -> tuple[list[list[int]], np.ndarray]:
+    """The components of size >= 2 (as ``connected_components`` orders
+    them) of the graph joining the columns of ``values`` whose correlation
+    is a hit at ``threshold`` (``_hit_floor`` over the row count), and the
+    mask of degenerate columns, whose NaN diagonal no hit joins. It needs
+    2 columns and 3 rows: over two, every correlation is +-1."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.shape[1] < 2 or x.shape[0] < 3:
+        raise ValueError(f"a correlation scan needs at least 3 features and 2 samples, got {x.shape[0]} x {x.shape[1]}")
+    corr = column_correlations(x)
+    adj = corr >= _hit_floor(threshold, x.shape[0])
+    np.fill_diagonal(adj, False)
+    return [c for c in connected_components(adj) if len(c) >= 2], np.isnan(np.diag(corr))

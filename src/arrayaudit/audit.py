@@ -559,8 +559,9 @@ def confounding_findings(
 
 
 def _check_confound(load: Loader, chk: dict) -> list[Finding]:
-    metas = load(chk["meta"])
-    included = [m for m in metas if m.included] or list(metas)
+    included = [m for m in load(chk["meta"]) if m.included]
+    if not included:
+        raise ValueError(f"meta input {chk['meta']!r} has no included sample (every row has included=0)")
     treatments = {m.sample_id: m.treatment_arm for m in included}
     by = chk["by"]
     if by == "scanner":
@@ -680,11 +681,13 @@ def sentinel_check(
 
 def _check_sentinels(load: Loader, chk: dict) -> list[Finding]:
     m = load(chk["matrix"])
-    sentinels = [
-        Sentinel(s["sample_id"], GroupLabel(s["expected"]), s.get("reason", "")) for s in chk["sentinels"]
-    ]
-    labels = m.labels or {}
-    return sentinel_check(labels, sentinels)
+    sentinels = []
+    for i, s in enumerate(chk["sentinels"]):
+        try:
+            sentinels.append(Sentinel(s["sample_id"], ingest.normalize_label(s["expected"]), s.get("reason", "")))
+        except ValueError as exc:
+            raise ValueError(f"sentinels[{i}].expected: {exc}") from None
+    return sentinel_check(m.labels or {}, sentinels)
 
 
 _DOSE_TESTS = ("separation", "reversal", "flat")

@@ -2,10 +2,12 @@
 
 Duplication is defined by Pearson correlation at a tight threshold
 (default 0.9999) rather than bitwise equality, because different sources
-round the same underlying numbers differently. Components of the
-correlation graph, not pairs, are the reporting unit; transitive closure
-can merge near-duplicates, which is acceptable for forensics and
-documented here.
+round the same underlying numbers differently. A pair is a hit by the
+rule ``blocks`` and ``match`` apply: its correlation reaches the threshold
+within the rounding bound of computing it, so exact and affine copies are
+duplicates at threshold 1, and a scan needs 3 features. Components of
+the correlation graph, not pairs, are the reporting unit; transitive
+closure can merge near-duplicates, which forensics accepts.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class DupComponents:
     degenerate_columns: tuple[str, ...] = ()
 
 
-def _correlation_matrix(m: LabeledMatrix, cfg: DupScanConfig) -> np.ndarray:
+def _compared_values(m: LabeledMatrix, cfg: DupScanConfig) -> np.ndarray:
     vals = m.values
     if cfg.missing_policy == "fail" and np.isnan(vals).any():
         fid, sid, _ = first_cell(m, np.isnan(vals))
@@ -66,56 +68,24 @@ def _correlation_matrix(m: LabeledMatrix, cfg: DupScanConfig) -> np.ndarray:
             fid, sid, value = first_cell(m, bad)
             raise ValueError(f"compare_on='log' requires positive values; value {value!r} at feature {fid!r}, sample {sid!r}")
         vals = np.log(vals)
-    return _kernels.column_correlations(vals)
+    return vals
 
 
 def find_duplicate_columns(m: LabeledMatrix, cfg: DupScanConfig = DupScanConfig()) -> DupComponents:
-    """Group samples into duplicate components by pairwise correlation.
-
-    Components are reported in order of their smallest column index, with
-    members in column order, so output is deterministic under any
-    evaluation schedule.
-    """
-    if m.n_samples < 2:
-        raise ValueError("duplicate scan needs at least 2 samples")
-    if m.n_features < 3:
-        raise ValueError("duplicate scan needs at least 3 features")
-    corr = _correlation_matrix(m, cfg)
-    n = m.n_samples
-    # a NaN diagonal is the degeneracy marker in both kernel paths
-    degenerate_idx = [i for i in range(n) if np.isnan(corr[i, i])]
-    degenerate = [m.sample_ids[i] for i in degenerate_idx]
-    with np.errstate(invalid="ignore"):
-        adj = corr >= cfg.corr_threshold
-    # bitwise-identical columns are duplicates at every threshold <= 1,
-    # even where the float correlation lands one ulp under 1.0
-    byte_groups: dict[bytes, list[int]] = {}
-    for j in range(n):
-        byte_groups.setdefault(np.ascontiguousarray(m.values[:, j]).tobytes(), []).append(j)
-    for group in byte_groups.values():
-        for a in group:
-            for b in group:
-                adj[a, b] = True
-    np.fill_diagonal(adj, False)
-    for i in degenerate_idx:
-        adj[i, :] = False
-        adj[:, i] = False
-    comps = [c for c in _kernels.connected_components(adj) if len(c) >= 2]
-    histogram: dict[int, int] = {}
-    in_component = set()
-    for c in comps:
-        histogram[len(c)] = histogram.get(len(c), 0) + 1
-        in_component.update(c)
-    singletons = n - len(in_component)
+    """Group samples into duplicate components: those of the correlation
+    graph at ``corr_threshold`` (``_kernels.correlated_components``), in
+    order of their smallest column index with members in column order."""
+    comps, degenerate = _kernels.correlated_components(_compared_values(m, cfg), cfg.corr_threshold)
+    histogram = dict(Counter(len(c) for c in comps))
+    singletons = m.n_samples - sum(len(c) for c in comps)
     if singletons:
         histogram[1] = singletons
-    n_distinct = n - sum(len(c) - 1 for c in comps)
     return DupComponents(
         components=tuple(tuple(m.sample_ids[i] for i in c) for c in comps),
         multiplicity_histogram=histogram,
-        n_distinct=n_distinct,
-        n_samples=n,
-        degenerate_columns=tuple(degenerate),
+        n_distinct=singletons + len(comps),
+        n_samples=m.n_samples,
+        degenerate_columns=tuple(sid for sid, d in zip(m.sample_ids, degenerate) if d),
     )
 
 

@@ -171,20 +171,14 @@ class BlockReport:
 
 
 def detect_blocks(m: LabeledMatrix, corr_threshold: float = 0.8) -> BlockReport:
-    """Connected components of the sample-correlation graph at a loose
-    threshold; multi-sample components are the 'blocks' that betray batch
-    structure."""
-    if m.n_samples < 2:
-        raise ValueError("block detection needs at least 2 samples")
-    with np.errstate(invalid="ignore"):
-        adj = _kernels.column_correlations(m.values) >= corr_threshold
-    np.fill_diagonal(adj, False)
-    comps = _kernels.connected_components(adj)
-    blocks = [c for c in comps if len(c) >= 2]
-    singles = [c[0] for c in comps if len(c) == 1]
+    """Components of the sample-correlation graph at a loose threshold
+    (``_kernels.correlated_components``); multi-sample components are the
+    'blocks' that betray batch structure."""
+    blocks, _ = _kernels.correlated_components(m.values, corr_threshold)
+    in_block = {i for c in blocks for i in c}
     return BlockReport(
         components=tuple(tuple(m.sample_ids[i] for i in c) for c in blocks),
-        singletons=tuple(m.sample_ids[i] for i in singles),
+        singletons=tuple(sid for i, sid in enumerate(m.sample_ids) if i not in in_block),
         sizes=tuple(len(c) for c in blocks),
     )
 

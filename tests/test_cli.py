@@ -149,6 +149,47 @@ def test_confound_by_scanner_words_findings_as_scanners(tmp_path, b_scanners, co
     assert (f.code, f.subjects, f.metrics["n_batches"], f.message) == (code, ("A", "B"), 2, message)
 
 
+def test_confound_with_every_sample_excluded_exits_1_naming_the_input(tmp_path, capsys):
+    rows = [f"a{i},2020-01-01T00:00:00+00:00,X,A,0" for i in range(2)]
+    rows += [f"b{i},2020-03-01T00:00:00+00:00,Y,B,0" for i in range(2)]
+    report, code = run_audit(_confound_manifest(tmp_path / "excluded", rows))
+    assert code == 1
+    [f] = report.findings
+    assert (f.code, f.severity, f.subjects) == ("DEGENERATE_DATA", Severity.WARNING, ("confound",))
+    assert f.message == (
+        "check 'confound' could not run: meta input 'meta' has no included sample (every row has included=0)"
+    )
+    assert main(["audit", "confound", "--meta", str(tmp_path / "excluded" / "meta.csv")]) == 1
+    assert "has no included sample" in capsys.readouterr().out
+
+
+def _sentinels_report(root: Path, expected: list[str]):
+    """The corrupted corpus audited by its sentinels check alone, with one
+    sentinel NCI/ADR-RES per token of ``expected``."""
+    manifest_path = corpus.write_corrupted_corpus(root)
+    doc = json.loads(manifest_path.read_text())
+    [chk] = [c for c in doc["checks"] if c["check"] == "sentinels"]
+    chk["sentinels"] = [{"sample_id": "NCI/ADR-RES", "expected": e, "reason": "selected"} for e in expected]
+    doc["checks"] = [chk]
+    manifest_path.write_text(json.dumps(doc))
+    return run_audit(manifest_path)
+
+
+def test_sentinel_expected_reads_the_label_vocabulary(tmp_path):
+    # the roster vocabulary: "res" and "NR" are Resistant, "sensitive" is Sensitive
+    report, code = _sentinels_report(tmp_path / "vocab", ["res", "NR", "sensitive"])
+    assert code == 2
+    assert [f.message for f in report.findings] == [
+        "sentinel 'NCI/ADR-RES' labeled Sensitive, expected Resistant (selected)",
+        "sentinel 'NCI/ADR-RES' labeled Sensitive, expected Resistant (selected)",
+    ]
+    report, code = _sentinels_report(tmp_path / "unknown", ["Resistant", "sensitiv"])
+    assert code == 1
+    [f] = report.findings
+    assert (f.code, f.subjects) == ("DEGENERATE_DATA", ("sentinels",))
+    assert f.message == "check 'sentinels' could not run: sentinels[1].expected: unknown group label token 'sensitiv'"
+
+
 def test_corpus_and_confound_high_cover_every_finding_code(tmp_path):
     codes = {f.code for f in run_audit(corpus.write_corrupted_corpus(tmp_path / "bad"))[0].findings}
     codes |= {f.code for f in run_audit(_confound_high_manifest(tmp_path / "high"))[0].findings}

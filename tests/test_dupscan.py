@@ -130,13 +130,13 @@ def test_bitwise_duplicates_detected_at_threshold_one():
     rng = np.random.default_rng(8)
     a = rng.standard_normal(9)
     noisy = a + 1e-6 * rng.standard_normal(9)
-    values = np.column_stack([a, a, rng.standard_normal(9), noisy])
+    values = np.column_stack([a, a, rng.standard_normal(9), noisy, 2.5 * a - 4])
     comps = find_duplicate_columns(_matrix(values), DupScanConfig(corr_threshold=1.0))
-    # exact-equality mode: the bitwise pair is found, the near-copy is not
-    assert comps.components == (("c0", "c1"),)
+    # at threshold 1 the exact and the affine copy are found, the near-copy is not
+    assert comps.components == (("c0", "c1", "c4"),)
     # the near-copy still shows up at the default forensic threshold
     loose = find_duplicate_columns(_matrix(values))
-    assert loose.components == (("c0", "c1", "c3"),)
+    assert loose.components == (("c0", "c1", "c3", "c4"),)
 
 
 def test_min_shape_preconditions():

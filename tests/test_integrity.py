@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fixtures_lib as fx
 from arrayaudit.audit import Sentinel, confounding_findings, sentinel_check
-from arrayaudit.core import ContingencyTable, GroupLabel, Measure, SensitivityRecord, Severity
+from arrayaudit.core import ContingencyTable, GroupLabel, LabeledMatrix, Measure, SensitivityRecord, Severity
 from arrayaudit.integrity import (
     check_flat_response,
     check_reversal,
@@ -242,8 +242,6 @@ def test_detect_blocks_three_planted():
 
 def test_detect_blocks_independent_columns_all_singletons():
     rng = np.random.default_rng(21)
-    from arrayaudit.core import LabeledMatrix
-
     m = LabeledMatrix(
         tuple(f"g{i}" for i in range(60)),
         tuple(f"s{j}" for j in range(20)),
@@ -259,6 +257,14 @@ def test_detect_blocks_one_block():
     report = detect_blocks(m, corr_threshold=0.8)
     assert len(report.components) == 1
     assert report.sizes == (9,)
+
+
+def test_detect_blocks_refuses_two_rows():
+    # over two rows every correlation is +-1, so no block would mean anything
+    values = np.random.default_rng(4).standard_normal((2, 5))
+    m = LabeledMatrix(("g0", "g1"), tuple(f"s{j}" for j in range(5)), values)
+    with pytest.raises(ValueError, match="at least 3 features and 2 samples, got 2 x 5"):
+        detect_blocks(m)
 
 
 # --- confounding -----------------------------------------------------------------

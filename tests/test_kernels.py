@@ -1,10 +1,18 @@
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arrayaudit import _kernels
+from arrayaudit.core import LabeledMatrix
+from arrayaudit.dupscan import DupScanConfig, find_duplicate_columns
+from arrayaudit.integrity import detect_blocks
+from arrayaudit.matchscan import match_columns
 
 
 def _masked_corr_oracle(values, i, j, min_overlap=3):
@@ -150,6 +158,106 @@ def test_connected_components_order():
     for a, b in [(5, 1), (1, 3), (6, 2)]:
         adj[a, b] = adj[b, a] = True
     assert _kernels.connected_components(adj) == [[0], [1, 3, 5], [2, 6], [4]]
+
+
+# --- the one hit rule: dup, blocks and match ---------------------------------------
+
+#: (a, b) of the copies a * x + b planted beside a column of eighths; each
+#: is exact in binary, so a copy correlates exactly +1 or -1 with its column
+_COPIES = [(1.0, 0.0), (2.5, -4.0), (0.5, 3.25), (4.0, 1.0), (-1.0, 0.0)]
+
+
+@st.composite
+def _panels(draw, missing):
+    """2-5 columns of eighths in [-512, 512] over 3-400 rows, each beside
+    0-2 planted copies that keep its missing cells, in a drawn order, and a
+    threshold in (0, 1], 1 in about one draw of six."""
+    rows = draw(st.integers(3, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    holes = draw(st.sampled_from([0.1, 0.5])) if missing else 0.0
+    cols = []
+    for _ in range(draw(st.integers(2, 5))):
+        col = rng.integers(-4096, 4097, rows) / 8
+        col[rng.random(rows) < holes] = np.nan
+        cols += [col] + [a * col + b for a, b in draw(st.lists(st.sampled_from(_COPIES), max_size=2))]
+    order = draw(st.permutations(range(len(cols))))
+    threshold = draw(st.sampled_from([1.0, 0.9999, 0.99]) | st.floats(0.01, 1.0))
+    return np.column_stack([cols[i] for i in order]), threshold
+
+
+def _exact_hits(values, threshold):
+    """The exhaustive oracle: the pairs whose exact correlation over their
+    shared cells, in integer arithmetic on the values times 16, reaches
+    ``threshold``, and the degenerate columns (fewer than 3 cells, or
+    constant). A pair within 3 rounding bounds under the threshold, or,
+    when the two miss different cells, within 1e-6 of it either way,
+    rejects the example: no computed scan can place such a pair."""
+    present = np.isfinite(values)
+    rows, n = values.shape
+    ints = np.where(present, values * 16, 0).astype(np.int64)
+    degenerate = [present[:, j].sum() < 3 or np.ptp(ints[present[:, j], j]) == 0 for j in range(n)]
+    t2 = Fraction(threshold) ** 2
+    hits = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            both = present[:, i] & present[:, j]
+            x, y, k = ints[both, i], ints[both, j], int(both.sum())
+            sx, sy = int(x.sum()), int(y.sum())
+            sxx = k * int((x * x).sum()) - sx * sx
+            syy = k * int((y * y).sum()) - sy * sy
+            sxy = k * int((x * y).sum()) - sx * sy
+            if k < 3 or sxx == 0 or syy == 0:
+                continue
+            hit = sxy > 0 and sxy * sxy >= t2 * sxx * syy
+            below = threshold - math.copysign(math.sqrt(Fraction(sxy * sxy, sxx * syy)), sxy)
+            if (present[:, i] == present[:, j]).all():
+                assume(hit or below >= 3 * _kernels._dot_tolerance(rows))
+            else:
+                assume(abs(below) >= 1e-6)
+            if hit:
+                hits.add((i, j))
+    return hits, degenerate
+
+
+def _components(hits, n):
+    """Union-find over the oracle's hits: the groups of 2 or more, members
+    ascending, ordered by smallest member."""
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for i, j in hits:
+        root[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(g for g in groups.values() if len(g) >= 2)
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["dense", "shared-missing"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dup_blocks_and_match_apply_one_hit_rule(missing, data):
+    values, threshold = data.draw(_panels(missing))
+    rows, n = values.shape
+    hits, degenerate = _exact_hits(values, threshold)
+    m = LabeledMatrix(tuple(f"g{i}" for i in range(rows)), tuple(f"c{j}" for j in range(n)), values)
+    index = m.sample_index()
+    expected = [tuple(m.sample_ids[i] for i in c) for c in _components(hits, n)]
+    dup = find_duplicate_columns(m, DupScanConfig(corr_threshold=threshold))
+    assert list(dup.components) == expected
+    assert dup.degenerate_columns == tuple(sid for sid, d in zip(m.sample_ids, degenerate) if d)
+    assert list(detect_blocks(m, corr_threshold=threshold).components) == expected
+    if not missing:
+        match = match_columns(m, m, min_corr=threshold)
+        hits_of = {q: set(match.ambiguous.get(q, ())) | {match.mapping[q]} - {None} for q in m.sample_ids}
+        assert all(q in hits_of[q] for q in m.sample_ids if q not in match.degenerate)
+        found = {(index[q], index[r]) for q, rs in hits_of.items() for r in rs if r != q}
+        assert found == hits | {(j, i) for i, j in hits}
+        assert match.degenerate == dup.degenerate_columns
 
 
 def test_cli_import_loads_only_the_stdlib_numpy_and_scipy_special():

@@ -1,8 +1,9 @@
 """The layer rules of ``src/arrayaudit``, read from the source with ``ast``:
 the runner (``audit``) is the one module that builds a ``Finding``, the
 command line (``cli``) is the one module that parses arguments, no module
-depends on the command line, and ingest is the one module that hands text
-to numpy's text readers."""
+depends on the command line, ingest is the one module that hands text to
+numpy's text readers, and the kernels are the one module that calls the
+all-pairs column scans."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,15 @@ def test_only_ingest_calls_numpys_text_readers():
         )
 
     assert _modules_where(reads_text) == {"ingest.py"}
+
+
+def test_only_the_kernels_call_the_all_pairs_column_scans():
+    # one correlation graph: detectors reach the scans through correlated_components
+    scans = ("column_correlations", "pairwise_complete_column_correlations")
+
+    def calls_a_scan(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) in scans or getattr(node.func, "attr", None) in scans
+        )
+
+    assert _modules_where(calls_a_scan) == {"_kernels.py"}

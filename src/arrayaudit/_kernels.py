@@ -1,25 +1,20 @@
-"""Hot numeric kernels: all-pairs and query-vs-reference Pearson scans, and
-the column-correlation graph, all thresholded by one rule (``_hit_floor``).
+"""The one correlation scan, and the column-correlation graph built on it.
 
-One numpy implementation per scan. The dense all-pairs scan is one BLAS
-matmul over standardized vectors. The query-vs-reference scan is the same
-matmul taken a tile at a time, keeping only the pairs that reach a
-threshold, so its memory is bounded by the tile and the hits rather than
-by the product of the row counts. The missing-data scan is four matmuls
-over the presence mask and the column-centered, zero-filled values.
-Centering comes first because the uncentered single-pass form
+``cross_row_correlations`` finds the reference rows each query row
+correlates with at a threshold or more, over the cells both hold
+(non-finite cells are missing): ``match`` scans query rows against
+reference rows, ``dup`` and ``blocks`` the columns of one matrix against
+themselves (``correlated_components``). It keeps only each tile's hits, so
+its memory is bounded by the tile, not by the product of the row counts.
+Rows are centered first: the uncentered single-pass form
 (sum x^2 - (sum x)^2 / n) cancels catastrophically on raw intensities
-(Chan, Golub & LeVeque 1983).
-
-The public scans are looked up as module attributes at call time, so a
-caller (or a tracer) that replaces one sees every call to it, including
-those ``column_correlations`` and ``correlated_components`` make.
-
-Degenerate (zero-variance) rows/columns yield NaN correlations, or no
-hits; callers decide how to report them.
+(Chan, Golub & LeVeque 1983). The scan is looked up as a module attribute
+at call time, so a tracer that replaces it sees every call.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,35 +30,6 @@ def varying(centered_sq: np.ndarray, raw_sq: np.ndarray, n: int | np.ndarray) ->
     return np.sqrt(centered_sq) > 4.0 * n * _EPS * np.sqrt(raw_sq)
 
 
-def _standardize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center rows and scale to unit Euclidean norm; flag the rows that
-    vary (``varying``)."""
-    x = np.asarray(x, dtype=np.float64)
-    centered = x - x.mean(axis=1, keepdims=True)
-    sq = (centered * centered).sum(axis=1)
-    norms = np.sqrt(sq)
-    ok = varying(sq, (x * x).sum(axis=1), x.shape[1])
-    safe = np.where(ok, norms, 1.0)
-    return centered / safe[:, None], ok
-
-
-def column_correlations(values: np.ndarray) -> np.ndarray:
-    """Full n_cols x n_cols Pearson matrix; NaN row/col for zero variance.
-
-    A matrix with any non-finite entry is scanned over pairwise-complete
-    observations instead (``pairwise_complete_column_correlations``).
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(x).all():
-        return pairwise_complete_column_correlations(x)
-    z, ok = _standardize_rows(x.T)
-    corr = np.clip(z @ z.T, -1.0, 1.0)
-    corr[~ok, :] = np.nan
-    corr[:, ~ok] = np.nan
-    np.fill_diagonal(corr, np.where(ok, 1.0, np.nan))
-    return corr
-
-
 #: query x reference pairs per matmul of ``cross_row_correlations``: a 4 MiB
 #: float64 tile, whatever the row counts
 _PAIR_BUDGET = 1 << 19
@@ -71,113 +37,141 @@ _PAIR_BUDGET = 1 << 19
 _REF_TILE = 2048
 
 
-def _dot_tolerance(n: int) -> float:
+def _dot_tolerance(n: int | np.ndarray) -> float | np.ndarray:
     """The rounding bound of a correlation computed as the dot product of
-    two rows of ``n`` values standardized by ``_standardize_rows``:
-    2 * (n + 4) * eps. Each standardized value carries a relative error of
-    at most (n / 2 + 4) eps, to first order: one rounding in centering,
-    n / 2 from the sum of n squares through the square root, and one each
-    from the square root and the division. (The rounding of the mean
-    shifts a row's values alike, orthogonally to the centered row, which
-    moves a correlation only to second order.) These move the exact dot
-    product of the two rows by at most (n + 8) eps, and computing it over
-    n positions adds n eps, in any summation order. So a copy of a row
-    correlates with it at 1 - a few ulps, and which ulps depends on how
-    BLAS blocks the product."""
+    two rows of ``n`` values, each centered and scaled to unit norm:
+    2 * (n + 4) * eps. It is the one hit rule: a correlation over ``n``
+    values is a hit when it reaches the threshold within this bound, its
+    floor. To first order each standardized value errs by (n / 2 + 4) eps:
+    one rounding in centering, n / 2 from the sum of squares through the
+    root, one each from the root and the division (the mean's rounding
+    shifts a row alike, orthogonally to it). That moves the dot product by
+    (n + 8) eps, and computing it adds n eps in any order: a copy
+    correlates with its row at 1 - a few ulps, however BLAS blocks."""
     return 2.0 * (n + 4) * _EPS
 
 
-def _hit_floor(threshold: float, n: int) -> float:
-    """The hit rule of every thresholded scan: a correlation over ``n``
-    values is a hit when it reaches ``threshold`` within ``_dot_tolerance``."""
-    return threshold - _dot_tolerance(n)
+class _Side(NamedTuple):
+    values: np.ndarray  # the whole side, for the two-pass recomputation
+    rows: np.ndarray  # row indices of the live rows, complete ones first, each kind in row order
+    n_complete: int
+    present: np.ndarray  # their finite cells
+    z: np.ndarray  # centered on the mean of their finite cells, unit norm, zero where missing
 
 
-def _live_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The standardized rows of ``x`` that are finite and vary
-    (``varying``), and their row indices."""
+def _live_rows(x: np.ndarray) -> _Side:
+    """The rows of ``x`` that have at least 3 finite cells and vary over
+    them (``varying``), each standardized over those cells."""
     x = np.asarray(x, dtype=np.float64)
-    rows = np.flatnonzero(np.isfinite(x).all(axis=1))
-    z, ok = _standardize_rows(x[rows])
-    return z[ok], rows[ok]
+    present = np.isfinite(x)
+    holes = not present.all()
+    x0 = np.where(present, x, 0.0) if holes else x
+    k = present.sum(axis=1) if holes else np.full(len(x), x.shape[1])
+    z = x0 - x0.sum(axis=1, keepdims=True) / np.maximum(k, 1)[:, None]
+    if holes:
+        z *= present
+    sq = (z * z).sum(axis=1)
+    ok = (k >= 3) & varying(sq, np.einsum("ij,ij->i", x0, x0), k)
+    z /= np.sqrt(np.where(ok, sq, 1.0))[:, None]
+    complete = ok & (k == x.shape[1])
+    rows = np.concatenate([np.flatnonzero(complete), np.flatnonzero(ok & ~complete)])
+    if not np.array_equal(rows, np.arange(len(x))):
+        present, z = present[rows], z[rows]
+    return _Side(x, rows, int(complete.sum()), present, z)
+
+
+def _masked_keys(q: _Side, qsel: slice, r: _Side, rsel: slice, min_corr: float) -> np.ndarray:
+    """The hits among query rows ``qsel`` x reference rows ``rsel`` of two
+    sides, as keys query row * reference rows + reference row.
+
+    A pair is scored when it shares n >= 3 cells and both rows vary on them:
+    v > 4 n eps s, where s is a row's sum of squares about its own mean over
+    the overlap and v = s - (overlap sum)^2 / n. Its floor is that of
+    ``_dot_tolerance`` over n. The subtraction cancels digits, so its
+    one-pass value's rounding bound is ``_dot_tolerance`` times
+    2 max(s / v) - 1 over the two rows (to first order each sum errs by
+    n eps / 2 of its absolute sum, the cancelled term doubles that, and
+    dividing by v scales it by s / v). A pair within that bound of the
+    floor is recomputed in two passes on its overlap, so a copy that lacks
+    some of its row's cells is a hit at threshold 1, whatever the rest holds.
+    """
+    qz, qm, qrows = q.z[qsel], q.present[qsel], q.rows[qsel]
+    rz, rm, rrows = r.z[rsel], r.present[rsel], r.rows[rsel]
+    if not (len(qz) and len(rz)):
+        return np.zeros(0, dtype=np.intp)
+    # every scored pair at or above its floor less its bound reaches this
+    reach = 2.0 * _dot_tolerance(qz.shape[1])
+    # six products per pair: half the query rows by a quarter of the reference rows
+    step, tile = max(_PAIR_BUDGET // _REF_TILE // 2, 1), max(_REF_TILE // 4, 1)
+    keys = []
+    for rlo in range(0, len(rz), tile):
+        b, mb = rz[rlo : rlo + tile], rm[rlo : rlo + tile].astype(np.float64)
+        bb = b * b
+        for lo in range(0, len(qz), step):
+            if q is r and np.array_equal(qrows[lo : lo + step], rrows[rlo : rlo + tile]):
+                # a block of a self-scan against itself: its products are symmetric
+                n, sa, qa, c = mb @ mb.T, b @ mb.T, bb @ mb.T, b @ b.T
+                sb, qb = sa.T, qa.T
+            else:
+                a, ma = qz[lo : lo + step], qm[lo : lo + step].astype(np.float64)
+                n, sa, qa, c = ma @ mb.T, a @ mb.T, (a * a) @ mb.T, a @ b.T
+                sb, qb = ma @ b.T, ma @ bb.T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                va = qa - sa * sa / n
+                vb = qb - sb * sb / n
+                corr = (c - sa * sb / n) / np.sqrt(va * vb)
+                cancel = np.maximum(qa / va, qb / vb)
+                i, j = np.divmod(np.flatnonzero(corr >= min_corr - reach * cancel), len(b))
+            n, va, vb, corr, cancel = (t[i, j] for t in (n, va, vb, corr, cancel))
+            floor = min_corr - _dot_tolerance(n)
+            scored = (n >= 3) & (va > 0) & (vb > 0) & (4.0 * n * _EPS * cancel < 1.0)
+            near = scored & (np.abs(corr - floor) <= _dot_tolerance(n) * (2.0 * cancel - 1.0))
+            hit = scored & (corr >= floor)
+            qi, ri = qrows[lo + i], rrows[rlo + j]
+            # the second pass: center each near pair on its overlap, whose bound is _dot_tolerance
+            u, v = q.values[qi[near]], r.values[ri[near]]
+            both = np.isfinite(u) & np.isfinite(v)
+            u, v = (np.where(both, x - np.where(both, x, 0.0).sum(1, keepdims=True) / n[near, None], 0.0) for x in (u, v))
+            hit[near] = (u * v).sum(axis=1) / np.sqrt((u * u).sum(axis=1) * (v * v).sum(axis=1)) >= floor[near]
+            keys.append(qi[hit] * len(r.values) + ri[hit])
+    return np.concatenate(keys)
 
 
 def cross_row_correlations(
     query: np.ndarray, reference: np.ndarray, min_corr: float
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The reference rows each query row correlates with at ``min_corr`` or
-    more, by ``_hit_floor`` over the shared width.
+    more, over the cells both hold, by the rule of ``_dot_tolerance``.
 
-    Returns ``(live, hits)``: ``live[i]`` holds when query row ``i`` has a
-    correlation at all, that is when it and at least one reference row are
-    finite and vary; ``hits[i]`` holds the indices of its hits in
-    reference order. Both sides are standardized once. The scan then takes
-    ``_PAIR_BUDGET // _REF_TILE`` query rows by ``_REF_TILE`` reference
-    rows per matmul and keeps each tile's hits as flat indices into the
-    query x reference grid, which one sort puts in query, then reference,
-    order.
+    Returns ``(live, hits)``: ``live[i]`` holds when query row ``i`` and at
+    least one reference row have 3 or more finite cells and vary over them;
+    ``hits[i]`` holds the indices of its hits in reference order. Each side
+    is prepared once (once in all when ``reference`` is ``query``). Pairs of
+    complete rows take ``_PAIR_BUDGET // _REF_TILE`` query rows by
+    ``_REF_TILE`` reference rows per matmul, keeping each tile's hits as
+    flat indices into the query x reference grid; the other pairs go to
+    ``_masked_keys``. One sort puts the hits in query, then reference, order.
     """
-    q, qrows = _live_rows(query)
-    r, rrows = _live_rows(reference)
-    floor = _hit_floor(min_corr, q.shape[1])
+    qs = _live_rows(query)
+    rs = qs if reference is query else _live_rows(reference)
+    q, r = qs.z[: qs.n_complete], rs.z[: rs.n_complete]
+    floor = min_corr - _dot_tolerance(q.shape[1])
     step = _PAIR_BUDGET // _REF_TILE
+    n_ref = len(rs.values)
     flat = [np.zeros(0, dtype=np.intp)]
     for lo in range(0, len(q), step):
         for rlo in range(0, len(r), _REF_TILE):
             tile = r[rlo : rlo + _REF_TILE]
             # one expression, so each tile's products are freed before the next's
             i, j = np.divmod(np.flatnonzero(q[lo : lo + step] @ tile.T >= floor), len(tile))
-            flat.append((lo + i) * len(r) + rlo + j)
-    qi, ri = np.divmod(np.sort(np.concatenate(flat)), len(r))
-    qi, ri = qrows[qi], rrows[ri]
-    live = np.zeros(len(query), dtype=bool)
-    live[qrows] = len(r) > 0
+            flat.append(qs.rows[lo + i] * n_ref + rs.rows[rlo + j])
+    flat.append(_masked_keys(qs, slice(qs.n_complete, None), rs, slice(None), min_corr))
+    flat.append(_masked_keys(qs, slice(qs.n_complete), rs, slice(rs.n_complete, None), min_corr))
+    qi, ri = np.divmod(np.sort(np.concatenate(flat)), max(n_ref, 1))
+    live = np.zeros(len(qs.values), dtype=bool)
+    live[qs.rows] = len(rs.rows) > 0
     starts = np.searchsorted(qi, np.arange(len(live) + 1))
     return live, [ri[a:b] for a, b in zip(starts[:-1], starts[1:])]
-
-
-def pairwise_complete_column_correlations(
-    values: np.ndarray, min_overlap: int = 3
-) -> np.ndarray:
-    """All-pairs column correlations over pairwise-complete observations.
-
-    Non-finite entries are missing. Pairs with fewer than ``min_overlap``
-    jointly observed entries, or with zero variance on the overlap, come
-    back NaN. A variance within the rounding-error bound of its own
-    computation (4 * overlap * eps of the overlap's sum of squares) counts
-    as zero, so a column that is constant on the overlap gives NaN however
-    its constant rounds. The diagonal is exactly 1.0, or NaN for a column
-    with too few observations or no variance.
-
-    ``_hit_floor`` holds here too, with n the row count, for two columns
-    missing the same cells (a copy that kept its column's holes): their
-    ``s`` terms cancel the rounding of the column means, and counting unit
-    roundoffs u = eps / 2 to first order, relative to the product of the
-    column norms, gives n + 3 for the numerator (centering, ``c``, its
-    ``s`` term) and n + 6.5 for the norms (centered squares, ``q``, the
-    ``s`` terms, product, root) and the division: (n + 4.75) eps in all,
-    inside 2 * (n + 4) eps. Pairs missing different cells have no such
-    bound: centering a column on part of its observations can cancel most
-    of its digits.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    present = np.isfinite(x)
-    mask = present.astype(np.float64)
-    count = np.maximum(mask.sum(axis=0), 1.0)
-    x0 = np.where(present, x, 0.0)
-    x0 = np.where(present, x0 - x0.sum(axis=0) / count, 0.0)
-    n = mask.T @ mask  # jointly observed entries per pair
-    s = x0.T @ mask  # s[i, j]: sum of column i over the rows column j has
-    q = (x0 * x0).T @ mask
-    c = x0.T @ x0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = q - s * s / n  # var[i, j]: column i's variance on the overlap
-        flat = var <= 4.0 * n * _EPS * q
-        corr = (c - s * s.T / n) / np.sqrt(var * var.T)
-    corr[(n < min_overlap) | flat | flat.T] = np.nan
-    np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, np.where(np.isnan(np.diag(corr)), np.nan, 1.0))
-    return corr
 
 
 def connected_components(adjacency: np.ndarray) -> list[list[int]]:
@@ -204,14 +198,16 @@ def connected_components(adjacency: np.ndarray) -> list[list[int]]:
 
 def correlated_components(values: np.ndarray, threshold: float) -> tuple[list[list[int]], np.ndarray]:
     """The components of size >= 2 (as ``connected_components`` orders
-    them) of the graph joining the columns of ``values`` whose correlation
-    is a hit at ``threshold`` (``_hit_floor`` over the row count), and the
-    mask of degenerate columns, whose NaN diagonal no hit joins. It needs
-    2 columns and 3 rows: over two, every correlation is +-1."""
+    them) of the graph joining two columns of ``values`` when either is a
+    hit of the other in the scan of the columns against themselves, and
+    the mask of the columns that are not live there. It needs 2 columns
+    and 3 rows: over two, every correlation is +-1."""
     x = np.asarray(values, dtype=np.float64)
     if x.shape[1] < 2 or x.shape[0] < 3:
         raise ValueError(f"a correlation scan needs at least 3 features and 2 samples, got {x.shape[0]} x {x.shape[1]}")
-    corr = column_correlations(x)
-    adj = corr >= _hit_floor(threshold, x.shape[0])
-    np.fill_diagonal(adj, False)
-    return [c for c in connected_components(adj) if len(c) >= 2], np.isnan(np.diag(corr))
+    cols = x.T
+    live, hits = cross_row_correlations(cols, cols, threshold)
+    adj = np.zeros((len(hits), len(hits)), dtype=bool)
+    adj[np.repeat(np.arange(len(hits)), [len(h) for h in hits]), np.concatenate(hits)] = True
+    adj |= adj.T
+    return [c for c in connected_components(adj) if len(c) >= 2], ~live

@@ -684,9 +684,12 @@ def _check_sentinels(load: Loader, chk: dict) -> list[Finding]:
     sentinels = []
     for i, s in enumerate(chk["sentinels"]):
         try:
-            sentinels.append(Sentinel(s["sample_id"], ingest.normalize_label(s["expected"]), s.get("reason", "")))
+            expected = ingest.normalize_label(s["expected"])
         except ValueError as exc:
             raise ValueError(f"sentinels[{i}].expected: {exc}") from None
+        if expected == GroupLabel.UNKNOWN:
+            raise ValueError(f"sentinels[{i}].expected: a sentinel needs a definite expected label")
+        sentinels.append(Sentinel(s["sample_id"], expected, s.get("reason", "")))
     return sentinel_check(m.labels or {}, sentinels)
 
 
@@ -738,7 +741,7 @@ CHECKS: dict[str, CheckSpec] = {
             "measure": (str, None, tuple(m.value for m in Measure)),
             "tests": (list, _DOSE_TESTS, _DOSE_TESTS),
             "margin": (float, 0.2, Bounds(0, 0.5)),
-            "epsilon": (float, 0.2, None),
+            "epsilon": (float, 0.2, Bounds(0, lo_open=True)),
             "orientation": (str, "sensitive_high", ("sensitive_high", "sensitive_low", "auto")),
         },
         _check_dose,

@@ -2,12 +2,12 @@
 
 Duplication is defined by Pearson correlation at a tight threshold
 (default 0.9999) rather than bitwise equality, because different sources
-round the same underlying numbers differently. A pair is a hit by the
-rule ``blocks`` and ``match`` apply: its correlation reaches the threshold
-within the rounding bound of computing it, so exact and affine copies are
-duplicates at threshold 1, and a scan needs 3 features. Components of
-the correlation graph, not pairs, are the reporting unit; transitive
-closure can merge near-duplicates, which forensics accepts.
+round the same underlying numbers differently. ``blocks`` and ``match``
+share the scan and its hit rule: a pair's correlation over the features
+both hold reaches the threshold within its rounding bound, so exact and
+affine copies, also ones lacking some values, are duplicates at 1.
+Components of the correlation graph, not pairs, are the reporting unit;
+transitive closure can merge near-duplicates, which forensics accepts.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class DupComponents:
     ``multiplicity_histogram`` counts distinct samples at each observed
     multiplicity, singletons included at multiplicity 1, so the identity
     n_distinct = n_samples - sum(size - 1 over components) always holds.
-    Degenerate (zero-variance or unsupported) columns never join the graph
-    and are listed separately.
+    Degenerate columns (fewer than 3 values, or constant over them) never
+    join the graph and are listed separately.
     """
 
     components: tuple[tuple[str, ...], ...]

@@ -7,8 +7,8 @@ audits run at (thousands of features by tens of samples) an O(Q x R x C)
 scan finishes in seconds, and nothing beats it for explainability. The
 scan is ``_kernels.cross_row_correlations``: BLAS matmuls over fixed-size
 tiles of the query x reference grid that keep only each tile's hits, so
-its memory is the two standardized inputs, one 4 MiB tile and the hits,
-whatever the product of the row counts (22,283 x 22,283 rows fit).
+its memory is the two prepared inputs, one tile's products and the hits,
+whatever the product of the row counts. Rows with holes match too.
 
 Offsets are applied in annotation row space, not list position: a shift
 of +1 replaces each reported id with the id on the next platform row.
@@ -30,13 +30,13 @@ class MatchResult:
     """Outcome of matching query rows (or columns) against a reference.
 
     A reference row is a hit when it correlates with the query row at
-    ``min_corr`` or more, within the rounding error of computing the
-    correlation, so exact copies are hits at ``min_corr`` 1.
-    ``mapping`` sends each query id to its unique hit, or None when there
-    is no hit or more than one; multi-hit queries are listed in
-    ``ambiguous`` with all their hits, in reference order. Degenerate
-    (zero-variance or NaN-containing) rows, and every row when no
-    reference row varies, can never match and are listed separately.
+    ``min_corr`` or more over the positions both hold (3 or more, where
+    both vary), within the rounding error of computing it, so exact
+    copies are hits at ``min_corr`` 1. ``mapping`` sends each query id to
+    its unique hit, or None when there is no hit or more than one;
+    multi-hit queries are listed in ``ambiguous`` with all their hits, in
+    reference order. Degenerate rows (constant, or fewer than 3 finite
+    values), and all rows when no reference row is live, never match.
     """
 
     mapping: dict[str, Optional[str]]

@@ -190,6 +190,16 @@ def test_sentinel_expected_reads_the_label_vocabulary(tmp_path):
     assert f.message == "check 'sentinels' could not run: sentinels[1].expected: unknown group label token 'sensitiv'"
 
 
+@pytest.mark.parametrize("expected", ["Unknown", "", "na", "?"])
+def test_sentinel_expected_unknown_is_refused(tmp_path, expected):
+    # an Unknown expectation would flag every definitely labeled sentinel
+    report, code = _sentinels_report(tmp_path, ["Resistant", expected])
+    assert code == 1
+    [f] = report.findings
+    assert (f.code, f.subjects) == ("DEGENERATE_DATA", ("sentinels",))
+    assert f.message == "check 'sentinels' could not run: sentinels[1].expected: a sentinel needs a definite expected label"
+
+
 def test_corpus_and_confound_high_cover_every_finding_code(tmp_path):
     codes = {f.code for f in run_audit(corpus.write_corrupted_corpus(tmp_path / "bad"))[0].findings}
     codes |= {f.code for f in run_audit(_confound_high_manifest(tmp_path / "high"))[0].findings}
@@ -269,6 +279,8 @@ def test_manifest_validation_errors(tmp_path):
         ("confound", "by", "treatment"),
         pytest.param("dose", "tests", ["flta"], id="dose-tests-flta"),
         ("dose", "tests", "flat"),
+        ("dose", "epsilon", -1.0),
+        ("dose", "epsilon", 0),
         ("flips", "sources", "abc"),
         pytest.param("flips", "sources", [1], id="flips-sources-[1]"),
         pytest.param("sentinels", "sentinels", [1], id="sentinels-sentinels-[1]"),

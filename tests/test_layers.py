@@ -2,8 +2,8 @@
 the runner (``audit``) is the one module that builds a ``Finding``, the
 command line (``cli``) is the one module that parses arguments, no module
 depends on the command line, ingest is the one module that hands text to
-numpy's text readers, and the kernels are the one module that calls the
-all-pairs column scans."""
+numpy's text readers, and the detectors reach correlations only through
+the one scan of the kernels."""
 
 import ast
 from pathlib import Path
@@ -61,13 +61,29 @@ def test_only_ingest_calls_numpys_text_readers():
     assert _modules_where(reads_text) == {"ingest.py"}
 
 
-def test_only_the_kernels_call_the_all_pairs_column_scans():
-    # one correlation graph: detectors reach the scans through correlated_components
-    scans = ("column_correlations", "pairwise_complete_column_correlations")
+def test_detectors_reach_correlations_only_through_the_one_scan():
+    # dup, blocks and match: one kernel, looked up by name at call time
+    def kernel_names(name):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        return {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_kernels"
+        }
 
-    def calls_a_scan(node):
-        return isinstance(node, ast.Call) and (
-            getattr(node.func, "id", None) in scans or getattr(node.func, "attr", None) in scans
+    assert {name: kernel_names(name) for name in ("dupscan.py", "integrity.py", "matchscan.py")} == {
+        "dupscan.py": {"correlated_components"},
+        "integrity.py": {"correlated_components"},
+        "matchscan.py": {"cross_row_correlations"},
+    }
+    assert _modules_where(lambda node: any("_kernels." in name for name in _imported(node))) == set()
+
+
+def test_no_module_calls_corrcoef():
+    def calls_corrcoef(node):
+        return isinstance(node, ast.Call) and "corrcoef" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
         )
 
-    assert _modules_where(calls_a_scan) == {"_kernels.py"}
+    assert _modules_where(calls_corrcoef) <= {"_kernels.py"}

@@ -52,7 +52,7 @@ def _dot_tolerance(n: int | np.ndarray) -> float | np.ndarray:
 
 
 class _Side(NamedTuple):
-    values: np.ndarray  # the whole side, for the two-pass recomputation
+    values: np.ndarray  # the whole side, rows scaled as in _live_rows, for the two-pass recomputation
     rows: np.ndarray  # row indices of the live rows, complete ones first, each kind in row order
     n_complete: int
     present: np.ndarray  # their finite cells
@@ -61,17 +61,28 @@ class _Side(NamedTuple):
 
 def _live_rows(x: np.ndarray) -> _Side:
     """The rows of ``x`` that have at least 3 finite cells and vary over
-    them (``varying``), each standardized over those cells."""
+    them (``varying``), each standardized over those cells. A row whose
+    sum of squares lies outside 2^-800...2^800 is first divided by a power
+    of two near its largest finite |value|: that is exact, and no square
+    below over- or underflows. Other rows are not scaled; they need not be."""
     x = np.asarray(x, dtype=np.float64)
     present = np.isfinite(x)
     holes = not present.all()
     x0 = np.where(present, x, 0.0) if holes else x
+    with np.errstate(over="ignore"):
+        raw = np.einsum("ij,ij->i", x0, x0)
+    far = ~((raw > 2.0**-800) & (raw < 2.0**800))
+    if far.any():
+        scale = np.zeros((len(x), 1), dtype=np.int64)
+        scale[far, 0] = -np.frexp(np.abs(x0[far]).max(axis=1, initial=0.0))[1]
+        x, x0 = np.ldexp(x, scale), np.ldexp(x0, scale)
+        raw = np.einsum("ij,ij->i", x0, x0)
     k = present.sum(axis=1) if holes else np.full(len(x), x.shape[1])
     z = x0 - x0.sum(axis=1, keepdims=True) / np.maximum(k, 1)[:, None]
     if holes:
         z *= present
     sq = (z * z).sum(axis=1)
-    ok = (k >= 3) & varying(sq, np.einsum("ij,ij->i", x0, x0), k)
+    ok = (k >= 3) & varying(sq, raw, k)
     z /= np.sqrt(np.where(ok, sq, 1.0))[:, None]
     complete = ok & (k == x.shape[1])
     rows = np.concatenate([np.flatnonzero(complete), np.flatnonzero(ok & ~complete)])

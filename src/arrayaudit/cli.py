@@ -21,9 +21,6 @@ from . import matchscan as _match
 from . import signature as _sig
 from .groupsearch import Assignment, steepest_ascent
 from .transform import apply_pipeline, parse_pipeline_spec
-
-# imported last: reaching the detectors and scipy through audit, one import
-# level deeper, made `import arrayaudit.cli` 25 ms slower (Python 3.11)
 from .audit import _INPUT_ERRORS, CHECKS, FINDING_CODES, SCHEMA_VERSION, Bounds, explain, run_audit
 from .audit import _output, _param, _strict_roster_labeling, _validate_manifest
 

@@ -16,12 +16,44 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from . import _kernels
 from .core import Direction, GroupLabel, LabeledMatrix, SignatureList, extract_submatrix, first_cell
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_EPS = np.finfo(np.float64).eps
+
+
+def _ndtr(x: float) -> float:
+    z = x * _SQRT_HALF
+    if abs(z) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(z)
+    tail = 0.5 * math.erfc(abs(z))  # the small side, without cancellation
+    return 1.0 - tail if z > 0 else tail
+
+
+def _log_ndtr(x: float) -> float:
+    if x > 0:
+        return math.log1p(-_ndtr(-x))
+    if x > -20:
+        return math.log(_ndtr(x))
+    # log(phi(x) / -x) + log(1 - 1/x^2 + 3/x^4 - ...), summed to rounding
+    inv_sq = 1.0 / (x * x)
+    total, term, i = 1.0, 1.0, 0
+    while abs(term) > _EPS:
+        i += 1
+        term *= -(2 * i - 1) * inv_sq
+        total += term
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(total)
+
+
+#: The standard normal CDF Phi and its logarithm, elementwise, from the
+#: stdlib's erf and erfc: each side's tail is taken directly, and log Phi
+#: below -20 from its asymptotic series, so neither under- nor overflows
+#: before the true value does.
+ndtr = np.vectorize(_ndtr, otypes=[np.float64])
+log_ndtr = np.vectorize(_log_ndtr, otypes=[np.float64])
 
 
 class DegenerateGroupsError(ValueError):

@@ -379,14 +379,27 @@ def test_match_identifies_every_sample_and_row_of_a_raw_panel_with_missing_cells
     assert by_row.n_matched == 2000 and by_row.mapping == {g: g for g in m.feature_ids}
 
 
-def test_cli_import_loads_only_the_stdlib_numpy_and_scipy_special():
-    # guards start-up time and memory: no optional compiler, no scipy.sparse
+def test_live_rows_of_huge_and_tiny_magnitude_vary_and_match_their_copies():
+    # squared unscaled, rows near 1e300 overflow and rows near 1e-200
+    # underflow, and either way every row read as degenerate
+    rng = np.random.default_rng(5)
+    for scale in (1e300, 1e-200):
+        rows = scale * rng.standard_normal((50, 20))
+        rows[31] = rows[12]
+        assert len(_kernels._live_rows(rows).rows) == 50
+        m = LabeledMatrix(tuple(f"g{i}" for i in range(20)), tuple(f"c{j}" for j in range(50)), rows.T)
+        dup = find_duplicate_columns(m, DupScanConfig(corr_threshold=1.0))
+        assert dup.components == (("c12", "c31"),) and dup.degenerate_columns == ()
+
+
+def test_cli_import_loads_only_the_stdlib_numpy_and_arrayaudit():
+    # guards start-up time and memory: numpy is the one runtime dependency
     code = (
-        "import sys; import numpy, scipy.special; base = set(sys.modules);"
-        "import arrayaudit.cli, arrayaudit.groupsearch;"
+        "import sys; import numpy; base = set(sys.modules);"
+        "import arrayaudit.cli, arrayaudit.groupsearch, arrayaudit.matchscan, arrayaudit.transform;"
         "top = lambda m: m.split('.')[0];"
         "extra = [m for m in set(sys.modules) - base if top(m) not in sys.stdlib_module_names | {'arrayaudit'}];"
-        "print(sorted(extra), 'scipy.sparse' in sys.modules)"
+        "print(sorted(extra), any(top(m) == 'scipy' for m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr

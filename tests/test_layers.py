@@ -2,8 +2,9 @@
 the runner (``audit``) is the one module that builds a ``Finding``, the
 command line (``cli``) is the one module that parses arguments, no module
 depends on the command line, ingest is the one module that hands text to
-numpy's text readers, and the detectors reach correlations only through
-the one scan of the kernels."""
+numpy's text readers, the detectors reach correlations only through the
+one scan of the kernels, and no module imports scipy (numpy is the one
+runtime dependency)."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,13 @@ def test_no_module_imports_the_command_line():
         return any(name in (".cli", "arrayaudit.cli") for name in _imported(node))
 
     assert _modules_where(imports_cli) == set()
+
+
+def test_no_module_imports_scipy():
+    def imports_scipy(node):
+        return any(name.split(".")[0] == "scipy" for name in _imported(node))
+
+    assert _modules_where(imports_scipy) == set()
 
 
 def test_only_ingest_calls_numpys_text_readers():

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
-from arrayaudit.core import Direction, GroupLabel, LabeledMatrix
+from arrayaudit import signature
+from arrayaudit.core import Direction, GroupLabel, LabeledMatrix, extract_submatrix
 from arrayaudit.signature import (
+    CLASS_OF,
     MetageneConvergenceError,
     auc,
     fit_probit,
@@ -310,6 +312,39 @@ def test_predict_prob_values():
     s = np.linspace(-3, 3, 50)
     p = predict_prob(model, s)
     assert np.all(np.diff(p) > 0)
+
+
+@pytest.mark.parametrize("name", ["ndtr", "log_ndtr"])
+def test_normal_cdf_matches_scipy_special(name):
+    # both sides of each branch point (0, -20), where scipy's erfc and the
+    # stdlib's reach the subnormals (+-37.7) and zero (+-38.5), and the limits
+    points = [0.0, -0.0, -20.0, np.nextafter(-20.0, 0), np.nextafter(-20.0, -21), 37.7, -37.7, 38.5, -38.5]
+    x = np.concatenate([np.linspace(-1e3, 1e3, 200_001), np.linspace(-40, 40, 80_001), points, [np.inf, -np.inf]])
+    ours, theirs = getattr(signature, name)(x), getattr(special, name)(x)
+    assert ours.shape == x.shape and np.array_equal(ours[-2:], theirs[-2:])
+    ours, theirs = ours[:-2], theirs[:-2]
+    # relative 1e-13; absolute 1e-300 below the normal range (0, -0.0 and
+    # subnormals, which hold fewer than 53 significant bits)
+    bound = np.maximum(1e-13 * np.abs(theirs), 1e-300)
+    worst = np.argmax(np.abs(ours - theirs) / bound)
+    assert abs(ours[worst] - theirs[worst]) <= bound[worst], (x[worst], ours[worst], theirs[worst])
+
+
+@pytest.mark.parametrize("shift", [1.0, 1.5])
+def test_predict_probabilities_are_scipy_ndtr_of_the_fitted_probit(shift):
+    # the generator of test_cli_signature_derive_and_predict with a weaker
+    # planted effect: its shift of 3 separates the classes into hard calls
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal((40, 16))
+    values[:5, :8] += shift
+    train = _two_group_matrix(values, 8)
+    test = LabeledMatrix(train.feature_ids, tuple(f"t{j}" for j in range(6)), rng.standard_normal((40, 6)))
+    pred = predict(train, test, 5)
+    assert not pred.hard_calls
+    sub, _ = extract_submatrix(train, select_top_genes(train, 5))
+    model = fit_probit(metagene_scores(sub), [CLASS_OF[train.label_of(sid)] for sid in train.sample_ids])
+    oracle = special.ndtr(model.intercept + model.slope * pred.scores)
+    np.testing.assert_allclose(pred.probabilities, oracle, rtol=1e-13, atol=0)
 
 
 # --- ROC / AUC ------------------------------------------------------------

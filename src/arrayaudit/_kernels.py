@@ -59,24 +59,38 @@ class _Side(NamedTuple):
     z: np.ndarray  # centered on the mean of their finite cells, unit norm, zero where missing
 
 
+def row_exponents(*blocks: np.ndarray) -> np.ndarray | None:
+    """The power of two by which to scale each row of the column
+    ``blocks`` (the same rows, finite values) taken together, as an n x 1
+    column of exponents for ``np.ldexp``, or None when no row needs one. A
+    row whose sum of squares lies outside 2^-800...2^800 gets the exponent
+    that brings its largest |value| into [0.5, 1), so none of its squares
+    over- or underflows; other rows get 0, since they need none. Scaling by
+    a power of two is exact, so a statistic that a row's scale does not
+    change keeps its bits."""
+    with np.errstate(over="ignore"):
+        raw = sum(np.einsum("ij,ij->i", b, b) for b in blocks)
+    far = ~((raw > 2.0**-800) & (raw < 2.0**800))
+    if not far.any():
+        return None
+    scale = np.zeros((len(raw), 1), dtype=np.int64)
+    top = np.max([np.abs(b[far]).max(axis=1, initial=0.0) for b in blocks], axis=0)
+    scale[far, 0] = -np.frexp(top)[1]
+    return scale
+
+
 def _live_rows(x: np.ndarray) -> _Side:
     """The rows of ``x`` that have at least 3 finite cells and vary over
-    them (``varying``), each standardized over those cells. A row whose
-    sum of squares lies outside 2^-800...2^800 is first divided by a power
-    of two near its largest finite |value|: that is exact, and no square
-    below over- or underflows. Other rows are not scaled; they need not be."""
+    them (``varying``), each standardized over those cells after scaling
+    by ``row_exponents`` of its finite cells."""
     x = np.asarray(x, dtype=np.float64)
     present = np.isfinite(x)
     holes = not present.all()
     x0 = np.where(present, x, 0.0) if holes else x
-    with np.errstate(over="ignore"):
-        raw = np.einsum("ij,ij->i", x0, x0)
-    far = ~((raw > 2.0**-800) & (raw < 2.0**800))
-    if far.any():
-        scale = np.zeros((len(x), 1), dtype=np.int64)
-        scale[far, 0] = -np.frexp(np.abs(x0[far]).max(axis=1, initial=0.0))[1]
+    scale = row_exponents(x0)
+    if scale is not None:
         x, x0 = np.ldexp(x, scale), np.ldexp(x0, scale)
-        raw = np.einsum("ij,ij->i", x0, x0)
+    raw = np.einsum("ij,ij->i", x0, x0)
     k = present.sum(axis=1) if holes else np.full(len(x), x.shape[1])
     z = x0 - x0.sum(axis=1, keepdims=True) / np.maximum(k, 1)[:, None]
     if holes:

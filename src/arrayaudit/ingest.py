@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -114,18 +115,30 @@ class MatrixFormat:
         return "\t" if self.delimiter == "tab" else ","
 
 
-def _split_lines(text: str) -> list[str]:
-    # LF or CRLF; a leading byte-order mark is not part of the first cell,
-    # and a single trailing newline does not create an empty row
-    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+#: The text budget of one chunk: lines are split, and matrix rows checked
+#: and converted, about this many characters at a time.
+_CHUNK_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, split a chunk of about ``_CHUNK_CHARS``
+    characters at a time, so no list of all of them is built. LF or CRLF
+    ends a line; a leading byte-order mark is not part of the first cell,
+    and a single trailing newline does not create an empty row."""
+    pos = 1 if text.startswith("\ufeff") else 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK_CHARS)  # a chunk ends after a LF, so no CRLF is cut
+        end = len(text) if end < 0 else end + 1
+        chunk = text[pos:end]
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n")
+        yield from chunk.removesuffix("\n").split("\n")
+        pos = end
 
 
 def _nonblank_lines(text: str) -> list[tuple[int, str]]:
     """Non-blank lines as ``(line number, line)``; blank lines count."""
-    return [(lineno, line) for lineno, line in enumerate(_split_lines(text), start=1) if line.strip(_PADDING)]
+    return [(lineno, line) for lineno, line in enumerate(_lines(text), start=1) if line.strip(_PADDING)]
 
 
 def _first_rows(ids: Iterable[tuple[int, str]], id_name: str) -> dict[str, int]:
@@ -198,9 +211,11 @@ def row_context(lineno: int) -> Iterator[None]:
         raise ParseError(f"row {lineno}: {exc}") from None
 
 
-#: Any character outside an ASCII decimal number, its space/tab padding and
-#: the delimiters, so one search covers a whole row (float() rejects a comma).
-_NOT_NUMERIC = re.compile(r"[^0-9+\-.eE \t,]")
+#: The characters of an ASCII decimal number, its space/tab padding and the
+#: delimiters, so one check covers many cells (float() rejects a comma).
+_NUMERIC_CHARS = "0123456789+-.eE \t,"
+_NOT_NUMERIC = re.compile(f"[^{re.escape(_NUMERIC_CHARS)}]")
+_NUMERIC_BYTES = (_NUMERIC_CHARS + "\n").encode()  # LF joins the rows of a chunk
 
 
 def parse_number(token: str) -> Optional[float]:
@@ -242,38 +257,81 @@ def parse_table(text: str) -> tuple[list[str], list[tuple[str, list[float]]]]:
     ]
 
 
-def _first_bad_cell(lines: list[str], rows: range, sep: str, missing: str) -> None:
+def _first_bad_cell(rests: list[str], lineno: int, sep: str, missing: str) -> None:
     """The error locator of ``parse_matrix``: raise ParseError for the first
-    cell, in reading order, of the rows ``lines[i]`` (``i`` in ``rows``)
-    that is neither the missing token nor a number by ``number_cell``."""
-    for i in rows:
-        for j, tok in enumerate(lines[i].split(sep)[1:], start=2):
+    cell, in reading order, of the body rows ``rests`` (each row's text after
+    its id, the first on line ``lineno``) that is neither the missing token
+    nor a number by ``number_cell``."""
+    for i, rest in enumerate(rests, start=lineno):
+        for j, tok in enumerate(rest.split(sep), start=2):
             if tok.strip(_PADDING) != missing:
-                number_cell(tok, i + 1, j)
+                number_cell(tok, i, j)
 
 
-def _convert_body(lines: list[str], start: int, body: list[str], ncol: int, sep: str, missing: str) -> np.ndarray:
-    """The values of the body rows ``lines[start:start + len(body)]``.
-    ``body`` holds their numeric text, in reading order, with each missing
-    cell written ``nan``; one C call converts it, parsing each cell with the
-    routine ``float()`` uses. The first cell in reading order that is not a
-    finite number raises ParseError, found by the error locator."""
+def _around_missing(body: str, sep: str, missing: str) -> list[str]:
+    """The text of ``body`` around its missing cells: each cell that is
+    ``missing`` once stripped of its padding is cut out with the padding.
+    ``body`` holds rows of ``sep``-delimited cells, each row opened and
+    closed by LF. ``str.find`` finds the token by its first character that
+    no number holds (one memchr for ``NA``), or whole; a match widened over
+    padding to a cell boundary on each side is a missing cell. The empty
+    token's cells are found as a boundary followed by a boundary or padding.
+    """
+    pad = _PADDING.replace(sep, "")
+    ends = sep + "\n"
+    if missing:
+        rare = _NOT_NUMERIC.search(missing)
+        probes = [(rare.group(), rare.start())] if rare else [(missing, 0)]
+    else:
+        probes = [(b + c, -1) for b in ends for c in ends + pad]
+    cuts = []
+    for probe, at in probes:  # the probe lies at ``at`` in the token
+        p = body.find(probe)
+        while p >= 0:
+            lo = hi = p - at
+            if lo > 0 and body.startswith(missing, lo):
+                hi += len(missing)
+                while body[lo - 1] in pad:
+                    lo -= 1
+                while body[hi] in pad:
+                    hi += 1
+                if body[lo - 1] in ends and body[hi] in ends:
+                    cuts.append((lo, hi))
+            p = body.find(probe, p + 1)
+    pieces, pos = [], 0
+    for lo, hi in sorted(cuts):
+        pieces.append(body[pos:lo])
+        pos = hi
+    pieces.append(body[pos:])
+    return pieces
+
+
+def _convert_body(rests: list[str], lineno: int, sep: str, missing: str) -> np.ndarray:
+    """The values of one chunk of body rows: ``rests`` holds each row's text
+    after its id, the first row on line ``lineno``. Each missing cell is
+    written ``nan``, the other text must pass the whitelist in one C pass
+    (``bytes.translate``), and one C call, ``np.loadtxt``, converts the
+    chunk, parsing each cell with the routine ``float()`` uses. The first
+    cell in reading order that is not a finite number raises ParseError,
+    found by the error locator, which runs only when a check fails."""
+    pieces = _around_missing("\n".join(["", *rests, ""]), sep, missing)
+    numeric = "".join(pieces)
     try:
-        values = (
-            np.loadtxt(body, delimiter=sep, dtype=np.float64, comments=None, quotechar=None, ndmin=2)
-            if body
-            else np.empty((0, ncol))
-        )
-        if values.shape != (len(body), ncol):  # the reader skips a line it takes for empty
-            raise ValueError(f"{values.shape} values from {len(body)} rows of {ncol} cells")
+        if not numeric.isascii() or numeric.encode().translate(None, _NUMERIC_BYTES):
+            raise ValueError("a cell holds a character outside the number grammar")
+        # the C reader reads nan and inf, so only the missing cells may hold them
+        body = "nan".join(pieces)
+        if "\n\n" in body:  # the C reader would skip an empty row
+            raise ValueError("an empty row")
+        values = np.loadtxt(body.split("\n")[1:-1], delimiter=sep, dtype=np.float64, comments=None, quotechar=None, ndmin=2)
     except ValueError:
-        _first_bad_cell(lines, range(start, start + len(body)), sep, missing)
+        _first_bad_cell(rests, lineno, sep, missing)
         raise
     # a decimal that overflows (1e999) converts to infinity
     overflow = np.isinf(values).any(axis=1)
     if overflow.any():
-        i = start + int(overflow.argmax())
-        _first_bad_cell(lines, range(i, i + 1), sep, missing)
+        i = int(overflow.argmax())
+        _first_bad_cell(rests[i : i + 1], lineno + i, sep, missing)
     return values
 
 
@@ -299,82 +357,80 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
     per feature (feature id followed by numeric cells). Label tokens are
     normalized through the synonym table; an empty token means Unknown.
 
-    Each feature row is checked in reading order: a non-empty id, the
-    header's width, an id not seen before, then one whitelist search. A
-    row that may hold the missing token is split into cells without that
-    search, and so is a row that fails it: a cell that is the missing
-    token once stripped of spaces and tabs is written ``nan``, and the
-    other cells must pass the whitelist, all in one search. The text of
-    every row then goes to one C call, ``np.loadtxt``, so every value
-    equals ``float()`` of its cell and every missing cell is NaN. When a
-    row check fails, the C call raises or a value overflows,
-    ``number_cell`` locates the error, so the ParseError names the first
-    fault in reading order.
+    The body is read in chunks of about ``_CHUNK_CHARS`` characters. Each
+    feature row is checked in reading order: a non-empty id, the header's
+    width, an id not seen before. Then each chunk is converted at once: a
+    cell that is the missing token once stripped of spaces and tabs is
+    written ``nan``, the other cells must pass the whitelist in one C pass,
+    and one C call, ``np.loadtxt``, converts the chunk into its rows of a
+    preallocated array, so every value equals ``float()`` of its cell and
+    every missing cell is NaN. Only when a check fails, the C call raises
+    or a value overflows does ``number_cell`` walk the chunk's cells, so the
+    ParseError names the first fault in reading order.
     """
-    lines = _split_lines(text)
-    if not lines:
+    lines = _lines(text)
+    header = next(lines, None)
+    if header is None:
         raise ParseError("empty matrix file")
     sep = fmt.sep
-    sample_ids = [c.strip(_PADDING) for c in lines[0].split(sep)[1:]]
+    sample_ids = [c.strip(_PADDING) for c in header.split(sep)[1:]]
     _check_sample_ids(sample_ids)
     ncol = len(sample_ids)
 
     body_start = 1
     labels: Optional[dict[str, GroupLabel]] = None
-    if fmt.has_label_row and len(lines) > 1:
-        cells = lines[1].split(sep)
-        if cells[0].strip(_PADDING) == fmt.label_row_key:
-            if len(cells) - 1 != ncol:
-                raise ParseError(
-                    f"row 2: label row has {len(cells) - 1} cells, expected {ncol}"
-                )
-            labels = {}
-            for j, (sid, tok) in enumerate(zip(sample_ids, cells[1:]), start=2):
-                try:
-                    labels[sid] = normalize_label(tok)
-                except ParseError as exc:
-                    raise ParseError(f"row 2, column {j}: {exc}") from None
-            body_start = 2
+    second = next(lines, None)
+    if fmt.has_label_row and second is not None and second.partition(sep)[0].strip(_PADDING) == fmt.label_row_key:
+        cells = second.split(sep)
+        if len(cells) - 1 != ncol:
+            raise ParseError(
+                f"row 2: label row has {len(cells) - 1} cells, expected {ncol}"
+            )
+        labels = {}
+        for j, (sid, tok) in enumerate(zip(sample_ids, cells[1:]), start=2):
+            try:
+                labels[sid] = normalize_label(tok)
+            except ParseError as exc:
+                raise ParseError(f"row 2, column {j}: {exc}") from None
+        body_start = 2
+    elif second is not None:
+        lines = chain([second], lines)
 
+    n_lines = text.count("\n") + (not text.endswith("\n"))
+    values = np.empty((n_lines - body_start, ncol))
     first_row: dict[str, int] = {}  # feature id -> its row, in row order
-    body: list[str] = []  # numeric text of each row, missing cells as nan
-    missing = fmt.missing_token
-    # a row that may hold the token is split without searching its whole text:
-    # a whitelist-clean token ("", "-999") could pass as a number, so look for
-    # it; any other one fails the search, so look for its first character the
-    # search would stop at (one memchr for "NA")
-    bad = _NOT_NUMERIC.search(missing)
-    probe = bad.group() if bad else missing
-    try:
-        for i, line in enumerate(lines[body_start:]):
-            lineno = body_start + 1 + i
-            head, _, rest = line.partition(sep)
-            fid = head.strip(_PADDING)
-            if not fid:
-                raise ParseError(f"row {lineno}: empty feature id")
-            n_cells = line.count(sep)
-            if n_cells != ncol:
-                raise ParseError(f"row {lineno}: ragged row ({n_cells} cells, expected {ncol})")
-            if fid in first_row:
-                raise ParseError(f"row {lineno}: duplicate feature id {fid!r} (first on row {first_row[fid]})")
+    rests: list[str] = []  # the text after the id of each row not yet converted
+    size = 0
+
+    def convert() -> None:
+        done = len(first_row)
+        values[done - len(rests) : done] = _convert_body(rests, body_start + 1 + done - len(rests), sep, fmt.missing_token)
+
+    for lineno, line in enumerate(lines, start=body_start + 1):
+        head, _, rest = line.partition(sep)
+        fid = head.strip(_PADDING)
+        n_cells = line.count(sep)
+        if not fid:
+            fault = "empty feature id"
+        elif n_cells != ncol:
+            fault = f"ragged row ({n_cells} cells, expected {ncol})"
+        elif fid in first_row:
+            fault = f"duplicate feature id {fid!r} (first on row {first_row[fid]})"
+        else:
             first_row[fid] = lineno
-            # one whitelist search per row; the C reader would skip an empty one
-            if rest and probe not in rest and not _NOT_NUMERIC.search(rest):
-                body.append(rest)
-                continue
-            cells = rest.split(sep)
-            marked = ["nan" if c.strip(_PADDING) == missing else c for c in cells]
-            # the C reader reads nan and inf, so the cells left unmarked (the same
-            # objects) must pass the whitelist; it would skip an empty row
-            if not rest or _NOT_NUMERIC.search(sep.join([c for c, k in zip(cells, marked) if c is k])):
-                _first_bad_cell(lines, range(lineno - 1, lineno), sep, missing)
-            body.append(sep.join(marked))
-    except ParseError:
-        _convert_body(lines, body_start, body, ncol, sep, missing)  # a fault in an earlier row comes first
-        raise
+            rests.append(rest)
+            size += len(rest)
+            if size >= _CHUNK_CHARS:
+                convert()
+                rests, size = [], 0
+            continue
+        if rests:
+            convert()  # a fault in an earlier row comes first
+        raise ParseError(f"row {lineno}: {fault}")
     if not first_row:
         raise ParseError("matrix has no feature rows")
-    values = _convert_body(lines, body_start, body, ncol, sep, missing)
+    if rests:
+        convert()
     return LabeledMatrix(tuple(first_row), tuple(sample_ids), values, labels)
 
 

@@ -89,7 +89,12 @@ def pooled_t(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     n1 n2 / n times the squared mean difference) gets 0, and a row that
     varies but whose pooled within-group residuals do not gets +/-inf by
     the sign of the mean difference. So a constant row scores 0 however
-    its constant rounds."""
+    its constant rounds. Each row is first scaled by
+    ``_kernels.row_exponents`` of both groups, so t does not over- or
+    underflow in its squares."""
+    scale = _kernels.row_exponents(x1, x2)
+    if scale is not None:
+        x1, x2 = np.ldexp(x1, scale), np.ldexp(x2, scale)
     n1, n2 = x1.shape[1], x2.shape[1]
     m1 = x1.mean(axis=1)
     m2 = x2.mean(axis=1)
@@ -161,13 +166,19 @@ def _metagene(sub: LabeledMatrix) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(sub.values).all():
         fid, sid, _ = first_cell(sub, ~np.isfinite(sub.values))
         raise ValueError(f"metagene scoring requires complete (non-missing) values; gene {fid!r} is missing in sample {sid!r}")
-    x = sub.values - sub.values.mean(axis=1, keepdims=True)
-    if not _kernels.varying((x * x).sum(), (sub.values * sub.values).sum(), sub.n_samples):
+    # one power of two for the whole submatrix (``row_exponents`` of it as
+    # one row): exact, and it leaves u0 and v0 as they are
+    scale = _kernels.row_exponents(sub.values.reshape(1, -1))
+    values = sub.values if scale is None else np.ldexp(sub.values, scale[0, 0])
+    x = values - values.mean(axis=1, keepdims=True)
+    if not _kernels.varying((x * x).sum(), (values * values).sum(), sub.n_samples):
         raise MetageneConvergenceError("signature submatrix does not vary: no leading direction")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     if s[1] ** 2 > (1.0 - 1e-6) * s[0] ** 2:
         raise MetageneConvergenceError("leading singular value is (near-)duplicated; metagene direction is ambiguous")
     scores, direction = s[0] * vt[0], u[:, 0]
+    if scale is not None:
+        scores = np.ldexp(scores, -scale[0, 0])
     if scores[np.argmax(np.abs(scores))] < 0:
         return -scores, -direction
     return scores, direction

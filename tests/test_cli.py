@@ -32,7 +32,7 @@ from arrayaudit.audit import (
 )
 from arrayaudit.cli import main
 from arrayaudit.core import GroupLabel, LabeledMatrix, LabelRoster, RosterEntry, Severity
-from arrayaudit.signature import auc
+from arrayaudit.signature import auc, predict, select_top_genes
 
 REQUIRED_CORRUPTED_CODES = {
     "DUP_INCONSISTENT_LABELS",
@@ -482,7 +482,7 @@ def test_cli_signature_derive_and_predict(tmp_path, capsys):
     from arrayaudit.core import LabeledMatrix
 
     values = rng.standard_normal((40, 16))
-    values[:5, :8] += 3.0
+    values[:5, :8] += 1.0  # the groups overlap, so the probit is fitted, not replaced by hard calls
     labels = {f"s{j}": (GroupLabel.SENSITIVE if j < 8 else GroupLabel.RESISTANT) for j in range(16)}
     train = LabeledMatrix(tuple(f"g{i}" for i in range(40)), tuple(f"s{j}" for j in range(16)), values, labels)
     (tmp_path / "train.tsv").write_text(ingest.serialize_matrix(train))
@@ -496,7 +496,7 @@ def test_cli_signature_derive_and_predict(tmp_path, capsys):
     sig_out = tmp_path / "sig.csv"
     assert main(["signature", "derive", "--matrix", str(tmp_path / "train.tsv"), "--k", "5", "--out", str(sig_out)]) == 0
     sig = ingest.parse_signature(sig_out.read_text())
-    assert set(sig.feature_ids) == {f"g{i}" for i in range(5)}
+    assert sig == select_top_genes(train, 5) and {"g0", "g1", "g2"} <= set(sig.feature_ids)
 
     scores_out = tmp_path / "scores.csv"
     code = main(
@@ -511,10 +511,12 @@ def test_cli_signature_derive_and_predict(tmp_path, capsys):
     assert code == 0
     rows = scores_out.read_text().strip().split("\n")
     assert rows[0] == "sample_id,metagene_score,p_sensitive"
-    assert len(rows) == 7
-    for row in rows[1:]:
-        p = float(row.split(",")[2])
-        assert 0.0 <= p <= 1.0
+    pred = predict(train, test_m, 5)
+    assert not pred.hard_calls
+    written = [[float(cell) for cell in row.split(",")[1:]] for row in rows[1:]]
+    assert [row.split(",")[0] for row in rows[1:]] == list(pred.sample_ids)
+    assert written == [[float(sc), float(p)] for sc, p in zip(pred.scores, pred.probabilities)]
+    assert any(0.0 < p < 1.0 for _, p in written)
 
     # a test sample missing a signature gene is an error naming the first
     # such sample (in column order) and gene; outside the signature NA is fine

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 from datetime import timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -272,15 +273,23 @@ def test_parse_matrix_converts_every_row_in_one_c_call(monkeypatch, missing):
     monkeypatch.setattr(np, "loadtxt", spy)
     rows = [[missing, "1", "2"], ["3", f" {missing} ", "4"], [missing, missing, missing], ["5", "-9990", missing]]
     text = "id,S1,S2,S3\n" + "".join(f"gene{i},{','.join(row)}\n" for i, row in enumerate(rows))
-    m = ingest.parse_matrix(text, MatrixFormat(delimiter="comma", has_label_row=False, missing_token=missing))
+    fmt = MatrixFormat(delimiter="comma", has_label_row=False, missing_token=missing)
+    m = ingest.parse_matrix(text, fmt)
     nan = np.nan
-    np.testing.assert_array_equal(m.values, [[nan, 1, 2], [3, nan, 4], [nan, nan, nan], [5, -9990, nan]])
+    expected = [[nan, 1, 2], [3, nan, 4], [nan, nan, nan], [5, -9990, nan]]
+    np.testing.assert_array_equal(m.values, expected)
     assert len(calls) == 1 and len(calls[0]) == len(rows)
+    # a body of more than one chunk: one call per chunk, each on its own rows
+    calls.clear()
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", len(",".join(rows[0])) + len(",".join(rows[1])))
+    np.testing.assert_array_equal(ingest.parse_matrix(text, fmt).values, expected)
+    assert [len(chunk) for chunk in calls] == [2, 2]
 
 
 @pytest.mark.parametrize("missing", ["NA", "", "-999"])
-def test_parse_matrix_searches_each_row_once(monkeypatch, missing):
-    # a row holding the missing token is split without a search of its whole text
+def test_parse_matrix_checks_the_body_without_a_per_row_search(monkeypatch, missing):
+    # the whitelist is checked over a chunk's text at once, not by a regex
+    # search of each row; the regex only looks into the missing token
     searched = []
     pattern = ingest._NOT_NUMERIC
 
@@ -295,7 +304,9 @@ def test_parse_matrix_searches_each_row_once(monkeypatch, missing):
     monkeypatch.setattr(ingest, "_NOT_NUMERIC", Spy())
     m = ingest.parse_matrix(text, fmt)
     np.testing.assert_array_equal(m.values, [[np.nan, 1, 2], [3, 4, 5], [6, np.nan, -9990]])
-    assert searched[0] == missing and len(searched) == 1 + len(rows)  # the token, then each row
+    assert searched == ([missing] if missing else [])
+    with pytest.raises(ParseError, match=r"^row 3, column 3: unparseable numeric cell 'x'$"):
+        ingest.parse_matrix(text.replace(",4,", ",x,"), fmt)
 
 
 def test_parse_matrix_non_default_missing_tokens():
@@ -363,6 +374,18 @@ def _matrix_cells(draw):
 @settings(max_examples=300, deadline=None)
 @given(_matrix_cells())
 def test_parse_matrix_matches_per_cell_oracle(case):
+    _check_per_cell_oracle(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_cells(), st.integers(1, 24))
+def test_parse_matrix_matches_per_cell_oracle_across_chunks(case, budget):
+    # a budget of a few characters puts each row, or each few, in a chunk of its own
+    with mock.patch.object(ingest, "_CHUNK_CHARS", budget):
+        _check_per_cell_oracle(case)
+
+
+def _check_per_cell_oracle(case):
     delimiter, missing, cells = case
     fmt = MatrixFormat(delimiter=delimiter, has_label_row=False, missing_token=missing)
     sep = fmt.sep
@@ -408,6 +431,17 @@ def _matrix_with_structural_fault(draw):
 @settings(max_examples=300, deadline=None)
 @given(_matrix_with_structural_fault())
 def test_parse_matrix_raises_the_first_fault_in_reading_order(case):
+    _check_first_fault(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_with_structural_fault(), st.integers(1, 24))
+def test_parse_matrix_raises_the_first_fault_in_reading_order_across_chunks(case, budget):
+    with mock.patch.object(ingest, "_CHUNK_CHARS", budget):
+        _check_first_fault(case)
+
+
+def _check_first_fault(case):
     delimiter, missing, cells, at, kind, fid, fault_cells = case
     fmt = MatrixFormat(delimiter=delimiter, has_label_row=False, missing_token=missing)
     sep = fmt.sep
@@ -443,6 +477,66 @@ def test_parse_matrix_one_column_row_of_empty_or_padding_cell(missing, delimiter
         row = 2 + around
         with pytest.raises(ParseError, match=rf"^row {row}, column 2: unparseable numeric cell {re.escape(repr(cell))}$"):
             ingest.parse_matrix(text, fmt)
+
+
+def _chunked_panel(cells, newline="\n", bom=""):
+    """A comma-delimited matrix of 4-character cells under a budget of 50
+    characters: each chunk holds 3 rows of 19 characters (rows 2-4, 5-7
+    and 8-10 of the file)."""
+    rows = [f"g{i}," + ",".join(row) for i, row in enumerate(cells)]
+    return bom + newline.join(["id,S1,S2,S3,S4", *rows]) + newline
+
+
+_PANEL = [[f"{10 + 4 * i + j}.5" for j in range(4)] for i in range(9)]
+
+
+@pytest.mark.parametrize("missing", ["NA", "", "-999"])
+@pytest.mark.parametrize("newline, bom", [("\n", ""), ("\r\n", ""), ("\n", "\ufeff"), ("\r\n", "\ufeff")])
+def test_parse_matrix_marks_missing_cells_at_chunk_edges(monkeypatch, missing, newline, bom):
+    chunks = []
+    convert = ingest._convert_body
+
+    def spy(rests, lineno, *args):
+        chunks.append((lineno, len(rests)))
+        return convert(rests, lineno, *args)
+
+    monkeypatch.setattr(ingest, "_convert_body", spy)
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", 50)
+    cells = [row[:] for row in _PANEL]
+    expected = np.array(cells, dtype=np.float64)
+    for i, j in [(0, 0), (3, 0), (5, 3), (8, 3)]:  # the first and last cells of the body and of its middle chunk
+        cells[i][j] = f" {missing} "
+        expected[i, j] = np.nan
+    fmt = MatrixFormat(delimiter="comma", has_label_row=False, missing_token=missing)
+    m = ingest.parse_matrix(_chunked_panel(cells, newline, bom), fmt)
+    assert chunks == [(2, 3), (5, 3), (8, 3)]
+    assert m.feature_ids == tuple(f"g{i}" for i in range(9)) and m.sample_ids == ("S1", "S2", "S3", "S4")
+    np.testing.assert_array_equal(m.values, expected)
+
+
+@pytest.mark.parametrize("bad", ["x5.5", "1e", "1e999", "nan"])
+def test_parse_matrix_names_a_bad_cell_in_the_last_chunk(monkeypatch, bad):
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", 50)
+    cells = [row[:] for row in _PANEL]
+    cells[7][2] = bad
+    with pytest.raises(ParseError, match=rf"^row 9, column 4: unparseable numeric cell '{bad}'$"):
+        ingest.parse_matrix(_chunked_panel(cells), MatrixFormat(delimiter="comma", has_label_row=False))
+
+
+@pytest.mark.parametrize("fault", ["ragged", "duplicate"])
+@pytest.mark.parametrize("bad_row", [1, 3])  # in an earlier chunk than the faulty row 4, or in its chunk
+def test_parse_matrix_names_a_bad_cell_before_a_later_structural_fault(monkeypatch, fault, bad_row):
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", 50)
+    cells = [row[:] for row in _PANEL]
+    cells[bad_row][1] = "1e"
+    text = _chunked_panel(cells).replace("g4,", "g4,1,", 1) if fault == "ragged" else _chunked_panel(cells).replace("g4,", "g0,", 1)
+    fmt = MatrixFormat(delimiter="comma", has_label_row=False)
+    with pytest.raises(ParseError, match=rf"^row {bad_row + 2}, column 3: unparseable numeric cell '1e'$"):
+        ingest.parse_matrix(text, fmt)
+    message = r"ragged row \(5 cells, expected 4\)" if fault == "ragged" else r"duplicate feature id 'g0' \(first on row 2\)"
+    fixed = text.replace(",1e,", ",1.5,")
+    with pytest.raises(ParseError, match=rf"^row 6: {message}$"):
+        ingest.parse_matrix(fixed, fmt)
 
 
 def test_parse_sensitivity_reads_potency_through_the_number_grammar():

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ def test_select_top_genes_matches_scipy_oracle():
     t_oracle, _ = stats.ttest_ind(values[:, :10], values[:, 10:], axis=1, equal_var=True)
     order = sorted(range(80), key=lambda i: (-abs(t_oracle[i]), i))
     assert list(sig.feature_ids) == [f"g{i}" for i in order[:k]]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-200])
+def test_pooled_t_and_top_genes_do_not_depend_on_the_scale_of_the_values(scale):
+    # unscaled, rows near 1e300 overflow in their squares and rows near
+    # 1e-200 underflow to t = 0; a power-of-two row scale is exact
+    rng = np.random.default_rng(501)
+    values = rng.standard_normal((60, 10))
+    values[:8, :5] += np.linspace(1.0, 3.0, 8)[:, None]
+    values[8:12, 5:] += 2.5
+    unit = signature.pooled_t(values[:, :5], values[:, 5:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = signature.pooled_t(scale * values[:, :5], scale * values[:, 5:])
+        sig = select_top_genes(_two_group_matrix(scale * values, 5), 10)
+        scores = metagene_scores(extract_submatrix(_two_group_matrix(scale * values, 5), sig)[0])
+    np.testing.assert_allclose(t, unit, rtol=1e-12, atol=0)
+    assert sig == select_top_genes(_two_group_matrix(values, 5), 10)
+    unit_scores = metagene_scores(extract_submatrix(_two_group_matrix(values, 5), sig)[0])
+    np.testing.assert_allclose(scores, scale * unit_scores, rtol=1e-10, atol=0)
 
 
 def test_select_top_genes_all_features_ranked():

@@ -6,7 +6,7 @@ correlates with at a threshold or more, over the cells both hold
 reference rows, ``dup`` and ``blocks`` the columns of one matrix against
 themselves (``correlated_components``). It keeps only each tile's hits, so
 its memory is bounded by the tile, not by the product of the row counts.
-Rows are centered first: the uncentered single-pass form
+Rows are centered first, by ``center_rows``: the uncentered single-pass form
 (sum x^2 - (sum x)^2 / n) cancels catastrophically on raw intensities
 (Chan, Golub & LeVeque 1983). The scan is looked up as a module attribute
 at call time, so a tracer that replaces it sees every call.
@@ -79,10 +79,19 @@ def row_exponents(*blocks: np.ndarray) -> np.ndarray | None:
     return scale
 
 
-def _live_rows(x: np.ndarray) -> _Side:
-    """The rows of ``x`` that have at least 3 finite cells and vary over
-    them (``varying``), each standardized over those cells after scaling
-    by ``row_exponents`` of its finite cells."""
+class Centered(NamedTuple):
+    values: np.ndarray  # the rows, scaled by row_exponents, non-finite cells as they were
+    present: np.ndarray  # their finite cells
+    centered: np.ndarray  # centered on the mean of their finite cells, zero elsewhere
+    sq: np.ndarray  # sum of squares of each centered row
+    k: np.ndarray  # finite cells per row
+    varying: np.ndarray  # rows that vary over their finite cells (``varying``)
+
+
+def center_rows(x: np.ndarray) -> Centered:
+    """The one row rule, of the scan (``_live_rows``), the z-score step and
+    the pipeline fit: each row of ``x`` over its finite cells, scaled by
+    ``row_exponents`` of them and centered on their mean."""
     x = np.asarray(x, dtype=np.float64)
     present = np.isfinite(x)
     holes = not present.all()
@@ -96,7 +105,14 @@ def _live_rows(x: np.ndarray) -> _Side:
     if holes:
         z *= present
     sq = (z * z).sum(axis=1)
-    ok = (k >= 3) & varying(sq, raw, k)
+    return Centered(x, present, z, sq, k, varying(sq, raw, k))
+
+
+def _live_rows(x: np.ndarray) -> _Side:
+    """The rows of ``center_rows(x)`` that have at least 3 finite cells and
+    vary over them, scaled to unit norm, complete ones first."""
+    x, present, z, sq, k, live = center_rows(x)
+    ok = (k >= 3) & live
     z /= np.sqrt(np.where(ok, sq, 1.0))[:, None]
     complete = ok & (k == x.shape[1])
     rows = np.concatenate([np.flatnonzero(complete), np.flatnonzero(ok & ~complete)])

@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .core import GroupLabel, LabeledMatrix, SignatureList
 from .signature import select_top_genes
 
@@ -135,7 +136,12 @@ def _neighbor_scorer(
     ):
         return reference
 
+    # |t| does not change when a row is scaled by a power of two, and its
+    # squares then neither over- nor underflow
     x = panel.values
+    exponents = _kernels.row_exponents(x)
+    if exponents is not None:
+        x = np.ldexp(x, exponents)
     n_genes = panel.n_features
     mu = x.mean(axis=1, keepdims=True)
     xc = x - mu

@@ -309,7 +309,9 @@ def predict(train: LabeledMatrix, test: LabeledMatrix, k: int) -> Predictions:
     metagene's feature direction u0, and a probit of the training classes
     (``CLASS_OF``) on the training scores. A perfectly separated training
     set has no probit optimum and gives hard calls at the separating
-    threshold instead, 1 on the Sensitive training samples' side. A test
+    threshold instead, 1 on the Sensitive training samples' side. The
+    probit sees the scores scaled by one power of two, so neither the fit
+    nor the probabilities depend on the scale of the values. A test
     sample missing a signature gene is an error naming the first such
     sample and gene, in column order.
     """
@@ -326,13 +328,18 @@ def predict(train: LabeledMatrix, test: LabeledMatrix, k: int) -> Predictions:
     test_scores = (test_sub.values - train_sub.values.mean(axis=1, keepdims=True)).T @ direction
     y = np.full(train.n_samples, -1)
     y[idx1], y[idx2] = CLASS_OF[g1], CLASS_OF[g2]
-    model = fit_probit(train_scores[y >= 0], y[y >= 0])
+    # one power of two for all scores (``row_exponents`` of the training
+    # scores as one row), so the fit neither over- nor underflows
+    scale = _kernels.row_exponents(train_scores.reshape(1, -1))
+    exponent = 0 if scale is None else int(scale[0, 0])
+    model = fit_probit(np.ldexp(train_scores, exponent)[y >= 0], y[y >= 0])
+    scaled = np.ldexp(test_scores, exponent)
     if model.converged:
-        return Predictions(test_sub.sample_ids, test_scores, predict_prob(model, test_scores), False)
+        return Predictions(test_sub.sample_ids, test_scores, predict_prob(model, scaled), False)
     thr = model.separation_threshold
     if thr is None:
         raise ValueError("probit fit failed and no separating threshold exists")
-    on_class_1_side = test_scores >= thr if model.slope > 0 else test_scores <= thr
+    on_class_1_side = scaled >= thr if model.slope > 0 else scaled <= thr
     return Predictions(test_sub.sample_ids, test_scores, on_class_1_side.astype(float), True)
 
 

@@ -8,8 +8,9 @@ transformed reference: a small, auditable search instead of free-form
 program synthesis.
 
 Pipelines are value-level and row-independent; applying one never changes
-ids or labels. NaN entries propagate elementwise; z-scoring computes its
-moments over the present entries of each row.
+ids or labels. Non-finite entries pass through elementwise. The z-score
+step and the fit of ``infer_pipeline`` center rows by the kernels' one row
+rule (``_kernels.center_rows``), so both hold at any scale of the values.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class TransformError(ValueError):
 
 
 def _apply_values(m: LabeledMatrix, p: TransformPipeline) -> np.ndarray:
-    out = np.array(m.values, dtype=np.float64, copy=True)
+    out = m.values  # read-only: every step below writes a new array
     for step in p.steps:
         if step.kind == "log":  # always the first step: out still holds m.values
             bad = (out <= 0) & np.isfinite(out)
@@ -120,23 +121,16 @@ def _apply_values(m: LabeledMatrix, p: TransformPipeline) -> np.ndarray:
             out = np.log(out) / math.log(_BASES[step.param])
         elif step.kind == "zscore":
             ddof = 1 if step.param == "n-1" else 0
-            present = np.isfinite(out)
-            counts = present.sum(axis=1)
+            scaled, present, centered, sq, counts, varies = _kernels.center_rows(out)
             if (counts < 2).any():
                 i = int(np.argwhere(counts < 2)[0][0])
                 raise TransformError(
                     f"zscore needs >= 2 present values per row; feature {m.feature_ids[i]!r} has {counts[i]}"
                 )
-            with np.errstate(invalid="ignore"):
-                means = np.nanmean(out, axis=1, keepdims=True)
-                sds = np.nanstd(out, axis=1, ddof=ddof, keepdims=True)
-            # sums of squares over the present values, centered and raw
-            centered_sq = sds[:, 0] ** 2 * (counts - ddof)
-            flat = ~_kernels.varying(centered_sq, centered_sq + counts * means[:, 0] ** 2, counts)
-            if flat.any():
-                i = int(np.flatnonzero(flat)[0])
+            if not varies.all():
+                i = int(np.flatnonzero(~varies)[0])
                 raise TransformError(f"zero-variance row under zscore: feature {m.feature_ids[i]!r}")
-            out = (out - means) / sds
+            out = np.where(present, centered / np.sqrt(sq / (counts - ddof))[:, None], scaled)
         elif step.kind == "exp":
             out = np.power(_BASES[step.param], out)
         elif step.kind == "round":
@@ -164,26 +158,6 @@ def default_candidate_grid() -> list[TransformPipeline]:
     return grid
 
 
-def _mean_row_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean Pearson correlation over rows; rows that do not vary
-    (``_kernels.varying``) in either matrix are skipped. NaN when no row is
-    comparable."""
-    am = a.mean(axis=1)
-    bm = b.mean(axis=1)
-    ac = a - am[:, None]
-    bc = b - bm[:, None]
-    na_sq = (ac * ac).sum(axis=1)
-    nb_sq = (bc * bc).sum(axis=1)
-    n = a.shape[1]
-    # a row's raw sum of squares is its centered one plus n * mean^2
-    ok = _kernels.varying(na_sq, na_sq + n * am * am, n) & _kernels.varying(nb_sq, nb_sq + n * bm * bm, n)
-    if not ok.any():
-        return float("nan")
-    # single sqrt of the product keeps self-correlation exactly 1.0
-    r = (ac[ok] * bc[ok]).sum(axis=1) / np.sqrt(na_sq[ok] * nb_sq[ok])
-    return float(np.clip(r, -1.0, 1.0).mean())
-
-
 def infer_pipeline(
     query: LabeledMatrix,
     reference: LabeledMatrix,
@@ -192,7 +166,8 @@ def infer_pipeline(
     """Find the candidate pipeline that best maps reference onto query.
 
     Fit is the mean Pearson row correlation between the query and the
-    transformed reference (rows correspond by position). Ties break toward
+    transformed reference (rows correspond by position), over the rows
+    complete and varying in both (``_kernels.center_rows``). Ties break toward
     fewer steps, then earlier candidate order. Candidates whose application
     fails on the reference (e.g. log of a nonpositive value) are skipped.
     Returns (best pipeline, fit, max abs residual of the best candidate).
@@ -204,6 +179,8 @@ def infer_pipeline(
         raise ValueError(
             f"shape mismatch: query {query.values.shape} vs reference {reference.values.shape}"
         )
+    q = _kernels.center_rows(query.values)
+    q_fits = q.varying & (q.k == query.values.shape[1])
     best: tuple[float, int, int] | None = None  # (-fit, n_steps, position)
     best_pipe: TransformPipeline | None = None
     best_vals: np.ndarray | None = None
@@ -212,9 +189,13 @@ def infer_pipeline(
             transformed = _apply_values(reference, cand)
         except TransformError:
             continue
-        fit = _mean_row_correlation(query.values, transformed)
-        if math.isnan(fit):
+        t = _kernels.center_rows(transformed)
+        ok = q_fits & t.varying & (t.k == transformed.shape[1])
+        if not ok.any():
             continue
+        # single sqrt of the product keeps self-correlation exactly 1.0
+        r = (q.centered[ok] * t.centered[ok]).sum(axis=1) / np.sqrt(q.sq[ok] * t.sq[ok])
+        fit = float(np.clip(r, -1.0, 1.0).mean())
         key = (-fit, len(cand), pos)
         if best is None or key < best:
             best = key

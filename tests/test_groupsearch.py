@@ -113,6 +113,8 @@ def _panel(kind):
     copies = tuple(f"copy{i}" for i in range(k))
     if kind == "raw":  # unlogged intensities around 2**12
         x = 2.0 ** (12.0 + x)
+    elif kind in ("huge", "tiny"):  # squares that over- or underflow unless each row is rescaled
+        x = np.ldexp(x, 700 if kind == "huge" else -700)
     elif kind == "ties":  # with k odd the k-th gene ties with its copy
         x, fids, k = np.round(np.vstack([x, x[:k]]), 1), fids + copies, 21
     elif kind == "near-ties":  # shifted copies: equal t, computed a few ulps apart
@@ -213,6 +215,8 @@ def _states(truth):
         ("verified-2041", "none"),
         ("verified-2026", "none"),
         ("raw", "none"),
+        ("huge", "none"),
+        ("tiny", "none"),
         ("ties", "some"),
         ("near-ties", "some"),
         ("constant", "scorable"),
@@ -247,6 +251,19 @@ def test_batched_neighbor_scores_match_reference(kind, fallback, monkeypatch):
             assert len(calls) == len(moves)
         elif current.state == truth:
             assert 0 < len(calls) <= n_scorable
+
+
+@pytest.mark.parametrize("kind", ["huge", "tiny"])
+def test_search_does_not_depend_on_the_scale_of_the_values(kind, monkeypatch):
+    # |t| does not change when a row is scaled by a power of two, so the
+    # scaled panel keeps the batched path: the start is its one reference call
+    unit, truth, target, k = _panel("planted")
+    start = _states(truth)[1]
+    want = steepest_ascent(start, unit, target, k)
+    calls = _count_reference_calls(monkeypatch)
+    result = steepest_ascent(start, _panel(kind)[0], target, k)
+    assert result == want and repr(result) == repr(want)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@ the runner (``audit``) is the one module that builds a ``Finding``, the
 command line (``cli``) is the one module that parses arguments, no module
 depends on the command line, ingest is the one module that hands text to
 numpy's text readers, the detectors reach correlations only through the
-one scan of the kernels, and no module imports scipy (numpy is the one
-runtime dependency)."""
+one scan of the kernels, rows are centered one way (``_kernels.center_rows``,
+never numpy's NaN-aware moments), and no module imports scipy (numpy is the
+one runtime dependency)."""
 
 import ast
 from pathlib import Path
@@ -79,10 +80,13 @@ def test_detectors_reach_correlations_only_through_the_one_scan():
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_kernels"
         }
 
-    assert {name: kernel_names(name) for name in ("dupscan.py", "integrity.py", "matchscan.py")} == {
+    # and the transform layer centers rows by the scan's own row rule
+    names = ("dupscan.py", "integrity.py", "matchscan.py", "transform.py")
+    assert {name: kernel_names(name) for name in names} == {
         "dupscan.py": {"correlated_components"},
         "integrity.py": {"correlated_components"},
         "matchscan.py": {"cross_row_correlations"},
+        "transform.py": {"center_rows"},
     }
     assert _modules_where(lambda node: any("_kernels." in name for name in _imported(node))) == set()
 
@@ -95,3 +99,13 @@ def test_no_module_calls_corrcoef():
         )
 
     assert _modules_where(calls_corrcoef) <= {"_kernels.py"}
+
+
+def test_no_module_calls_nan_aware_moments():
+    # a row's moments over its finite cells come from _kernels.center_rows
+    def calls_nan_moments(node):
+        return isinstance(node, ast.Call) and bool(
+            {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & {"nanmean", "nanstd", "nanvar"}
+        )
+
+    assert _modules_where(calls_nan_moments) == set()

@@ -368,6 +368,27 @@ def test_predict_probabilities_are_scipy_ndtr_of_the_fitted_probit(shift):
     np.testing.assert_allclose(pred.probabilities, oracle, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("exponent", [0, 700, -700])
+def test_predict_does_not_depend_on_the_scale_of_the_values(exponent):
+    # the probit is fitted on the training scores scaled by one power of
+    # two; unscaled, scores near 2**700 overflow in the Newton step and
+    # scores near 2**-700 leave it a singular Hessian
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal((40, 16))
+    values[:5, :8] += 1.0
+    test_values = rng.standard_normal((40, 6))
+
+    def predicted(e):
+        train = _two_group_matrix(np.ldexp(values, e), 8)
+        test = LabeledMatrix(train.feature_ids, tuple(f"t{j}" for j in range(6)), np.ldexp(test_values, e))
+        return predict(train, test, 5)
+
+    unit, pred = predicted(0), predicted(exponent)
+    assert not pred.hard_calls and not unit.hard_calls
+    np.testing.assert_allclose(pred.probabilities, unit.probabilities, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.ldexp(pred.scores, -exponent), unit.scores, rtol=1e-12, atol=0)
+
+
 # --- ROC / AUC ------------------------------------------------------------
 
 

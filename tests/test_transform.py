@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,10 +97,14 @@ def test_infer_identity_wins_on_equal_query(small_matrix):
     # constant first rows (0.1 and 0.3 do not round exactly) are skipped, not
     # scored on the rounding noise of their means
     ramp = np.arange(12.0)
-    for query, reference in ((small_matrix, small_matrix), (_matrix([[0.1] * 12, ramp]), _matrix([[0.3] * 12, ramp]))):
-        best, fit, _ = infer_pipeline(query, reference, candidates)
-        assert best.steps == ()
-        assert fit == 1.0
+    # at 2**700 a row's squares overflow and at 2**-700 they underflow,
+    # unless the row is first scaled by a power of two
+    for exponent in (0, 700, -700):
+        for query, reference in ((small_matrix.values, small_matrix.values), ([[0.1] * 12, ramp], [[0.3] * 12, ramp])):
+            query, reference = (_matrix(np.ldexp(np.asarray(x, dtype=float), exponent)) for x in (query, reference))
+            best, fit, _ = infer_pipeline(query, reference, candidates)
+            assert best.steps == ()
+            assert fit == 1.0
 
 
 def test_infer_permuted_rows_scores_low():
@@ -118,6 +123,10 @@ def test_infer_permuted_rows_scores_low():
     _, fit, _ = infer_pipeline(query, ref, [TransformPipeline(())])
     assert fit < 0.5
     assert abs(fit - np.mean(oracle)) < 1e-12
+    # a power-of-two scale of every row leaves the fit's bits as they are
+    for exponent in (700, -700):
+        scaled = (_matrix(np.ldexp(m.values, exponent)) for m in (query, ref))
+        assert infer_pipeline(*scaled, [TransformPipeline(())])[1] == fit
 
 
 def test_infer_empty_candidates_and_shape_mismatch(small_matrix):
@@ -151,7 +160,56 @@ def test_round_two_keeps_fit_above_threshold_when_sd_large():
 
 
 def test_nan_propagates_and_zscore_uses_present_values():
-    vals = np.array([[1.0, 2.0, 3.0, np.nan]])
-    out = apply_pipeline(_matrix(vals), TransformPipeline((zscore_step("n-1"),)))
-    assert np.isnan(out.values[0, 3])
-    np.testing.assert_allclose(out.values[0, :3], [-1.0, 0.0, 1.0])
+    # an infinite cell is not present either: it passes through as it is
+    for exponent in (0, 700, -700):
+        vals = np.ldexp([[1.0, 2.0, 3.0, np.nan], [-np.inf, 1.0, 2.0, 3.0]], exponent)
+        out = apply_pipeline(_matrix(vals), TransformPipeline((zscore_step("n-1"),)))
+        assert np.isnan(out.values[0, 3]) and out.values[1, 0] == -np.inf
+        np.testing.assert_array_equal(out.values[0, :3], [-1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(out.values[1, 1:], [-1.0, 0.0, 1.0])
+
+
+def _nan_moment_zscore(x, ddof):
+    """Independent oracle: the z-score by numpy's NaN-aware moments."""
+    return (x - np.nanmean(x, axis=1, keepdims=True)) / np.nanstd(x, axis=1, ddof=ddof, keepdims=True)
+
+
+def _panel_with_holes(seed, exponent=0):
+    """Raw-intensity-like rows of several scales, 10% NaN, each row with at
+    least two present values, times 2**exponent."""
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.standard_normal((40, 12)) * rng.uniform(0.1, 3.0, (40, 1)) + rng.uniform(-5.0, 10.0, (40, 1)))
+    holes = rng.random(values.shape) < 0.1
+    holes[:, :2] = False
+    values[holes] = np.nan
+    return np.ldexp(values, exponent)
+
+
+@pytest.mark.parametrize("denominator,ddof", [("n-1", 1), ("n", 0)])
+def test_zscore_equals_the_nan_aware_moments_bit_for_bit(denominator, ddof):
+    for seed in range(10):
+        values = _panel_with_holes(seed)
+        out = apply_pipeline(_matrix(values), TransformPipeline((zscore_step(denominator),))).values
+        assert out.tobytes() == _nan_moment_zscore(values, ddof).tobytes()
+
+
+@pytest.mark.parametrize("exponent", [700, -700])
+def test_zscore_and_fit_do_not_depend_on_the_scale_of_the_rows(exponent):
+    # every row scaled by 2**exponent: the squares of the values over- or
+    # underflow unless the row is first scaled back by a power of two
+    unit, scaled = _matrix(_panel_with_holes(3)), _matrix(_panel_with_holes(3, exponent))
+    noisy = np.random.default_rng(4).standard_normal(unit.values.shape)
+    candidates = [TransformPipeline(()), TransformPipeline((zscore_step("n-1"),)), TransformPipeline((zscore_step("n"),))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for denominator in ("n-1", "n"):
+            pipe = TransformPipeline((zscore_step(denominator),))
+            assert apply_pipeline(scaled, pipe).values.tobytes() == apply_pipeline(unit, pipe).values.tobytes()
+        query = _matrix(unit.values + np.ldexp(noisy, -8))
+        # z-scored queries: the residual of a z-score is free of the scale too
+        best, fit, residual = infer_pipeline(apply_pipeline(scaled, candidates[2]), scaled, candidates[1:])
+        assert (best, fit, residual) == infer_pipeline(apply_pipeline(unit, candidates[2]), unit, candidates[1:])
+        best, fit, residual = infer_pipeline(_matrix(np.ldexp(query.values, exponent)), scaled, candidates)
+        want = infer_pipeline(query, unit, candidates)
+        assert (best, fit, residual) == (want[0], want[1], np.ldexp(want[2], exponent))
+        assert infer_pipeline(scaled, scaled, candidates[:1]) == (candidates[0], 1.0, 0.0)

@@ -215,40 +215,35 @@ def cross_row_correlations(
     return live, [ri[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
-def connected_components(adjacency: np.ndarray) -> list[list[int]]:
-    """Connected components of a symmetric boolean adjacency matrix,
-    singletons included: ordered by smallest member, members ascending."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        members = []
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            new = np.flatnonzero(adjacency[v] & ~seen)
-            seen[new] = True
-            stack.extend(new.tolist())
-        comps.append(sorted(members))
-    return comps
-
-
 def correlated_components(values: np.ndarray, threshold: float) -> tuple[list[list[int]], np.ndarray]:
-    """The components of size >= 2 (as ``connected_components`` orders
-    them) of the graph joining two columns of ``values`` when either is a
-    hit of the other in the scan of the columns against themselves, and
-    the mask of the columns that are not live there. It needs 2 columns
-    and 3 rows: over two, every correlation is +-1."""
+    """The components of size >= 2, ordered by smallest member with members
+    ascending, of the graph joining two columns of ``values`` when either
+    is a hit of the other in the scan of the columns against themselves,
+    and the mask of the columns that are not live there. It needs 2 columns
+    and 3 rows: over two, every correlation is +-1.
+
+    Each column's label starts as its own index and takes the smallest
+    label across its hit pairs, in both directions, and the label of its
+    label, until none changes: then a component's label is its smallest
+    member."""
     x = np.asarray(values, dtype=np.float64)
     if x.shape[1] < 2 or x.shape[0] < 3:
         raise ValueError(f"a correlation scan needs at least 3 features and 2 samples, got {x.shape[0]} x {x.shape[1]}")
     cols = x.T
     live, hits = cross_row_correlations(cols, cols, threshold)
-    adj = np.zeros((len(hits), len(hits)), dtype=bool)
-    adj[np.repeat(np.arange(len(hits)), [len(h) for h in hits]), np.concatenate(hits)] = True
-    adj |= adj.T
-    return [c for c in connected_components(adj) if len(c) >= 2], ~live
+    a = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
+    b = np.concatenate(hits)
+    a, b = np.concatenate([a, b]), np.concatenate([b, a])
+    label = np.arange(len(hits))
+    while True:
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    # columns by label, each label's in column order, from its first column
+    order = np.argsort(label, kind="stable")
+    sizes = np.bincount(label, minlength=len(label))
+    starts = np.cumsum(sizes) - sizes
+    return [order[s : s + c].tolist() for s, c in zip(starts.tolist(), sizes.tolist()) if c >= 2], ~live

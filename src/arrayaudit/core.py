@@ -61,10 +61,11 @@ class LabeledMatrix:
     """Numeric feature x sample matrix with ids and optional group labels.
 
     ``values`` is coerced to a read-only float64 array of shape
-    (n_features, n_samples). Missing entries are NaN. The constructor is
-    deliberately permissive (duplicate ids, dangling labels are allowed so
-    that defective files can be represented); ``validate`` reports such
-    states as violations.
+    (n_features, n_samples): a read-only float64 array that owns its data
+    is taken as it is, any other input is copied. Missing entries are NaN.
+    The constructor is deliberately permissive (duplicate ids, dangling
+    labels are allowed so that defective files can be represented);
+    ``validate`` reports such states as violations.
     """
 
     feature_ids: tuple[str, ...]
@@ -75,10 +76,12 @@ class LabeledMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "feature_ids", tuple(self.feature_ids))
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        vals = np.array(self.values, dtype=np.float64, copy=True)
+        vals = self.values
+        if not (type(vals) is np.ndarray and vals.dtype == np.float64 and vals.flags.owndata and not vals.flags.writeable):
+            vals = np.array(vals, dtype=np.float64, copy=True)
+            vals.setflags(write=False)
         if vals.ndim != 2:
             raise ValueError(f"values must be 2-D, got ndim={vals.ndim}")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if self.labels is not None:
             object.__setattr__(self, "labels", dict(self.labels))

@@ -1,18 +1,17 @@
 """Steepest-ascent search over sensitive/resistant/unused assignments of
-panel cell lines, scored by overlap between the gene list a generator
-derives from the assignment and a reported target list.
+panel cell lines, scored by overlap between the top-k gene list that
+``signature.select_top_genes`` derives from the assignment and a reported
+target list.
 
 This reconstructs which lines a reported signature was actually built
 from: start from a guess, try every single-line state change, take the
 strictly best one, repeat until no change helps. Strict improvement only,
 so the search always terminates; a move budget of 10 * n_lines guards
-against pathological generators.
+against pathological score landscapes.
 
-With the default generator, all neighbors of a step are scored at once
-(``_neighbor_scorer``). A neighbor whose batched score is not certified
-equal to the reference ``score_assignment`` is scored by it, as is every
-neighbor for any other generator, or for a panel with missing or infinite
-values or duplicate feature ids.
+All neighbors of a step are scored at once (``_neighbor_scorer``), on
+every panel. A neighbor whose batched score is not certified equal to the
+reference ``score_assignment`` is scored by it.
 """
 
 from __future__ import annotations
@@ -22,14 +21,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, signature
 from .core import GroupLabel, LabeledMatrix, SignatureList
-from .signature import select_top_genes
 
 #: Neighbor states in tie-break order.
 SEARCH_STATES = (GroupLabel.RESISTANT, GroupLabel.SENSITIVE, GroupLabel.UNUSED)
-
-Generator = Callable[[LabeledMatrix, int], SignatureList]
 
 
 @dataclass(frozen=True)
@@ -71,19 +67,14 @@ def _restrict_panel(panel: LabeledMatrix, a: Assignment) -> LabeledMatrix:
     return sub.with_labels(labels)
 
 
-def score_assignment(
-    a: Assignment,
-    panel: LabeledMatrix,
-    target: SignatureList,
-    k: int,
-    generator: Generator = select_top_genes,
-) -> int:
-    """Number of generated gene ids that hit the target list."""
+def score_assignment(a: Assignment, panel: LabeledMatrix, target: SignatureList, k: int) -> int:
+    """Number of distinct ids among the top-k genes of ``a`` that hit the
+    target list."""
     if not a.scorable():
         raise UnscorableAssignmentError(
             "assignment needs >= 2 Sensitive and >= 2 Resistant lines"
         )
-    generated = generator(_restrict_panel(panel, a), k)
+    generated = signature.select_top_genes(_restrict_panel(panel, a), k)
     return len(set(generated.feature_ids) & set(target.feature_ids))
 
 
@@ -109,36 +100,20 @@ _TINY = np.finfo(np.float64).tiny
 MoveList = Sequence[tuple[str, GroupLabel]]
 
 
-def _neighbor_scorer(
-    panel: LabeledMatrix, target: SignatureList, k: int, generator: Generator
-) -> Callable[[Assignment, MoveList], list[int]]:
+def _neighbor_scorer(panel: LabeledMatrix, target: SignatureList, k: int) -> Callable[[Assignment, MoveList], list[int]]:
     """Scores of ``current.replace(line, state)`` for each move, equal to
-    ``score_assignment`` with unscorable or generator-failing neighbors at -1.
+    ``score_assignment`` with the neighbors it rejects at -1, on any panel.
 
-    Moves are batched when the generator is ``select_top_genes``, the
-    feature ids are unique (overlap is counted as a set) and every panel
-    value is finite; otherwise each neighbor goes through the reference.
+    Columns that hold a missing or infinite value are left out of the
+    group sums: a neighbor that puts one into a group scores -1, since
+    ``select_top_genes`` raises on it. The overlap counts distinct feature
+    ids, as ``score_assignment`` counts a set. A neighbor whose top-k set
+    is not certified goes through ``score_assignment``.
     """
-
-    def reference(current: Assignment, moves: MoveList) -> list[int]:
-        scores = []
-        for line, state in moves:
-            try:
-                scores.append(score_assignment(current.replace(line, state), panel, target, k, generator))
-            except ValueError:  # includes UnscorableAssignmentError
-                scores.append(-1)
-        return scores
-
-    if (
-        generator is not select_top_genes
-        or len(set(panel.feature_ids)) != panel.n_features
-        or not np.isfinite(panel.values).all()
-    ):
-        return reference
-
+    finite = np.isfinite(panel.values).all(axis=0)
     # |t| does not change when a row is scaled by a power of two, and its
     # squares then neither over- nor underflow
-    x = panel.values
+    x = panel.values[:, finite]
     exponents = _kernels.row_exponents(x)
     if exponents is not None:
         x = np.ldexp(x, exponents)
@@ -149,10 +124,16 @@ def _neighbor_scorer(
     centered = np.ascontiguousarray(xc.T)
     squares = centered * centered
     scale = np.abs(x).max(axis=1) + np.abs(mu[:, 0])  # >= |x| and >= |x - mu|
+    # a target gene's code is the first row of its id, any other gene's -1:
+    # a neighbor's overlap is its number of distinct codes >= 0
     wanted = set(target.feature_ids)
-    hits = np.array([fid in wanted for fid in panel.feature_ids])
+    first: dict[str, int] = {}
+    codes = np.array([first.setdefault(fid, i) if fid in wanted else -1 for i, fid in enumerate(panel.feature_ids)])
     line_index = {line: i for i, line in enumerate(dict.fromkeys(panel.sample_ids))}
     col_line = np.array([line_index[sid] for sid in panel.sample_ids])
+    holed = np.zeros(len(line_index), dtype=bool)  # lines with a non-finite cell
+    holed[col_line[~finite]] = True
+    col_line = col_line[finite]
 
     def batched(current: Assignment, moves: MoveList) -> list[int]:
         states = [current.state[line] for line in line_index]
@@ -164,14 +145,18 @@ def _neighbor_scorer(
         # Assignment.scorable counts lines, not columns
         n_s = is_s.sum() - is_s[move_line] + to_s
         n_r = is_r.sum() - is_r[move_line] + to_r
+        # select_top_genes raises on a group that holds a holed line
+        grouped_holed = (is_s | is_r) & holed
+        n_holed = grouped_holed.sum() - grouped_holed[move_line] + ((to_s | to_r) & holed[move_line])
         scores = np.full(len(moves), -1)
-        cols = np.flatnonzero((n_s >= 2) & (n_r >= 2))
+        cols = np.flatnonzero((n_s >= 2) & (n_r >= 2) & (n_holed == 0))
         moved = col_line[:, None] == move_line[None, cols]
         in_s = np.where(moved, to_s[cols], is_s[col_line][:, None])
         in_r = np.where(moved, to_r[cols], is_r[col_line][:, None])
         t, err, holds = _batched_abs_t(centered, squares, scale, in_s, in_r)
         top = np.argpartition(t, n_genes - k, axis=1)[:, n_genes - k:]
-        scores[cols] = hits[top].sum(axis=1)
+        chosen = np.sort(codes[top], axis=1)
+        scores[cols] = ((chosen >= 0) & (np.diff(chosen, axis=1, prepend=-1) != 0)).sum(axis=1)
         # certified: every chosen gene's |t| - err exceeds every other
         # gene's |t| + err, so the reference picks the same top-k set
         # whatever its rounding and tie-break
@@ -180,7 +165,7 @@ def _neighbor_scorer(
         np.put_along_axis(upper, top, -np.inf, axis=1)
         certified = holds & (lowest_chosen > upper.max(axis=1))
         for i in cols[~certified]:
-            scores[i] = reference(current, [moves[i]])[0]
+            scores[i] = score_assignment(current.replace(*moves[i]), panel, target, k)
         return scores.tolist()
 
     return batched
@@ -256,21 +241,16 @@ def _batched_abs_t(
     return t, err, holds
 
 
-def steepest_ascent(
-    start: Assignment,
-    panel: LabeledMatrix,
-    target: SignatureList,
-    k: int,
-    generator: Generator = select_top_genes,
-) -> SearchResult:
+def steepest_ascent(start: Assignment, panel: LabeledMatrix, target: SignatureList, k: int) -> SearchResult:
     """Greedy local search over single-line state changes.
 
     Every step evaluates all 2N neighbors (N panel lines times the 2
     states each line is not currently in) and moves to the strictly best
     one; ties break by lower line index in panel order, then by state
-    order Resistant < Sensitive < Unused. Unscorable or generator-failing
-    neighbors score -1 and can never be selected over a valid state; an
-    unscorable or generator-failing start raises instead. Panel lines the
+    order Resistant < Sensitive < Unused. Neighbors that are unscorable or
+    whose gene ranking fails (a missing or infinite value in a group) score
+    -1 and can never be selected over a valid state; such a start raises
+    instead. Panel lines the
     start omits begin Unused; a start line the panel lacks raises ValueError.
     """
     lines = list(panel.sample_ids)
@@ -279,9 +259,9 @@ def steepest_ascent(
     if missing is not None:
         raise ValueError(f"start line {missing!r} is not a line of the panel")
     current = Assignment({line: start.state.get(line, GroupLabel.UNUSED) for line in lines})
-    current_score = score_assignment(current, panel, target, k, generator)
+    current_score = score_assignment(current, panel, target, k)
     start_score = current_score
-    score_moves = _neighbor_scorer(panel, target, k, generator)
+    score_moves = _neighbor_scorer(panel, target, k)
     trajectory: list[Move] = []
     neighbors_per_step: list[int] = []
     budget = 10 * len(lines)

@@ -431,6 +431,7 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
         raise ParseError("matrix has no feature rows")
     if rests:
         convert()
+    values.setflags(write=False)  # the matrix takes it over without a copy
     return LabeledMatrix(tuple(first_row), tuple(sample_ids), values, labels)
 
 

@@ -170,7 +170,9 @@ def infer_pipeline(
     complete and varying in both (``_kernels.center_rows``). Ties break toward
     fewer steps, then earlier candidate order. Candidates whose application
     fails on the reference (e.g. log of a nonpositive value) are skipped.
-    Returns (best pipeline, fit, max abs residual of the best candidate).
+    Returns (best pipeline, fit, max abs residual of the best candidate):
+    the residual is taken over the cells both hold, is inf when it exceeds
+    the float range, and NaN when no cell is held by both.
     """
     cands = list(candidates)
     if not cands:
@@ -203,6 +205,7 @@ def infer_pipeline(
             best_vals = transformed
     if best_pipe is None or best_vals is None or best is None:
         raise ValueError("no candidate pipeline was applicable to the reference")
-    diff = np.abs(query.values - best_vals)
-    residual = float(np.nanmax(diff)) if np.isfinite(diff).any() else float("nan")
+    with np.errstate(over="ignore"):  # a residual beyond the float range is inf
+        diff = np.abs(query.values - best_vals)
+    residual = float("nan") if np.isnan(diff).all() else float(np.nanmax(diff))
     return best_pipe, -best[0], residual

@@ -48,6 +48,20 @@ def test_values_are_read_only(small_matrix):
         small_matrix.values[0, 0] = 99.0
 
 
+def test_values_are_shared_when_read_only_and_owned_and_copied_otherwise(small_matrix):
+    labeled = small_matrix.with_labels({small_matrix.sample_ids[0]: GroupLabel.SENSITIVE})
+    assert np.shares_memory(labeled.values, small_matrix.values)
+    writable = np.zeros((3, 3))
+    m = LabeledMatrix(("A", "B", "C"), ("S1", "S2", "S3"), writable)
+    writable[0, 0] = 99.0
+    assert m.values[0, 0] == 0.0 and not m.values.flags.writeable
+    view = writable[:, ::-1]  # read-only, but its base is writable
+    view.setflags(write=False)
+    m = LabeledMatrix(("A", "B", "C"), ("S1", "S2", "S3"), view)
+    writable[1, 1] = 7.0
+    assert not np.shares_memory(m.values, writable) and m.values[1, 1] == 0.0
+
+
 def test_extract_submatrix_preserves_signature_order(small_matrix):
     sub, absent = extract_submatrix(small_matrix, SignatureList(("B", "C")))
     assert sub.feature_ids == ("B", "C")

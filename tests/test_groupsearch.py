@@ -13,7 +13,7 @@ from arrayaudit.groupsearch import (
     score_assignment,
     steepest_ascent,
 )
-from arrayaudit.signature import pooled_t, select_top_genes
+from arrayaudit.signature import pooled_t
 
 S = GroupLabel.SENSITIVE
 R = GroupLabel.RESISTANT
@@ -150,7 +150,7 @@ def _oracle_score(a, panel, target, k):
         return -1
 
 
-@pytest.mark.parametrize("kind", ["planted", "raw", "ties"])
+@pytest.mark.parametrize("kind", ["planted", "raw", "ties", "nan", "duplicate-ids"])
 def test_moves_match_exhaustive_neighbor_oracle(kind):
     panel, truth, target, k = _panel(kind)
     lines = list(panel.sample_ids)
@@ -221,8 +221,8 @@ def _states(truth):
         ("near-ties", "some"),
         ("constant", "scorable"),
         ("near-constant", "scorable"),
-        ("nan", "every"),
-        ("duplicate-ids", "every"),
+        ("nan", "none"),
+        ("duplicate-ids", "none"),
         ("k-all", "none"),
         ("four-lines", "none"),
     ],
@@ -234,23 +234,46 @@ def test_batched_neighbor_scores_match_reference(kind, fallback, monkeypatch):
         k = 20
     else:
         panel, truth, target, k = _panel(kind)
-    score_moves = groupsearch._neighbor_scorer(panel, target, k, select_top_genes)
+    score_moves = groupsearch._neighbor_scorer(panel, target, k)
     for current in _states(truth):
         moves = [(l, st) for l in panel.sample_ids for st in SEARCH_STATES if st != current.state[l]]
         want = [_oracle_score(current.replace(l, st), panel, target, k) for l, st in moves]
         calls = _count_reference_calls(monkeypatch)
         assert score_moves(current, moves) == want
         monkeypatch.undo()
-        # neighbors the reference scored: none, some, every scorable one, or all
+        # neighbors the reference scored: none, some or every scorable one
         n_scorable = sum(1 for l, st in moves if current.replace(l, st).scorable())
         if fallback == "none":
             assert calls == []
         elif fallback == "scorable":
             assert len(calls) == n_scorable
-        elif fallback == "every":
-            assert len(calls) == len(moves)
         elif current.state == truth:
             assert 0 < len(calls) <= n_scorable
+
+
+def test_batched_neighbor_scores_match_reference_on_holed_panels_with_repeated_ids(monkeypatch):
+    # 50 seeded panels, each with 1-4 NaN or +/-inf cells and 1-7 ids
+    # repeated: the one batched path scores every neighbor by itself
+    for seed in range(50):
+        rng = np.random.default_rng(5000 + seed)
+        panel, truth, target = fx.planted_panel(seed, 6, 6, 5, n_noise=40, k=10)
+        x, fids = panel.values.copy(), list(panel.feature_ids)
+        for _ in range(rng.integers(1, 5)):
+            x[rng.integers(x.shape[0]), rng.integers(x.shape[1])] = rng.choice([np.nan, np.inf, -np.inf])
+        for _ in range(rng.integers(1, 8)):
+            i, j = rng.integers(len(fids), size=2)
+            fids[i] = fids[j]
+        panel = LabeledMatrix(tuple(fids), panel.sample_ids, x)
+        score_moves = groupsearch._neighbor_scorer(panel, target, 10)
+        lines = list(panel.sample_ids)
+        for state in [truth] + [{l: SEARCH_STATES[rng.integers(3)] for l in lines} for _ in range(2)]:
+            current = Assignment(state)
+            moves = [(l, st) for l in lines for st in SEARCH_STATES if st != state[l]]
+            want = [_oracle_score(current.replace(l, st), panel, target, 10) for l, st in moves]
+            calls = _count_reference_calls(monkeypatch)
+            assert score_moves(current, moves) == want, f"seed {seed}"
+            monkeypatch.undo()
+            assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["huge", "tiny"])
@@ -296,17 +319,6 @@ def test_batched_t_is_within_its_error_bound_of_pooled_t(kind, tolerance):
             assert (err[i] <= tolerance * np.maximum(t[i], 1.0)).all()
 
 
-def test_custom_generator_gives_the_default_result():
-    def wrapped(sub, k):
-        return select_top_genes(sub, k)
-
-    for kind in ("planted", "raw", "ties"):
-        panel, truth, target, k = _panel(kind)
-        for start in _states(truth)[1:]:
-            default = steepest_ascent(start, panel, target, k)
-            assert steepest_ascent(start, panel, target, k, wrapped) == default
-
-
 def test_search_is_deterministic():
     panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=10)
     start = dict(truth)
@@ -346,26 +358,15 @@ def test_start_with_k_beyond_gene_count_raises():
         steepest_ascent(Assignment(truth), panel, target, panel.n_features + 1)
 
 
-def test_failing_generator_raises_at_start_but_scores_neighbors_minus_one():
-    panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=8)
-    start = Assignment(truth)
-    calls = []
-
-    def only_the_start(sub, k):
-        calls.append(sub.sample_ids)
-        if len(calls) > 1:
-            raise ValueError("generator failure")
-        return select_top_genes(sub, k)
-
-    result = steepest_ascent(start, panel, target, 8, only_the_start)
-    assert result.start_score == 8 and result.trajectory == ()
-    assert result.neighbors_per_step == (2 * panel.n_samples,)
-
-    def never(sub, k):
-        raise ValueError("generator failure")
-
-    with pytest.raises(ValueError, match="generator failure"):
-        steepest_ascent(start, panel, target, 8, never)
+def test_nan_line_raises_at_start_but_scores_neighbors_minus_one():
+    panel, truth, target, k = _panel("nan")
+    line = panel.sample_ids[0]  # Sensitive in the truth, with a NaN cell
+    with pytest.raises(ValueError, match=r"^gene ranking requires complete .* gene 'g3' is missing in sample 'CL01'$"):
+        steepest_ascent(Assignment(truth), panel, target, k)
+    start = Assignment(truth).replace(line, U)
+    assert groupsearch._neighbor_scorer(panel, target, k)(start, [(line, S), (line, R)]) == [-1, -1]
+    result = steepest_ascent(start, panel, target, k)
+    assert result.start_score > 0 and result.final.state[line] == U
 
 
 def _long_induced_path(n_lines=6, rng_seed=50):
@@ -408,32 +409,26 @@ def _long_induced_path(n_lines=6, rng_seed=50):
         pathset.add(path[-1])
 
 
-def test_move_budget_exceeded_returns_partial_trajectory():
+def test_move_budget_exceeded_returns_partial_trajectory(monkeypatch):
     path = _long_induced_path()
     n_lines = 6
     budget = 10 * n_lines
     assert len(path) - 1 > budget  # enough improving moves to exhaust it
     lines = [f"L{i}" for i in range(n_lines)]
     index_of = {state: i for i, state in enumerate(path)}
-    target = SignatureList(tuple(f"g{i}" for i in range(len(path))))
 
-    def mock_generator(sub, k):
-        # reconstruct the full assignment: panel lines absent from the
-        # restricted submatrix are Unused
-        state = []
-        labels = sub.labels or {}
-        for line in lines:
-            state.append(labels.get(line, U))
-        idx = index_of.get(tuple(state), -1)
-        if idx < 1:
-            return SignatureList(("off-target",))
-        return SignatureList(tuple(f"g{i}" for i in range(idx)))
+    def path_score(a, *_):
+        # the assignment's index on the path, 0 off it, -1 when unscorable
+        return index_of.get(tuple(a.state[line] for line in lines), 0) if a.scorable() else -1
 
-    from arrayaudit.core import LabeledMatrix
+    def path_scorer(*_):
+        return lambda current, moves: [path_score(current.replace(*move)) for move in moves]
 
+    monkeypatch.setattr(groupsearch, "score_assignment", path_score)
+    monkeypatch.setattr(groupsearch, "_neighbor_scorer", path_scorer)
     panel = LabeledMatrix(("f0", "f1", "f2"), tuple(lines), np.zeros((3, n_lines)))
     start = Assignment({line: st for line, st in zip(lines, path[0])})
-    result = steepest_ascent(start, panel, target, len(path), generator=mock_generator)
+    result = steepest_ascent(start, panel, SignatureList(("f0",)), 1)
     assert result.budget_exceeded
     assert len(result.trajectory) == budget
     scores = [m.score for m in result.trajectory]

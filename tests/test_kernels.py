@@ -161,10 +161,15 @@ def test_column_correlations_routes_missing_values_to_pairwise(monkeypatch):
 
 
 def test_connected_components_order():
-    adj = np.zeros((7, 7), dtype=bool)
-    for a, b in [(5, 1), (1, 3), (6, 2)]:
-        adj[a, b] = adj[b, a] = True
-    assert _kernels.connected_components(adj) == [[0], [1, 3, 5], [2, 6], [4]]
+    # columns built from orthogonal centered Walsh rows: 5-1, 1-3 and 6-2
+    # correlate at cos 20 degrees, 5 and 3 only at cos 40 degrees, and 0 and
+    # 4 with nothing, so the chain 5-1-3 is one component
+    h = np.kron(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]), [[1, 1], [1, -1]])[1:].astype(float)
+    c, s = np.cos(np.radians(20)), np.sin(np.radians(20))
+    cols = [h[4], h[0], h[2], c * h[0] - s * h[1], h[5], c * h[0] + s * h[1], c * h[2] + s * h[3]]
+    comps, dead = _kernels.correlated_components(np.array(cols).T, 0.9)
+    assert comps == [[1, 3, 5], [2, 6]]
+    assert not dead.any()
 
 
 # --- the one hit rule: dup, blocks and match ---------------------------------------

@@ -4,8 +4,10 @@ command line (``cli``) is the one module that parses arguments, no module
 depends on the command line, ingest is the one module that hands text to
 numpy's text readers, the detectors reach correlations only through the
 one scan of the kernels, rows are centered one way (``_kernels.center_rows``,
-never numpy's NaN-aware moments), and no module imports scipy (numpy is the
-one runtime dependency)."""
+never numpy's NaN-aware moments), no module imports scipy (numpy is the
+one runtime dependency), and no ``def`` has a parameter default that is a
+bare name (a function looked up at call time can be replaced by a
+tracer)."""
 
 import ast
 from pathlib import Path
@@ -109,3 +111,15 @@ def test_no_module_calls_nan_aware_moments():
         )
 
     assert _modules_where(calls_nan_moments) == set()
+
+
+def test_no_parameter_default_is_a_bare_name():
+    # a default such as ``generator=select_top_genes`` binds the function
+    # when the module loads, out of reach of a tracer that replaces it; a
+    # lambda may still capture a loop variable that way
+    def bare_name_default(node):
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(default, ast.Name) for default in node.args.defaults + node.args.kw_defaults
+        )
+
+    assert _modules_where(bare_name_default) == set()

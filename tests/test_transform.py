@@ -129,6 +129,15 @@ def test_infer_permuted_rows_scores_low():
         assert infer_pipeline(*scaled, [TransformPipeline(())])[1] == fit
 
 
+def test_residual_near_the_top_of_the_float_range():
+    # values of 1e307-1e308: the residual of -x against x (2e307-2e308)
+    # exceeds the float range, and is inf without an overflow warning
+    x = np.linspace(1e307, 1e308, 12).reshape(3, 4)
+    identity = [TransformPipeline(())]
+    assert infer_pipeline(_matrix(-x), _matrix(x), identity) == (identity[0], -1.0, math.inf)
+    assert infer_pipeline(_matrix(x), _matrix(0.5 * x), identity) == (identity[0], 1.0, 5e307)
+
+
 def test_infer_empty_candidates_and_shape_mismatch(small_matrix):
     with pytest.raises(ValueError, match="empty candidate"):
         infer_pipeline(small_matrix, small_matrix, [])

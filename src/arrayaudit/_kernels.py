@@ -5,7 +5,8 @@ correlates with at a threshold or more, over the cells both hold
 (non-finite cells are missing): ``match`` scans query rows against
 reference rows, ``dup`` and ``blocks`` the columns of one matrix against
 themselves (``correlated_components``). It keeps only each tile's hits, so
-its memory is bounded by the tile, not by the product of the row counts.
+its memory is bounded by the tile, not by the product of the row counts;
+the complete pairs' tile is one buffer, allocated once per call.
 Rows are centered first, by ``center_rows``: the uncentered single-pass form
 (sum x^2 - (sum x)^2 / n) cancels catastrophically on raw intensities
 (Chan, Golub & LeVeque 1983). The scan is looked up as a module attribute
@@ -189,9 +190,11 @@ def cross_row_correlations(
     ``hits[i]`` holds the indices of its hits in reference order. Each side
     is prepared once (once in all when ``reference`` is ``query``). Pairs of
     complete rows take ``_PAIR_BUDGET // _REF_TILE`` query rows by
-    ``_REF_TILE`` reference rows per matmul, keeping each tile's hits as
+    ``_REF_TILE`` reference rows per matmul, written into one product and
+    one compare buffer sized once per call, keeping each tile's hits as
     flat indices into the query x reference grid; the other pairs go to
-    ``_masked_keys``. One sort puts the hits in query, then reference, order.
+    ``_masked_keys`` once the buffers are freed. One sort puts the hits in
+    query, then reference, order.
     """
     qs = _live_rows(query)
     rs = qs if reference is query else _live_rows(reference)
@@ -200,12 +203,20 @@ def cross_row_correlations(
     step = _PAIR_BUDGET // _REF_TILE
     n_ref = len(rs.values)
     flat = [np.zeros(0, dtype=np.intp)]
+    # one tile's products and compares, allocated once: a buffer freed per
+    # tile can go back to the system and fault its pages in again
+    size = min(step, len(q)) * min(_REF_TILE, len(r))
+    prod, ge = np.empty(size), np.empty(size, dtype=bool)
     for lo in range(0, len(q), step):
+        a = q[lo : lo + step]
         for rlo in range(0, len(r), _REF_TILE):
             tile = r[rlo : rlo + _REF_TILE]
-            # one expression, so each tile's products are freed before the next's
-            i, j = np.divmod(np.flatnonzero(q[lo : lo + step] @ tile.T >= floor), len(tile))
+            n = len(a) * len(tile)
+            np.matmul(a, tile.T, out=prod[:n].reshape(len(a), len(tile)))
+            np.greater_equal(prod[:n], floor, out=ge[:n])
+            i, j = np.divmod(np.flatnonzero(ge[:n]), len(tile))
             flat.append(qs.rows[lo + i] * n_ref + rs.rows[rlo + j])
+    del prod, ge
     flat.append(_masked_keys(qs, slice(qs.n_complete, None), rs, slice(None), min_corr))
     flat.append(_masked_keys(qs, slice(qs.n_complete), rs, slice(rs.n_complete, None), min_corr))
     qi, ri = np.divmod(np.sort(np.concatenate(flat)), max(n_ref, 1))

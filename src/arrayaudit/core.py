@@ -111,7 +111,9 @@ class LabeledMatrix:
         labels = None
         if self.labels is not None:
             labels = {s: self.labels[s] for s in sids if s in self.labels}
-        return LabeledMatrix(self.feature_ids, sids, self.values[:, list(indices)], labels)
+        values = np.take(self.values, indices, axis=1)  # a new array, handed over without a second copy
+        values.setflags(write=False)
+        return LabeledMatrix(self.feature_ids, sids, values, labels)
 
     def with_labels(self, labels: Mapping[str, GroupLabel]) -> "LabeledMatrix":
         return LabeledMatrix(self.feature_ids, self.sample_ids, self.values, labels)

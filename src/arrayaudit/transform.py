@@ -5,7 +5,8 @@ circulated data exports: log-transform, per-row z-scoring, exponentiation to
 undo the log, and rounding. ``infer_pipeline`` searches a finite declared
 candidate grid for the pipeline that best explains a query matrix as a
 transformed reference: a small, auditable search instead of free-form
-program synthesis.
+program synthesis. It walks the candidates as a tree of their step
+prefixes, so candidates that share steps share their values.
 
 Pipelines are value-level and row-independent; applying one never changes
 ids or labels. Non-finite entries pass through elementwise. The z-score
@@ -110,31 +111,37 @@ class TransformError(ValueError):
     pass
 
 
+def _step(m: LabeledMatrix, out: np.ndarray, step: Step, centered: tuple | None = None) -> np.ndarray:
+    """``out``, the values of ``m`` under the steps before ``step``, under
+    ``step`` too, as a new array; ``centered`` is ``_kernels.center_rows(out)``
+    when the caller holds it."""
+    if step.kind == "log":  # always the first step: out still holds m.values
+        bad = (out <= 0) & np.isfinite(out)
+        if bad.any():
+            fid, sid, value = first_cell(m, bad)
+            raise TransformError(f"log of nonpositive value {value!r} at feature {fid!r}, sample {sid!r}")
+        return np.log(out) / math.log(_BASES[step.param])
+    if step.kind == "zscore":
+        ddof = 1 if step.param == "n-1" else 0
+        scaled, present, z, sq, counts, varies = _kernels.center_rows(out) if centered is None else centered
+        if (counts < 2).any():
+            i = int(np.argwhere(counts < 2)[0][0])
+            raise TransformError(
+                f"zscore needs >= 2 present values per row; feature {m.feature_ids[i]!r} has {counts[i]}"
+            )
+        if not varies.all():
+            i = int(np.flatnonzero(~varies)[0])
+            raise TransformError(f"zero-variance row under zscore: feature {m.feature_ids[i]!r}")
+        return np.where(present, z / np.sqrt(sq / (counts - ddof))[:, None], scaled)
+    if step.kind == "exp":
+        return np.power(_BASES[step.param], out)
+    return np.round(out, int(step.param)) + 0.0
+
+
 def _apply_values(m: LabeledMatrix, p: TransformPipeline) -> np.ndarray:
-    out = m.values  # read-only: every step below writes a new array
+    out = m.values  # read-only: every step writes a new array
     for step in p.steps:
-        if step.kind == "log":  # always the first step: out still holds m.values
-            bad = (out <= 0) & np.isfinite(out)
-            if bad.any():
-                fid, sid, value = first_cell(m, bad)
-                raise TransformError(f"log of nonpositive value {value!r} at feature {fid!r}, sample {sid!r}")
-            out = np.log(out) / math.log(_BASES[step.param])
-        elif step.kind == "zscore":
-            ddof = 1 if step.param == "n-1" else 0
-            scaled, present, centered, sq, counts, varies = _kernels.center_rows(out)
-            if (counts < 2).any():
-                i = int(np.argwhere(counts < 2)[0][0])
-                raise TransformError(
-                    f"zscore needs >= 2 present values per row; feature {m.feature_ids[i]!r} has {counts[i]}"
-                )
-            if not varies.all():
-                i = int(np.flatnonzero(~varies)[0])
-                raise TransformError(f"zero-variance row under zscore: feature {m.feature_ids[i]!r}")
-            out = np.where(present, centered / np.sqrt(sq / (counts - ddof))[:, None], scaled)
-        elif step.kind == "exp":
-            out = np.power(_BASES[step.param], out)
-        elif step.kind == "round":
-            out = np.round(out, int(step.param)) + 0.0
+        out = _step(m, out, step)
     return out
 
 
@@ -158,6 +165,13 @@ def default_candidate_grid() -> list[TransformPipeline]:
     return grid
 
 
+def _centered(node: list) -> tuple:
+    """``_kernels.center_rows`` of a node of ``infer_pipeline``'s walk, made once."""
+    if node[2] is None:
+        node[2] = _kernels.center_rows(node[1])
+    return node[2]
+
+
 def infer_pipeline(
     query: LabeledMatrix,
     reference: LabeledMatrix,
@@ -173,6 +187,14 @@ def infer_pipeline(
     Returns (best pipeline, fit, max abs residual of the best candidate):
     the residual is taken over the cells both hold, is inf when it exceeds
     the float range, and NaN when no cell is held by both.
+
+    The candidates are walked depth first as a tree of their step
+    prefixes. Each prefix's values are computed once, from its parent's,
+    and centered at most once, for its own fit and for any zscore step
+    after it; only the current prefix's arrays and the best candidate's
+    values are held. A step that fails skips every candidate that extends
+    its prefix. The choice is that of a scan in candidate order, so a walk
+    order shows in none of the results.
     """
     cands = list(candidates)
     if not cands:
@@ -181,31 +203,56 @@ def infer_pipeline(
         raise ValueError(
             f"shape mismatch: query {query.values.shape} vs reference {reference.values.shape}"
         )
+    n_cols = query.values.shape[1]
     q = _kernels.center_rows(query.values)
-    q_fits = q.varying & (q.k == query.values.shape[1])
-    best: tuple[float, int, int] | None = None  # (-fit, n_steps, position)
-    best_pipe: TransformPipeline | None = None
-    best_vals: np.ndarray | None = None
-    for pos, cand in enumerate(cands):
-        try:
-            transformed = _apply_values(reference, cand)
-        except TransformError:
+    q_fits = q.varying & (q.k == n_cols)
+    # keys (-fit, n_steps, position): the first candidate that fits, and the
+    # least key of a fit that is not NaN, with its values
+    first: tuple[float, int, int] | None = None
+    held: tuple[float, int, int] | None = None
+    held_values: np.ndarray | None = None
+    # the walk: [step, values (None when a step failed), centered] from the root to the current prefix
+    path: list[list] = [[None, reference.values, None]]
+    # sorted by steps, the candidates that share a prefix are adjacent
+    for pos in sorted(range(len(cands)), key=lambda i: [(s.kind, s.param) for s in cands[i].steps]):
+        steps = cands[pos].steps
+        depth = 0
+        while depth < min(len(path) - 1, len(steps)) and path[depth + 1][0] == steps[depth]:
+            depth += 1
+        del path[depth + 1 :]
+        while len(path) <= len(steps) and path[-1][1] is not None:
+            parent, step = path[-1], steps[len(path) - 1]
+            try:
+                values = _step(reference, parent[1], step, _centered(parent) if step.kind == "zscore" else None)
+            except TransformError:
+                values = None
+            path.append([step, values, None])
+        node = path[-1]
+        if node[1] is None:
             continue
-        t = _kernels.center_rows(transformed)
-        ok = q_fits & t.varying & (t.k == transformed.shape[1])
+        t = _centered(node)
+        ok = q_fits & t.varying & (t.k == n_cols)
         if not ok.any():
             continue
-        # single sqrt of the product keeps self-correlation exactly 1.0
-        r = (q.centered[ok] * t.centered[ok]).sum(axis=1) / np.sqrt(q.sq[ok] * t.sq[ok])
+        qc, tc, qsq, tsq = (q.centered, t.centered, q.sq, t.sq)
+        if not ok.all():
+            qc, tc, qsq, tsq = qc[ok], tc[ok], qsq[ok], tsq[ok]
+        # rows summed in C order, as a boolean index lays them out; a single
+        # sqrt of the product keeps self-correlation exactly 1.0
+        r = np.multiply(qc, tc, order="C").sum(axis=1) / np.sqrt(qsq * tsq)
         fit = float(np.clip(r, -1.0, 1.0).mean())
-        key = (-fit, len(cand), pos)
-        if best is None or key < best:
-            best = key
-            best_pipe = cand
-            best_vals = transformed
-    if best_pipe is None or best_vals is None or best is None:
+        key = (-fit, len(steps), pos)
+        if first is None or pos < first[2]:
+            first = key
+        if not math.isnan(fit) and (held is None or key < held):
+            held, held_values = key, node[1]
+    del path
+    if first is None:
         raise ValueError("no candidate pipeline was applicable to the reference")
+    # a scan in candidate order keeps a NaN fit that comes first and passes over a later one
+    best = first if math.isnan(first[0]) else held
+    best_vals = held_values if best is held else _apply_values(reference, cands[first[2]])
     with np.errstate(over="ignore"):  # a residual beyond the float range is inf
         diff = np.abs(query.values - best_vals)
     residual = float("nan") if np.isnan(diff).all() else float(np.nanmax(diff))
-    return best_pipe, -best[0], residual
+    return cands[best[2]], -best[0], residual

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,21 @@ def test_values_are_shared_when_read_only_and_owned_and_copied_otherwise(small_m
     m = LabeledMatrix(("A", "B", "C"), ("S1", "S2", "S3"), view)
     writable[1, 1] = 7.0
     assert not np.shares_memory(m.values, writable) and m.values[1, 1] == 0.0
+
+
+def test_take_samples_copies_the_values_once():
+    # half the columns of a paper-scale panel: the taken values are the
+    # only array made, read-only and handed to the matrix as they are
+    m = LabeledMatrix(tuple(map(str, range(22283))), tuple(map(str, range(60))), np.ones((22283, 60)))
+    tracemalloc.start()
+    try:
+        sub = m.take_samples(range(0, 60, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.sample_ids == tuple(map(str, range(0, 60, 2))) and not sub.values.flags.writeable
+    np.testing.assert_array_equal(sub.values, m.values[:, ::2])
+    assert peak <= 1.2 * sub.values.nbytes
 
 
 def test_extract_submatrix_preserves_signature_order(small_matrix):

@@ -230,8 +230,9 @@ def test_match_is_the_same_for_every_block_size(panels, min_corr):
     reference_t = LabeledMatrix(reference.sample_ids, reference.feature_ids, ref_vals.T)
     want = match_rows(query, reference, min_corr=min_corr)
     _oracle_check(want, q_vals, ref_vals, min_corr)
-    # query rows x reference rows per matmul: 1 x 1, odd x odd, all x one tile
-    for step, tile in ((1, 1), (3, 5), (len(q_vals) + 1, 2048)):
+    # query rows x reference rows per matmul: 1 x 1, odd x odd, a partial
+    # last tile of the one buffer on both axes, all x one tile
+    for step, tile in ((1, 1), (3, 5), (4, 7), (len(q_vals) + 1, 2048)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "_REF_TILE", tile)
             mp.setattr(_kernels, "_PAIR_BUDGET", step * tile)

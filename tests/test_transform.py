@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from arrayaudit import _kernels
 from arrayaudit.core import LabeledMatrix
 from arrayaudit.transform import (
     TransformError,
@@ -144,6 +145,123 @@ def test_infer_empty_candidates_and_shape_mismatch(small_matrix):
     other = _matrix(np.ones((2, 2)))
     with pytest.raises(ValueError, match="shape mismatch"):
         infer_pipeline(small_matrix, other, [TransformPipeline(())])
+
+
+def _scan_each_candidate(query, reference, candidates):
+    """Independent oracle of ``infer_pipeline``: each candidate applied on
+    its own and fitted, in candidate order, the best kept while a later one
+    is strictly better by (-fit, steps, position)."""
+    q = _kernels.center_rows(query.values)
+    n = query.values.shape[1]
+    best = None
+    for pos, cand in enumerate(candidates):
+        try:
+            values = apply_pipeline(reference, cand).values
+        except TransformError:
+            continue
+        t = _kernels.center_rows(values)
+        ok = q.varying & (q.k == n) & t.varying & (t.k == n)
+        if ok.any():
+            r = (q.centered[ok] * t.centered[ok]).sum(axis=1) / np.sqrt(q.sq[ok] * t.sq[ok])
+            key = (-float(np.clip(r, -1.0, 1.0).mean()), len(cand), pos)
+            if best is None or key < best:
+                best, best_values = key, values
+    if best is None:
+        raise ValueError("no candidate pipeline was applicable to the reference")
+    diff = np.abs(query.values - best_values)
+    return candidates[best[2]], -best[0], float("nan") if np.isnan(diff).all() else float(np.nanmax(diff))
+
+
+_EXTRA_CANDIDATES = [
+    TransformPipeline(()),
+    TransformPipeline((log_step("2"),)),
+    TransformPipeline((zscore_step("n"),)),
+    TransformPipeline((exp_step("e"),)),
+    TransformPipeline((round_step(1),)),
+    TransformPipeline((round_step(2),)),
+    TransformPipeline((log_step("e"), zscore_step("n-1"))),
+    TransformPipeline((zscore_step("n-1"), exp_step("10"))),
+]
+
+
+def _inference_case(kind, seed):
+    """A query, a reference and candidates drawn with repeats from the
+    grid and the single steps, with a panel defect of the given kind."""
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(2, 30)), int(rng.integers(3, 12))
+    ref = np.exp(rng.normal(1.0, 1.0, (rows, cols)))
+    pool = default_candidate_grid() + _EXTRA_CANDIDATES
+    candidates = [pool[i] for i in rng.integers(0, len(pool), int(rng.integers(1, 20)))]
+    if kind == "nan":
+        ref[rng.random(ref.shape) < 0.1] = np.nan
+    elif kind == "constant":  # zscore fails
+        ref[rng.integers(rows)] = 7.3
+    elif kind == "nonpositive":  # log fails
+        ref[rng.integers(rows), rng.integers(cols)] = -rng.random()
+    elif kind == "repeated":
+        candidates = [candidates[i] for i in rng.integers(0, len(candidates), 2 * len(candidates))]
+    elif kind == "ties":  # on integers rounding changes nothing: exact ties of fit
+        ref = rng.integers(1, 1000, (rows, cols)).astype(float)
+        candidates += [TransformPipeline((round_step(2),)), TransformPipeline(()), TransformPipeline((round_step(1),))]
+        rng.shuffle(candidates)
+    elif kind == "identity":
+        candidates.insert(int(rng.integers(len(candidates) + 1)), TransformPipeline(()))
+    true = pool[int(rng.integers(len(pool)))]
+    try:
+        query = apply_pipeline(_matrix(ref), true).values
+    except TransformError:
+        query = ref
+    query = query + rng.normal(0.0, 0.05, query.shape) * (seed % 3)
+    return _matrix(query[rng.permutation(rows)] if seed % 5 == 4 else query), _matrix(ref), candidates
+
+
+def _outcome(infer, *args):
+    try:
+        best, fit, residual = infer(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return best, np.array([fit, residual]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["nan", "constant", "nonpositive", "repeated", "ties", "identity"])
+def test_infer_equals_a_scan_of_each_candidate(kind):
+    with np.errstate(all="ignore"):  # exp of a large value overflows to inf
+        for seed in range(40):
+            args = _inference_case(kind, seed)
+            assert _outcome(infer_pipeline, *args) == _outcome(_scan_each_candidate, *args), seed
+
+
+def test_infer_keeps_a_scans_choice_of_a_nan_fit():
+    # an orthogonal pair whose product of sums of squares underflows: its
+    # fit is 0 / 0, and a scan in candidate order keeps it when it comes
+    # first and passes it over otherwise, wherever the walk meets it
+    query = _matrix(np.ldexp([[1.0, -1.0, 0.0]], -395))
+    reference = _matrix(np.ldexp([[1.0, 1.0, -2.0]], -200))
+    identity, unrounded, zscore = (TransformPipeline(s) for s in ((), (round_step(300),), (zscore_step(),)))
+    with np.errstate(all="ignore"):
+        for candidates in ([identity, unrounded], [unrounded, identity], [zscore, identity], [identity, zscore]):
+            got = _outcome(infer_pipeline, query, reference, candidates)
+            assert got == _outcome(_scan_each_candidate, query, reference, candidates)
+            assert got[0] == candidates[0]
+
+
+def test_infer_centers_each_prefix_once(monkeypatch):
+    calls = []
+    center_rows = _kernels.center_rows
+
+    def spy(x):
+        calls.append(x.shape)
+        return center_rows(x)
+
+    monkeypatch.setattr(_kernels, "center_rows", spy)
+    grid = default_candidate_grid()
+    ref = _matrix(np.exp(np.random.default_rng(5).standard_normal((30, 8))))
+    query = apply_pipeline(ref, grid[7])
+    calls.clear()
+    assert infer_pipeline(query, ref, grid)[0] == grid[7]
+    # the query; each log's values, for its two zscores; each exp's and
+    # each round's values, for their fits. Each candidate on its own takes 1 + 12 + 12.
+    assert len(calls) == 1 + 3 + 12
 
 
 def test_zscored_row_correlates_one_with_original():

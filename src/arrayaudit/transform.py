@@ -138,11 +138,51 @@ def _step(m: LabeledMatrix, out: np.ndarray, step: Step, centered: tuple | None 
     return np.round(out, int(step.param)) + 0.0
 
 
-def _apply_values(m: LabeledMatrix, p: TransformPipeline) -> np.ndarray:
-    out = m.values  # read-only: every step writes a new array
-    for step in p.steps:
-        out = _step(m, out, step)
-    return out
+def _branch_point(node: list) -> bool:
+    """Whether a zscore step can follow a path node: the root and a log step."""
+    return node[0] is None or node[0].kind == "log"
+
+
+def _centered(node: list) -> tuple:
+    """``_kernels.center_rows`` of a path node's values, kept on the node
+    when it is a branch point."""
+    if node[2] is not None:
+        return node[2]
+    centered = _kernels.center_rows(node[1])
+    if _branch_point(node):
+        node[2] = centered
+    return centered
+
+
+def _apply_values(m: LabeledMatrix, p: TransformPipeline, path: list | None = None) -> np.ndarray:
+    """The values of ``m`` under ``p``.
+
+    ``path``, when given, holds nodes ``[step, values, centered]`` from the
+    root ``[None, m.values, None]`` along the steps of an earlier pipeline.
+    It is cut to the deepest node it shares with ``p`` that still holds its
+    values, and ``p``'s further steps are appended to it, so a prefix shared
+    with the earlier pipeline is not computed again. Once a node has a
+    child, only a branch point keeps its values: the default grid's
+    candidates branch at the root and after a log step.
+    """
+    if path is None:  # a lone pipeline holds only its last array
+        out = m.values  # read-only: every step writes a new array
+        for step in p.steps:
+            out = _step(m, out, step)
+        return out
+    depth = 0
+    while depth < min(len(path) - 1, len(p)) and path[depth + 1][0] == p.steps[depth]:
+        depth += 1
+    while path[depth][1] is None:
+        depth -= 1
+    del path[depth + 1 :]
+    for step in p.steps[depth:]:
+        parent = path[-1]
+        centered = _centered(parent) if step.kind == "zscore" else None
+        path.append([step, _step(m, parent[1], step, centered), None])
+        if not _branch_point(parent):
+            parent[1] = None
+    return path[-1][1]
 
 
 def apply_pipeline(m: LabeledMatrix, p: TransformPipeline) -> LabeledMatrix:
@@ -165,11 +205,20 @@ def default_candidate_grid() -> list[TransformPipeline]:
     return grid
 
 
-def _centered(node: list) -> tuple:
-    """``_kernels.center_rows`` of a node of ``infer_pipeline``'s walk, made once."""
-    if node[2] is None:
-        node[2] = _kernels.center_rows(node[1])
-    return node[2]
+def _fit(q: tuple, t: tuple) -> float | None:
+    """The mean Pearson correlation of the rows of two centerings over the
+    rows complete and varying in both; None when there are none."""
+    n_cols = q.centered.shape[1]
+    ok = q.varying & (q.k == n_cols) & t.varying & (t.k == n_cols)
+    if not ok.any():
+        return None
+    qc, tc, qsq, tsq = (q.centered, t.centered, q.sq, t.sq)
+    if not ok.all():
+        qc, tc, qsq, tsq = qc[ok], tc[ok], qsq[ok], tsq[ok]
+    # rows summed in C order, as a boolean index lays them out; a single
+    # sqrt of the product keeps self-correlation exactly 1.0
+    r = np.multiply(qc, tc, order="C").sum(axis=1) / np.sqrt(qsq * tsq)
+    return float(np.clip(r, -1.0, 1.0).mean())
 
 
 def infer_pipeline(
@@ -188,13 +237,13 @@ def infer_pipeline(
     the residual is taken over the cells both hold, is inf when it exceeds
     the float range, and NaN when no cell is held by both.
 
-    The candidates are walked depth first as a tree of their step
-    prefixes. Each prefix's values are computed once, from its parent's,
+    The candidates are walked in order as a tree of their step prefixes
+    (``_apply_values``): each one starts from the deepest prefix it shares
+    with the one before it that is still held. On the default grid, whose
+    shared prefixes are adjacent, each prefix's values are computed once
     and centered at most once, for its own fit and for any zscore step
-    after it; only the current prefix's arrays and the best candidate's
-    values are held. A step that fails skips every candidate that extends
-    its prefix. The choice is that of a scan in candidate order, so a walk
-    order shows in none of the results.
+    after it. Held are the current candidate's values, the branch points
+    on its path with their centering, and the best candidate's values.
     """
     cands = list(candidates)
     if not cands:
@@ -203,55 +252,24 @@ def infer_pipeline(
         raise ValueError(
             f"shape mismatch: query {query.values.shape} vs reference {reference.values.shape}"
         )
-    n_cols = query.values.shape[1]
     q = _kernels.center_rows(query.values)
-    q_fits = q.varying & (q.k == n_cols)
-    # keys (-fit, n_steps, position): the first candidate that fits, and the
-    # least key of a fit that is not NaN, with its values
-    first: tuple[float, int, int] | None = None
-    held: tuple[float, int, int] | None = None
-    held_values: np.ndarray | None = None
-    # the walk: [step, values (None when a step failed), centered] from the root to the current prefix
+    best: tuple[float, int, int] | None = None  # (-fit, n_steps, position)
+    best_vals: np.ndarray | None = None
     path: list[list] = [[None, reference.values, None]]
-    # sorted by steps, the candidates that share a prefix are adjacent
-    for pos in sorted(range(len(cands)), key=lambda i: [(s.kind, s.param) for s in cands[i].steps]):
-        steps = cands[pos].steps
-        depth = 0
-        while depth < min(len(path) - 1, len(steps)) and path[depth + 1][0] == steps[depth]:
-            depth += 1
-        del path[depth + 1 :]
-        while len(path) <= len(steps) and path[-1][1] is not None:
-            parent, step = path[-1], steps[len(path) - 1]
-            try:
-                values = _step(reference, parent[1], step, _centered(parent) if step.kind == "zscore" else None)
-            except TransformError:
-                values = None
-            path.append([step, values, None])
-        node = path[-1]
-        if node[1] is None:
+    for pos, cand in enumerate(cands):
+        try:
+            _apply_values(reference, cand, path)
+        except TransformError:
             continue
-        t = _centered(node)
-        ok = q_fits & t.varying & (t.k == n_cols)
-        if not ok.any():
+        fit = _fit(q, _centered(path[-1]))
+        if fit is None:
             continue
-        qc, tc, qsq, tsq = (q.centered, t.centered, q.sq, t.sq)
-        if not ok.all():
-            qc, tc, qsq, tsq = qc[ok], tc[ok], qsq[ok], tsq[ok]
-        # rows summed in C order, as a boolean index lays them out; a single
-        # sqrt of the product keeps self-correlation exactly 1.0
-        r = np.multiply(qc, tc, order="C").sum(axis=1) / np.sqrt(qsq * tsq)
-        fit = float(np.clip(r, -1.0, 1.0).mean())
-        key = (-fit, len(steps), pos)
-        if first is None or pos < first[2]:
-            first = key
-        if not math.isnan(fit) and (held is None or key < held):
-            held, held_values = key, node[1]
+        key = (-fit, len(cand), pos)
+        if best is None or key < best:
+            best, best_vals = key, path[-1][1]
     del path
-    if first is None:
+    if best is None or best_vals is None:
         raise ValueError("no candidate pipeline was applicable to the reference")
-    # a scan in candidate order keeps a NaN fit that comes first and passes over a later one
-    best = first if math.isnan(first[0]) else held
-    best_vals = held_values if best is held else _apply_values(reference, cands[first[2]])
     with np.errstate(over="ignore"):  # a residual beyond the float range is inf
         diff = np.abs(query.values - best_vals)
     residual = float("nan") if np.isnan(diff).all() else float(np.nanmax(diff))

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from arrayaudit import _kernels
+from arrayaudit import _kernels, transform
 from arrayaudit.core import LabeledMatrix
 from arrayaudit.transform import (
     TransformError,
@@ -234,7 +235,7 @@ def test_infer_equals_a_scan_of_each_candidate(kind):
 def test_infer_keeps_a_scans_choice_of_a_nan_fit():
     # an orthogonal pair whose product of sums of squares underflows: its
     # fit is 0 / 0, and a scan in candidate order keeps it when it comes
-    # first and passes it over otherwise, wherever the walk meets it
+    # first and passes it over otherwise
     query = _matrix(np.ldexp([[1.0, -1.0, 0.0]], -395))
     reference = _matrix(np.ldexp([[1.0, 1.0, -2.0]], -200))
     identity, unrounded, zscore = (TransformPipeline(s) for s in ((), (round_step(300),), (zscore_step(),)))
@@ -247,13 +248,16 @@ def test_infer_keeps_a_scans_choice_of_a_nan_fit():
 
 def test_infer_centers_each_prefix_once(monkeypatch):
     calls = []
-    center_rows = _kernels.center_rows
 
-    def spy(x):
-        calls.append(x.shape)
-        return center_rows(x)
+    def spy(fn):
+        def counted(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
 
-    monkeypatch.setattr(_kernels, "center_rows", spy)
+        return counted
+
+    monkeypatch.setattr(_kernels, "center_rows", spy(_kernels.center_rows))
+    monkeypatch.setattr(transform, "_apply_values", spy(transform._apply_values))
     grid = default_candidate_grid()
     ref = _matrix(np.exp(np.random.default_rng(5).standard_normal((30, 8))))
     query = apply_pipeline(ref, grid[7])
@@ -261,7 +265,25 @@ def test_infer_centers_each_prefix_once(monkeypatch):
     assert infer_pipeline(query, ref, grid)[0] == grid[7]
     # the query; each log's values, for its two zscores; each exp's and
     # each round's values, for their fits. Each candidate on its own takes 1 + 12 + 12.
-    assert len(calls) == 1 + 3 + 12
+    assert calls.count("center_rows") == 1 + 3 + 12
+    # one application per candidate, from the prefix it shares with the one before
+    assert calls.count("_apply_values") == len(grid)
+
+
+def test_infer_holds_few_arrays():
+    # the query's centering, the best values, the log branch point with its
+    # centering, and the candidate being fitted with its centering: about
+    # 7.5 panels at the peak (a scan of each candidate on its own takes 8.6)
+    grid = default_candidate_grid()
+    ref = _matrix(np.exp(np.random.default_rng(6).normal(2.0, 1.0, (3000, 60))))
+    query = apply_pipeline(ref, grid[7])
+    tracemalloc.start()
+    try:
+        assert infer_pipeline(query, ref, grid)[0] == grid[7]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ref.values.nbytes
 
 
 def test_zscored_row_correlates_one_with_original():

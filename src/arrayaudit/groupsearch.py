@@ -10,8 +10,11 @@ so the search always terminates; a move budget of 10 * n_lines guards
 against pathological score landscapes.
 
 All neighbors of a step are scored at once (``_neighbor_scorer``), on
-every panel. A neighbor whose batched score is not certified equal to the
-reference ``score_assignment`` is scored by it.
+every panel. A screen first bounds every gene's |t| under every neighbor
+(``_move_bounds``), and only the genes that could reach some neighbor's
+top k get an exact pooled t (``_batched_abs_t``). A neighbor whose batched
+score is not certified equal to the reference ``score_assignment`` is
+scored by it.
 """
 
 from __future__ import annotations
@@ -109,6 +112,13 @@ def _neighbor_scorer(panel: LabeledMatrix, target: SignatureList, k: int) -> Cal
     ``select_top_genes`` raises on it. The overlap counts distinct feature
     ids, as ``score_assignment`` counts a set. A neighbor whose top-k set
     is not certified goes through ``score_assignment``.
+
+    Each step scores a seed exactly, the 2k genes of largest current |t|.
+    A gene whose bound (``_move_bounds``) lies below every neighbor's k-th
+    largest seed |t| - err is skipped, and the others are scored too. A
+    neighbor is certified only when its chosen genes also beat every
+    skipped gene's bound. When no gene can be skipped, every gene is
+    scored, on the same path.
     """
     finite = np.isfinite(panel.values).all(axis=0)
     # |t| does not change when a row is scaled by a power of two, and its
@@ -151,19 +161,37 @@ def _neighbor_scorer(panel: LabeledMatrix, target: SignatureList, k: int) -> Cal
         scores = np.full(len(moves), -1)
         cols = np.flatnonzero((n_s >= 2) & (n_r >= 2) & (n_holed == 0))
         moved = col_line[:, None] == move_line[None, cols]
-        in_s = np.where(moved, to_s[cols], is_s[col_line][:, None])
-        in_r = np.where(moved, to_r[cols], is_r[col_line][:, None])
-        t, err, holds = _batched_abs_t(centered, squares, scale, in_s, in_r)
-        top = np.argpartition(t, n_genes - k, axis=1)[:, n_genes - k:]
-        chosen = np.sort(codes[top], axis=1)
+        cur_s, cur_r = is_s[col_line], is_r[col_line]
+        in_s = np.where(moved, to_s[cols], cur_s[:, None])
+        in_r = np.where(moved, to_r[cols], cur_r[:, None])
+        t_now, bound, cls = _move_bounds(centered, squares, scale, cur_s, cur_r, in_s, in_r)
+        # k seed genes reach a neighbor's floor, its k-th largest seed
+        # t - err. A neighbor whose error bound fails goes to the reference
+        # anyway, so its floor (inf) skips nothing for it
+        n_seed = min(2 * k, n_genes)
+        seed = np.argpartition(t_now, n_genes - n_seed)[n_genes - n_seed:]
+        t, err, holds = _batched_abs_t(centered[:, seed], squares[:, seed], scale[seed], in_s, in_r)
+        floor = np.where(holds, np.partition(t - err, n_seed - k, axis=1)[:, n_seed - k], np.inf)
+        class_floor = np.full(len(bound), np.inf)
+        np.minimum.at(class_floor, cls, floor)
+        skipped = (bound < class_floor[:, None]).all(axis=0)
+        skipped[seed] = False
+        skipped_cap = np.where(skipped, bound, -np.inf).max(axis=1)[cls]
+        rest = np.setdiff1d(np.flatnonzero(~skipped), seed, assume_unique=True)
+        t_rest, err_rest, holds_rest = _batched_abs_t(centered[:, rest], squares[:, rest], scale[rest], in_s, in_r)
+        genes = np.concatenate([seed, rest])
+        t, err = np.hstack([t, t_rest]), np.hstack([err, err_rest])
+        top = np.argpartition(t, len(genes) - k, axis=1)[:, len(genes) - k:]
+        chosen = np.sort(codes[genes[top]], axis=1)
         scores[cols] = ((chosen >= 0) & (np.diff(chosen, axis=1, prepend=-1) != 0)).sum(axis=1)
         # certified: every chosen gene's |t| - err exceeds every other
-        # gene's |t| + err, so the reference picks the same top-k set
-        # whatever its rounding and tie-break
+        # scored gene's |t| + err and every skipped gene's bound, so the
+        # reference picks the same top-k set whatever its rounding and
+        # tie-break
         lowest_chosen = (np.take_along_axis(t, top, axis=1) - np.take_along_axis(err, top, axis=1)).min(axis=1)
         upper = np.add(err, t, out=err)
         np.put_along_axis(upper, top, -np.inf, axis=1)
-        certified = holds & (lowest_chosen > upper.max(axis=1))
+        certified = holds & holds_rest & (lowest_chosen > np.maximum(upper.max(axis=1), skipped_cap))
         for i in cols[~certified]:
             scores[i] = score_assignment(current.replace(*moves[i]), panel, target, k)
         return scores.tolist()
@@ -181,7 +209,9 @@ def _batched_abs_t(
     """|pooled t| per gene (columns) for every column of the sample x
     neighbor group indicators ``in_s`` and ``in_r`` (rows), a per-entry
     bound ``err`` on its distance from ``signature.pooled_t``'s, and per
-    neighbor whether that bound holds.
+    neighbor whether that bound holds. A step calls it on the genes its
+    screen keeps, the seed first and the rest after, so its arrays hold
+    those genes only.
 
     ``centered`` is Xc transposed, Xc the panel minus each row's computed
     mean mu, and ``squares`` its elementwise square; ``scale`` is
@@ -241,6 +271,99 @@ def _batched_abs_t(
     return t, err, holds
 
 
+def _move_bounds(
+    centered: np.ndarray,
+    squares: np.ndarray,
+    scale: np.ndarray,
+    cur_s: np.ndarray,
+    cur_r: np.ndarray,
+    in_s: np.ndarray,
+    in_r: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gene screen of a step: per gene, its |pooled t| under the
+    current groups (the sample indicators ``cur_s`` and ``cur_r``), and a
+    bound on the reference's computed |t| (``signature.pooled_t``) under
+    each neighbor (the columns of ``in_s`` and ``in_r``). Neighbors whose
+    moves share the bound share a row of ``bound``; ``cls`` gives each
+    neighbor's row. Other arguments as in ``_batched_abs_t``, whose
+    notation this follows.
+
+    Exact arithmetic first. Let a current group g have n_g samples, mean
+    m_g and sum of squares W_g; D = m_S - m_R and W = W_S + W_R. A neighbor
+    moves the c samples (columns) of one line, with mean y, from one of
+    the sets Sensitive, Resistant and Unused to another; n_g' is the
+    neighbor's count. A group that gains or loses them has its mean moved
+    by +/- c (y - m_g) / n_g', so D' = D + c_S (y - m_S) + c_R (y - m_R),
+    c_S = (n_S' - n_S) / n_S' and c_R = (n_R - n_R') / n_R'. That is
+    linear in y, which lies in the range of the samples' set, so |D'| is
+    at most its larger value at the two ends of that range. Losing them
+    lowers W_g by sum (y_i - m_g)**2 + c**2 (y - m_g)**2 / n_g'
+    <= b_g P_g**2 (Cauchy-Schwarz), with b_g = c n_g / n_g' and P_g the
+    largest |y_i - m_g| of the group's members; gaining them does not
+    lower it. So W' >= W - Z, Z = b_S P_S**2 + b_R P_R**2.
+
+    Rounding (constants rounded up). D, the means and the ranges' ends
+    are computed here within s = 2 (N+4) eps L of exact, and so is the
+    reference's own D'; D' above is then within (1 + |c_S| + |c_R|) s of
+    exact, and P_g within s. W is within
+    E = (2N+10) eps Q + N ((N+2) eps L)**2 + N tiny of exact, Q the sum of
+    squares of the centered row: E is e_V at its largest, so it bounds the
+    reference's error in W' too. The reference's pooled sum of squares is
+    therefore at least V- = W - (1 + 8 eps) Z - 3 E, with Z taken at
+    P_g + s and the last E and 8 eps Z covering the roundings of V-
+    itself, and its |t| is at most
+    (1 + 16 eps) (|D'| + (2 + |c_S| + |c_R|) s) / sqrt(V- h'), with
+    h' = (1/n_S' + 1/n_R') / (n_S' + n_R' - 2) and the factor covering the
+    last roundings of both t. The bound is inf where V- <= 16 E: the
+    reference scores a row +/-inf only when its pooled sum of squares is
+    below 9 e_V (``_batched_abs_t``), so such a gene is always scored.
+    Samples are the columns, so a line that holds several counts c of
+    them, and a row scaled by a power of two scales s, D, the ranges, P_g
+    and sqrt(W) alike and leaves the bound as it is.
+    """
+    n = float(centered.shape[0])
+    # each sample's set, Sensitive, Resistant or Unused, and per set and
+    # gene the sum, the sum of squares and the range of its values
+    code = np.where(cur_s, 0, np.where(cur_r, 1, 2))
+    sets = (code == np.arange(3)[:, None]).astype(np.float64)
+    sums = sets[:2] @ centered
+    sq = sets @ squares
+    low = np.full((3, centered.shape[1]), np.inf)
+    high = np.full((3, centered.shape[1]), -np.inf)
+    for j, row in zip(code, centered):
+        np.minimum(low[j], row, out=low[j])
+        np.maximum(high[j], row, out=high[j])
+    s = 2.0 * (n + 4.0) * _EPS * scale
+    e = (2.0 * n + 10.0) * _EPS * sq.sum(axis=0) + n * ((n + 2.0) * _EPS * scale) ** 2 + n * _TINY
+    n_s, n_r = sets[0].sum(), sets[1].sum()
+    n1, n2 = in_s.sum(axis=0), in_r.sum(axis=0)
+    source = code[np.argmax((cur_s[:, None] != in_s) | (cur_r[:, None] != in_r), axis=0)]
+    # a neighbor's bound depends only on its group sizes and the set its
+    # moved samples come from: one row of ``bound`` per such class
+    size = len(code) + 1
+    _, first, cls = np.unique((source * size + n1) * size + n2, return_index=True, return_inverse=True)
+    source, n1, n2 = source[first], n1[first, None].astype(np.float64), n2[first, None].astype(np.float64)
+    c_s, c_r = (n1 - n_s) / n1, (n_r - n2) / n2
+    b_s, b_r = np.maximum(n_s - n1, 0.0) * n_s / n1, np.maximum(n_r - n2, 0.0) * n_r / n2
+    h = (1.0 / n1 + 1.0 / n2) / (n1 + n2 - 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_s, m_r = sums[0] / n_s, sums[1] / n_r
+        w = sq[0] + sq[1] - sums[0] * m_s - sums[1] * m_r
+        d = m_s - m_r
+        t_now = np.abs(d) / np.sqrt(w * ((1.0 / n_s + 1.0 / n_r) / (n_s + n_r - 2.0)))
+        # D' = D + c_S (y - m_S) + c_R (y - m_R) is linear in the moved
+        # samples' mean y, which lies in the range of their set
+        base = d - c_s * m_s - c_r * m_r
+        slope = c_s + c_r
+        reach = np.maximum(np.abs(base + slope * low[source]), np.abs(base + slope * high[source]))
+        p_s = np.maximum(high[0] - m_s, m_s - low[0]) + s
+        p_r = np.maximum(high[1] - m_r, m_r - low[1]) + s
+        lowered = w - (1.0 + 8.0 * _EPS) * (b_s * (p_s * p_s) + b_r * (p_r * p_r)) - 3.0 * e
+        bound = (1.0 + 16.0 * _EPS) * (reach + (2.0 + np.abs(c_s) + np.abs(c_r)) * s) / np.sqrt(lowered * h)
+    bound[~(lowered > 16.0 * e)] = np.inf
+    return t_now, bound, cls
+
+
 def steepest_ascent(start: Assignment, panel: LabeledMatrix, target: SignatureList, k: int) -> SearchResult:
     """Greedy local search over single-line state changes.
 
@@ -253,7 +376,7 @@ def steepest_ascent(start: Assignment, panel: LabeledMatrix, target: SignatureLi
     instead. Panel lines the
     start omits begin Unused; a start line the panel lacks raises ValueError.
     """
-    lines = list(panel.sample_ids)
+    lines = list(dict.fromkeys(panel.sample_ids))  # a line may hold several columns
     on_panel = set(lines)
     missing = next((line for line in start.state if line not in on_panel), None)
     if missing is not None:

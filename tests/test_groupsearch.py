@@ -109,7 +109,7 @@ def _panel(kind):
     of the forms the batched neighbor scorer must match the reference on:
     (panel, truth, target, k)."""
     panel, truth, target = fx.planted_panel(2041, 8, 8, 8, k=20)
-    x, fids, k = panel.values, panel.feature_ids, 20
+    x, fids, sids, k = panel.values, panel.feature_ids, tuple(truth), 20
     copies = tuple(f"copy{i}" for i in range(k))
     if kind == "raw":  # unlogged intensities around 2**12
         x = 2.0 ** (12.0 + x)
@@ -132,15 +132,21 @@ def _panel(kind):
         x[3, 0] = x[5, 20] = np.nan
     elif kind == "duplicate-ids":
         fids = ("g1",) + fids[1:]
+    elif kind == "noise":  # no signal: every gene's t is noise
+        x = np.random.default_rng(11).standard_normal(x.shape)
+    elif kind == "repeated-line":  # CL01 holds two columns
+        x = np.hstack([x, x[:, :1] + np.random.default_rng(5).standard_normal((x.shape[0], 1))])
+        sids += sids[:1]
     elif kind == "k-all":
         k = len(fids)
     elif kind == "four-lines":  # every neighbor of the truth is unscorable
         keep = [0, 1, 8, 9]
         x = x[:, keep]
         truth = {panel.sample_ids[j]: truth[panel.sample_ids[j]] for j in keep}
+        sids = tuple(truth)
     else:
         assert kind == "planted"
-    return LabeledMatrix(fids, tuple(truth), x), truth, target, k
+    return LabeledMatrix(fids, sids, x), truth, target, k
 
 
 def _oracle_score(a, panel, target, k):
@@ -150,14 +156,18 @@ def _oracle_score(a, panel, target, k):
         return -1
 
 
-@pytest.mark.parametrize("kind", ["planted", "raw", "ties", "nan", "duplicate-ids"])
+@pytest.mark.parametrize(
+    "kind", ["planted", "raw", "huge", "tiny", "ties", "near-ties", "constant", "nan", "duplicate-ids", "repeated-line"]
+)
 def test_moves_match_exhaustive_neighbor_oracle(kind):
     panel, truth, target, k = _panel(kind)
-    lines = list(panel.sample_ids)
+    lines = list(truth)
     start = dict(truth)
     start[lines[0]] = U
     start[lines[8]] = U
     result = steepest_ascent(Assignment(start), panel, target, k)
+    # each line moves once per other state, however many columns it holds
+    assert result.neighbors_per_step == (2 * len(lines),) * len(result.neighbors_per_step)
 
     def oracle_score(a):
         return _oracle_score(a, panel, target, k)
@@ -225,6 +235,8 @@ def _states(truth):
         ("duplicate-ids", "none"),
         ("k-all", "none"),
         ("four-lines", "none"),
+        ("noise", "none"),
+        ("repeated-line", "none"),
     ],
 )
 def test_batched_neighbor_scores_match_reference(kind, fallback, monkeypatch):
@@ -236,7 +248,7 @@ def test_batched_neighbor_scores_match_reference(kind, fallback, monkeypatch):
         panel, truth, target, k = _panel(kind)
     score_moves = groupsearch._neighbor_scorer(panel, target, k)
     for current in _states(truth):
-        moves = [(l, st) for l in panel.sample_ids for st in SEARCH_STATES if st != current.state[l]]
+        moves = [(l, st) for l in truth for st in SEARCH_STATES if st != current.state[l]]
         want = [_oracle_score(current.replace(l, st), panel, target, k) for l, st in moves]
         calls = _count_reference_calls(monkeypatch)
         assert score_moves(current, moves) == want
@@ -274,6 +286,61 @@ def test_batched_neighbor_scores_match_reference_on_holed_panels_with_repeated_i
             assert score_moves(current, moves) == want, f"seed {seed}"
             monkeypatch.undo()
             assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kind", ["planted", "raw", "huge", "tiny", "ties", "near-constant", "nan", "k-all", "noise", "repeated-line"]
+)
+def test_screen_bound_covers_the_reference_t_of_every_gene(kind, monkeypatch):
+    # every gene, so in particular every gene the screen skips: under every
+    # scorable neighbor the reference's |t| lies below the gene's bound
+    panel, truth, target, k = _panel(kind)
+    screens = []
+    move_bounds = groupsearch._move_bounds
+
+    def spy(centered, squares, scale, cur_s, cur_r, in_s, in_r):
+        screens.append((in_s, in_r, *move_bounds(centered, squares, scale, cur_s, cur_r, in_s, in_r)))
+        return screens[-1][2:]
+
+    monkeypatch.setattr(groupsearch, "_move_bounds", spy)
+    score_moves = groupsearch._neighbor_scorer(panel, target, k)
+    rng = np.random.default_rng(3)
+    states = _states(truth) + [Assignment({l: SEARCH_STATES[rng.integers(3)] for l in truth}) for _ in range(2)]
+    for current in states:
+        score_moves(current, [(l, st) for l in truth for st in SEARCH_STATES if st != current.state[l]])
+    x = panel.values[:, np.isfinite(panel.values).all(axis=0)]
+    n_finite = 0
+    for in_s, in_r, _, bound, cls in screens:
+        for j in range(in_s.shape[1]):
+            ref = np.abs(pooled_t(x[:, in_s[:, j]], x[:, in_r[:, j]]))
+            assert ((ref < bound[cls[j]]) | (bound[cls[j]] == np.inf)).all()
+            n_finite += np.isfinite(bound[cls[j]]).sum()
+    assert n_finite > 0
+
+
+def test_screen_scores_fewer_than_half_the_genes_each_step(monkeypatch):
+    panel, truth, target = fx.planted_panel(2041, 8, 8, 8, k=20)
+    scored = []
+    batched_abs_t, neighbor_scorer = groupsearch._batched_abs_t, groupsearch._neighbor_scorer
+
+    def counting_abs_t(centered, *args):
+        scored[-1] += centered.shape[1]
+        return batched_abs_t(centered, *args)
+
+    def counting_scorer(*args):
+        score_moves = neighbor_scorer(*args)
+
+        def step(current, moves):
+            scored.append(0)
+            return score_moves(current, moves)
+
+        return step
+
+    monkeypatch.setattr(groupsearch, "_batched_abs_t", counting_abs_t)
+    monkeypatch.setattr(groupsearch, "_neighbor_scorer", counting_scorer)
+    result = steepest_ascent(_states(truth)[1], panel, target, 20)
+    assert result.final.state == truth and len(scored) == len(result.neighbors_per_step) == 3
+    assert all(0 < n < panel.n_features / 2 for n in scored), scored
 
 
 @pytest.mark.parametrize("kind", ["huge", "tiny"])

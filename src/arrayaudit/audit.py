@@ -232,7 +232,9 @@ def load_manifest(path: str | Path) -> AuditManifest:
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # bad JSON, a file that is not UTF-8 and an integer over Python's digit
+    # limit raise ValueError; too deep a nesting raises RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         raise ManifestError(f"cannot load manifest {p}: {exc}") from exc
     return _validate_manifest(doc, p.parent)
 

@@ -8,6 +8,7 @@ own missing-value policy and this module never imputes.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Mapping, Optional, Sequence
@@ -305,18 +306,10 @@ def validate(m: LabeledMatrix) -> list[Violation]:
     describe a broken input without refusing to hold it.
     """
     out: list[Violation] = []
-    seen: dict[str, int] = {}
-    for fid in m.feature_ids:
-        seen[fid] = seen.get(fid, 0) + 1
-    for fid, n in seen.items():
-        if n > 1:
-            out.append(Violation("feature_ids", fid, f"feature id {fid!r} appears {n} times"))
-    seen = {}
-    for sid in m.sample_ids:
-        seen[sid] = seen.get(sid, 0) + 1
-    for sid, n in seen.items():
-        if n > 1:
-            out.append(Violation("sample_ids", sid, f"sample id {sid!r} appears {n} times"))
+    for axis, ids in (("feature", m.feature_ids), ("sample", m.sample_ids)):
+        for name, n in Counter(ids).items():  # in order of first appearance
+            if n > 1:
+                out.append(Violation(f"{axis}_ids", name, f"{axis} id {name!r} appears {n} times"))
     if m.values.shape != (m.n_features, m.n_samples):
         out.append(
             Violation(

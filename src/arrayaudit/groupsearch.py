@@ -59,25 +59,17 @@ class UnscorableAssignmentError(ValueError):
     pass
 
 
-def _restrict_panel(panel: LabeledMatrix, a: Assignment) -> LabeledMatrix:
-    used = [
-        j
-        for j, sid in enumerate(panel.sample_ids)
-        if a.state.get(sid, GroupLabel.UNUSED) in (GroupLabel.SENSITIVE, GroupLabel.RESISTANT)
-    ]
-    sub = panel.take_samples(used)
-    labels = {sid: a.state[sid] for sid in sub.sample_ids}
-    return sub.with_labels(labels)
-
-
 def score_assignment(a: Assignment, panel: LabeledMatrix, target: SignatureList, k: int) -> int:
     """Number of distinct ids among the top-k genes of ``a`` that hit the
-    target list."""
+    target list. The genes are ranked on ``panel`` itself, labeled with
+    the Sensitive and Resistant lines of ``a`` only, as the ranking leaves
+    unlabeled columns out."""
     if not a.scorable():
         raise UnscorableAssignmentError(
             "assignment needs >= 2 Sensitive and >= 2 Resistant lines"
         )
-    generated = signature.select_top_genes(_restrict_panel(panel, a), k)
+    grouped = {line: lab for line, lab in a.state.items() if lab != GroupLabel.UNUSED}
+    generated = signature.select_top_genes(panel.with_labels(grouped), k)
     return len(set(generated.feature_ids) & set(target.feature_ids))
 
 
@@ -129,9 +121,8 @@ def _neighbor_scorer(panel: LabeledMatrix, target: SignatureList, k: int) -> Cal
         x = np.ldexp(x, exponents)
     n_genes = panel.n_features
     mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
     # sample-major, so that each step's group sums are one matrix product
-    centered = np.ascontiguousarray(xc.T)
+    centered = np.subtract(x.T, mu.T, order="C")
     squares = centered * centered
     scale = np.abs(x).max(axis=1) + np.abs(mu[:, 0])  # >= |x| and >= |x - mu|
     # a target gene's code is the first row of its id, any other gene's -1:

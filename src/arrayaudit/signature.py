@@ -60,7 +60,7 @@ class DegenerateGroupsError(ValueError):
     pass
 
 
-def _two_groups(m: LabeledMatrix, min_size: int = 2) -> tuple[GroupLabel, list[int], GroupLabel, list[int]]:
+def _two_groups(m: LabeledMatrix) -> tuple[GroupLabel, list[int], GroupLabel, list[int]]:
     groups: dict[GroupLabel, list[int]] = {}
     for j, sid in enumerate(m.sample_ids):
         g = m.label_of(sid)
@@ -72,9 +72,9 @@ def _two_groups(m: LabeledMatrix, min_size: int = 2) -> tuple[GroupLabel, list[i
         )
     # first group by enum declaration order (Sensitive before Resistant)
     (g1, idx1), (g2, idx2) = sorted(groups.items(), key=lambda kv: list(GroupLabel).index(kv[0]))
-    if len(idx1) < min_size or len(idx2) < min_size:
+    if len(idx1) < 2 or len(idx2) < 2:
         raise DegenerateGroupsError(
-            f"groups need >= {min_size} samples each, got {len(idx1)} and {len(idx2)}"
+            f"groups need >= 2 samples each, got {len(idx1)} and {len(idx2)}"
         )
     return g1, idx1, g2, idx2
 

@@ -312,6 +312,31 @@ def test_overflowing_parameter_is_a_finding_and_exit_1(tmp_path, check, param, v
     assert len(bad) == 1 and bad[0].message.startswith(f"check {check!r} could not run")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"[" * 200_000, id="deeply-nested"),
+        pytest.param(b'{"inputs": {}, "checks": [], "output": "\xff"}', id="not-utf-8"),
+        pytest.param(b'{"inputs": {}, "checks": [], "n": ' + b"9" * 5000 + b"}", id="int-over-digit-limit"),
+        pytest.param(b'{"inputs": {}, "checks": [', id="truncated"),
+    ],
+)
+def test_unloadable_manifest_exits_1_without_a_traceback(tmp_path, content):
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_bytes(content)
+    out = subprocess.run(
+        [sys.executable, "-m", "arrayaudit.cli", "report", "run", "--manifest", str(manifest_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert f"error: cannot load manifest {manifest_path}: " in out.stderr
+    with pytest.raises(ManifestError, match="cannot load manifest"):
+        run_audit(manifest_path)
+
+
 def test_malformed_sources_exit_1_without_a_traceback(tmp_path):
     manifest_path = corpus.write_clean_corpus(tmp_path / "good")
     doc = json.loads(manifest_path.read_text())
@@ -657,6 +682,59 @@ def test_cli_audit_dose_and_confound(tmp_path, capsys):
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["audit", "dup", "--matrix", str(tmp_path / "missing.tsv")]) == 1
     assert main(["report", "run", "--manifest", str(tmp_path / "none.json")]) == 1
+
+
+_TWO_COLUMNS = "feature_id\t{}\t{}\ng1\t1\t2\ng2\t3\t5\ng3\t2\t9\n"
+
+
+@pytest.mark.parametrize(
+    "files,argv,message",
+    [
+        pytest.param(
+            {"q.tsv": _TWO_COLUMNS.format("A", "B"), "r.tsv": _TWO_COLUMNS.format("C", "D")},
+            ["match", "rows", "--query", "q.tsv", "--reference", "r.tsv"],
+            "error: matching needs at least 3 shared positions",
+            id="match-two-columns",
+        ),
+        pytest.param(
+            {"m.tsv": "feature_id\ng1\ng2\n"},
+            ["audit", "dup", "--matrix", "m.tsv"],
+            "check 'dup' could not run: header row declares no sample ids",
+            id="header-without-sample-ids",
+        ),
+        pytest.param(
+            {"m.tsv": "feature_id\tA\tB\n"},
+            ["audit", "dup", "--matrix", "m.tsv"],
+            "check 'dup' could not run: matrix has no feature rows",
+            id="header-only-matrix",
+        ),
+        pytest.param(
+            {"sig.csv": "feature_id\ng1\ng2\n", "ann.txt": "GPL96\n"},
+            ["audit", "offset", "--reported", "sig.csv", "--generated", "sig.csv", "--annotation", "ann.txt"],
+            "check 'offset' could not run: annotation needs a platform id line and at least one feature id",
+            id="annotation-without-feature-ids",
+        ),
+        pytest.param(
+            {"rec.csv": "cell_line,drug_id,measure,value\nL1,D1,GI50,1.0\n", "lab.csv": "sample_id,label\nL1,Sensitive\n"},
+            ["audit", "dose", "--records", "rec.csv", "--labels", "lab.csv", "--drug", "D2", "--measure", "GI50"],
+            "check 'dose' could not run: no sensitivity records for drug='D2' measure='GI50'",
+            id="dose-drug-without-records",
+        ),
+        pytest.param(
+            {"m.json": json.dumps({"inputs": {}, "checks": [{"check": "flips", "sources": []}]})},
+            ["report", "run", "--manifest", "m.json"],
+            "check 'flips' could not run: flips check needs at least one source",
+            id="flips-without-sources",
+        ),
+    ],
+)
+def test_failure_paths_exit_1_with_their_message(tmp_path, capsys, files, argv, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert message in out.out + out.err
 
 
 def test_cli_match_columns(tmp_path):

@@ -31,6 +31,16 @@ def test_validate_duplicate_feature_id():
     assert [v.subject for v in validate(m)] == ["A"]
 
 
+def test_validate_reports_repeated_ids_feature_axis_first_in_order_of_first_appearance():
+    m = LabeledMatrix(("B", "A", "B", "A", "B"), ("S2", "S1", "S1", "S2", "S3"), np.zeros((5, 5)))
+    assert [(v.field, v.subject, v.message) for v in validate(m)] == [
+        ("feature_ids", "B", "feature id 'B' appears 3 times"),
+        ("feature_ids", "A", "feature id 'A' appears 2 times"),
+        ("sample_ids", "S2", "sample id 'S2' appears 2 times"),
+        ("sample_ids", "S1", "sample id 'S1' appears 2 times"),
+    ]
+
+
 def test_validate_label_for_unknown_sample():
     m = LabeledMatrix(
         ("A", "B", "C"), ("S1", "S2", "S3"), np.zeros((3, 3)), {"S9": GroupLabel.SENSITIVE}

@@ -50,13 +50,13 @@ def _scored(values):
     return {(i, int(j)) for i, found in enumerate(hits) for j in found}
 
 
-def test_column_correlations_against_corrcoef():
+def test_cross_row_self_scan_against_corrcoef():
     rng = np.random.default_rng(0)
     values = rng.standard_normal((30, 12))
     assert _assert_scan_matches_oracle(values).all()
 
 
-def test_column_correlations_degenerate_column_is_nan():
+def test_cross_row_constant_column_is_not_live():
     # a constant column is not live: no hit, not even itself
     rng = np.random.default_rng(2)
     values = rng.standard_normal((10, 5))
@@ -66,7 +66,7 @@ def test_column_correlations_degenerate_column_is_nan():
     assert all(3 not in {i, j} for i, j in _scored(values))
 
 
-def test_column_correlations_constant_columns_that_do_not_round_are_nan():
+def test_cross_row_constant_columns_that_do_not_round_are_not_live():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((10, 6))
     constants = {1: 0.1, 3: 7.3, 4: 1e7 + 0.3}  # means off by an ulp or more
@@ -89,7 +89,7 @@ def test_cross_row_correlations_against_corrcoef():
         assert [h.tolist() for h in hits] == [np.flatnonzero(row >= min_corr).tolist() for row in oracle]
 
 
-def test_pairwise_complete_matches_masked_oracle():
+def test_cross_row_with_missing_cells_matches_masked_oracle():
     rng = np.random.default_rng(4)
     values = rng.standard_normal((25, 8))
     values[rng.random((25, 8)) < 0.15] = np.nan
@@ -97,7 +97,7 @@ def test_pairwise_complete_matches_masked_oracle():
     assert live.all() and len(_scored(values)) == 8 * 8
 
 
-def test_pairwise_complete_raw_scale_matches_oracle():
+def test_cross_row_raw_scale_with_missing_cells_matches_masked_oracle():
     # unlogged intensities: column means from 1e3 to 1e7, 1-5% missing,
     # some columns near-duplicates of each other
     rng = np.random.default_rng(5)
@@ -113,7 +113,7 @@ def test_pairwise_complete_raw_scale_matches_oracle():
     assert live.all() and len(_scored(values)) == n_cols * n_cols
 
 
-def test_pairwise_complete_short_overlap_and_all_nan_columns():
+def test_cross_row_short_overlap_and_all_nan_columns():
     rng = np.random.default_rng(6)
     values = rng.standard_normal((12, 5))
     values[:, 1] = np.nan  # all-NaN column
@@ -126,7 +126,7 @@ def test_pairwise_complete_short_overlap_and_all_nan_columns():
 
 
 @pytest.mark.parametrize("const", [0.1, 7.3, 1e7 + 0.3])
-def test_pairwise_complete_constant_on_overlap_is_nan(const):
+def test_cross_row_constant_on_overlap_scores_no_pair(const):
     # a pair is scored only when both columns vary on the cells they share
     rng = np.random.default_rng(7)
     values = rng.standard_normal((200, 4)) * 50.0 + 1e3
@@ -139,7 +139,7 @@ def test_pairwise_complete_constant_on_overlap_is_nan(const):
     assert _scored(values) == {(i, j) for i in (0, 1, 3) for j in (0, 1, 3)} - {(0, 1), (1, 0)}
 
 
-def test_column_correlations_routes_missing_values_to_pairwise(monkeypatch):
+def test_cross_row_routes_only_pairs_with_missing_cells_to_masked_tiles(monkeypatch):
     # complete pairs take the dense tile; every pair that holds a missing
     # cell, and only those, takes the masked products
     rng = np.random.default_rng(8)
@@ -160,7 +160,7 @@ def test_column_correlations_routes_missing_values_to_pairwise(monkeypatch):
     assert masked_pairs == []
 
 
-def test_connected_components_order():
+def test_correlated_components_order():
     # columns built from orthogonal centered Walsh rows: 5-1, 1-3 and 6-2
     # correlate at cos 20 degrees, 5 and 3 only at cos 40 degrees, and 0 and
     # 4 with nothing, so the chain 5-1-3 is one component

@@ -308,6 +308,11 @@ def test_probit_score_scaling_identity():
     np.testing.assert_allclose(p1, p2, atol=1e-8)
 
 
+def test_probit_with_constant_scores_stops_at_the_singular_hessian():
+    model = fit_probit([1.0] * 4, [0, 1, 0, 1])
+    assert (model.converged, model.n_iter, model.separation_threshold) == (False, 1, None)
+
+
 def test_probit_single_class_errors():
     with pytest.raises(ValueError):
         fit_probit(np.array([0.1, 0.2]), np.array([1, 1]))

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
@@ -564,6 +565,9 @@ def _check_confound(load: Loader, chk: dict) -> list[Finding]:
     included = [m for m in load(chk["meta"]) if m.included]
     if not included:
         raise ValueError(f"meta input {chk['meta']!r} has no included sample (every row has included=0)")
+    [(sid, n)] = Counter(m.sample_id for m in included).most_common(1)
+    if n > 1:  # such a sample is batched twice and keeps only its last arm
+        raise ValueError(f"meta input {chk['meta']!r} lists sample {sid!r} on {n} included rows")
     treatments = {m.sample_id: m.treatment_arm for m in included}
     by = chk["by"]
     if by == "scanner":

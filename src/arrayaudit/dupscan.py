@@ -12,15 +12,13 @@ transitive closure can merge near-duplicates, which forensics accepts.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, transform
 from .core import ContingencyTable, Direction, GroupLabel, LabeledMatrix, LabelRoster, first_cell
 
 
@@ -187,24 +185,12 @@ def cross_tabulate(a: Mapping[str, object], b: Mapping[str, object]) -> Continge
     return ContingencyTable(tuple(rows), tuple(cols), tuple(tuple(r) for r in counts))
 
 
-def fingerprint_matrix(m: LabeledMatrix, digits: int = 2) -> str:
-    """Digest of a matrix's shape and values rounded to ``digits``.
-
-    Ids and labels are deliberately excluded: the reuse this detects is a
-    figure or table carrying the same numbers under different names.
-    """
-    vals = np.round(np.asarray(m.values, dtype=np.float64), digits) + 0.0
-    vals = np.where(np.isnan(vals), np.nan, vals)  # canonicalize NaN payloads
-    h = hashlib.sha256()
-    h.update(struct.pack("<qqq", vals.shape[0], vals.shape[1], digits))
-    h.update(np.ascontiguousarray(vals).tobytes())
-    return h.hexdigest()
-
-
 def matrices_identical(m1: LabeledMatrix, m2: LabeledMatrix, digits: int = 2) -> bool:
-    if m1.values.shape != m2.values.shape:
-        return False
-    return fingerprint_matrix(m1, digits) == fingerprint_matrix(m2, digits)
+    """Whether two matrices hold equal values, NaN equal to NaN, after
+    ``transform.round_values`` to ``digits`` decimals; ids and labels are left
+    out, as the reuse this detects is the same numbers under other names."""
+    a, b = (transform.round_values(m.values, digits) for m in (m1, m2))
+    return a.shape == b.shape and bool(((a == b) | (np.isnan(a) & np.isnan(b))).all())
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ class Step:
             if self.param not in ("n-1", "n"):
                 raise ValueError(f"zscore denominator must be n-1|n, got {self.param!r}")
         elif self.kind == "round":
-            if not self.param.isdigit():
+            if not (self.param.isascii() and self.param.isdigit()):
                 raise ValueError(f"round digits must be a nonnegative int, got {self.param!r}")
         else:
             raise ValueError(f"unknown step kind {self.kind!r}")
@@ -111,6 +111,15 @@ class TransformError(ValueError):
     pass
 
 
+def round_values(values: np.ndarray, digits: int) -> np.ndarray:
+    """``np.round(values, digits)`` with -0.0 read as 0.0, but a finite value whose
+    scaling by 10**digits overflows stays as it is: below 309 digits, its exact rounding."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.round(values, digits)
+    np.copyto(out, values, where=np.isfinite(values) & ~np.isfinite(out))
+    return np.add(out, 0.0, out=out)
+
+
 def _step(m: LabeledMatrix, out: np.ndarray, step: Step, centered: tuple | None = None) -> np.ndarray:
     """``out``, the values of ``m`` under the steps before ``step``, under
     ``step`` too, as a new array; ``centered`` is ``_kernels.center_rows(out)``
@@ -135,7 +144,7 @@ def _step(m: LabeledMatrix, out: np.ndarray, step: Step, centered: tuple | None 
         return np.where(present, z / np.sqrt(sq / (counts - ddof))[:, None], scaled)
     if step.kind == "exp":
         return np.power(_BASES[step.param], out)
-    return np.round(out, int(step.param)) + 0.0
+    return round_values(out, int(step.param))
 
 
 def _branch_point(node: list) -> bool:

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -163,6 +164,36 @@ def test_confound_with_every_sample_excluded_exits_1_naming_the_input(tmp_path, 
     assert "has no included sample" in capsys.readouterr().out
 
 
+_FOUR_SAMPLES = [
+    "s1,2020-01-01,A,T,1",
+    "s2,2020-01-02,A,T,1",
+    "s3,2020-03-01,B,C,1",
+    "s4,2020-03-02,B,C,1",
+]
+
+
+@pytest.mark.parametrize("by", ["batch", "scanner"])
+def test_confound_refuses_a_sample_on_two_included_rows(tmp_path, by):
+    # batched twice and kept with its last arm, a repeated sample hid the
+    # perfect confound of the four rows
+    report, code = run_audit(_confound_manifest(tmp_path / "four", _FOUR_SAMPLES, by=by))
+    assert (code, [f.code for f in report.findings]) == (2, ["CONFOUND_PERFECT"])
+    excluded = _confound_manifest(tmp_path / "excluded", [*_FOUR_SAMPLES, "s1,2020-03-03,B,T,0"], by=by)
+    assert run_audit(excluded)[0].findings == report.findings
+    report, code = run_audit(_confound_manifest(tmp_path / "repeated", [*_FOUR_SAMPLES, "s1,2020-03-03,B,T,1"], by=by))
+    assert code == 1
+    [f] = report.findings
+    assert (f.code, f.subjects) == ("DEGENERATE_DATA", ("confound",))
+    assert f.message == "check 'confound' could not run: meta input 'meta' lists sample 's1' on 2 included rows"
+
+
+def test_confound_with_one_arm_among_included_samples_finds_nothing(tmp_path):
+    # two run batches, but the arm C rows are excluded
+    rows = [*_FOUR_SAMPLES[:2], "s3,2020-03-01,B,C,0", "s4,2020-03-02,B,T,1"]
+    report, code = run_audit(_confound_manifest(tmp_path / "one-arm", rows))
+    assert (report.findings, code) == ((), 0)
+
+
 def _sentinels_report(root: Path, expected: list[str]):
     """The corrupted corpus audited by its sentinels check alone, with one
     sentinel NCI/ADR-RES per token of ``expected``."""
@@ -198,6 +229,18 @@ def test_sentinel_expected_unknown_is_refused(tmp_path, expected):
     [f] = report.findings
     assert (f.code, f.subjects) == ("DEGENERATE_DATA", ("sentinels",))
     assert f.message == "check 'sentinels' could not run: sentinels[1].expected: a sentinel needs a definite expected label"
+
+
+def test_sentinel_present_but_unlabeled_is_info(tmp_path):
+    (tmp_path / "m.tsv").write_text("feature_id\tA\tB\tC\nlabel\tSensitive\tUnknown\tResistant\ng1\t1\t2\t4\n")
+    sentinels = [{"sample_id": "B", "expected": "Resistant", "reason": "selected"}]
+    doc = {"inputs": {"m": {"path": "m.tsv", "kind": "matrix"}}, "checks": [{"check": "sentinels", "matrix": "m", "sentinels": sentinels}]}
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    report, code = run_audit(tmp_path / "manifest.json")
+    assert code == 0
+    [f] = report.findings
+    assert (f.code, f.severity, f.subjects) == ("SENTINEL_VIOLATION", Severity.INFO, ("B",))
+    assert f.message == "sentinel 'B' is unlabeled; expected Resistant (selected)"
 
 
 def test_corpus_and_confound_high_cover_every_finding_code(tmp_path):
@@ -310,6 +353,33 @@ def test_overflowing_parameter_is_a_finding_and_exit_1(tmp_path, check, param, v
     assert code == 1
     bad = [f for f in report.findings if f.code == "DEGENERATE_DATA" and f.subjects == (check,)]
     assert len(bad) == 1 and bad[0].message.startswith(f"check {check!r} could not run")
+
+
+@pytest.mark.parametrize("digits,scale", [(309, 1.0), (299, 1e10)])
+def test_reuse_of_values_whose_rounding_overflows(tmp_path, digits, scale):
+    # numpy's rounding makes every cell NaN at 309 digits, and cells near
+    # 1e10 inf at 299: two different matrices once read as one reused table
+    values = scale + np.arange(6.0).reshape(2, 3) / 8
+    for name, vals in (("a", values), ("b", values + 0.25), ("c", values.copy())):
+        (tmp_path / f"{name}.tsv").write_text(ingest.serialize_matrix(LabeledMatrix(("g1", "g2"), ("A", "B", "C"), vals)))
+    inputs = {name: {"path": f"{name}.tsv", "kind": "matrix"} for name in "abc"}
+    for other, expected in (("b", ()), ("c", ("REUSED_ARTIFACT",))):
+        manifest_path = tmp_path / f"{other}.json"
+        manifest_path.write_text(json.dumps({"inputs": inputs, "checks": [{"check": "reuse", "a": "a", "b": other, "digits": digits}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, code = run_audit(manifest_path)
+        assert (tuple(f.code for f in report.findings), code) == (expected, 2 if expected else 0)
+
+
+def test_match_rows_after_a_rounding_that_would_overflow(tmp_path, capsys):
+    values = 1e10 + 100 * np.random.default_rng(8).standard_normal((3, 5))
+    panel = LabeledMatrix(("g0", "g1", "g2"), tuple(f"s{j}" for j in range(5)), values)
+    (tmp_path / "p.tsv").write_text(ingest.serialize_matrix(panel))
+    argv = ["match", "rows", "--query", str(tmp_path / "p.tsv"), "--reference", str(tmp_path / "p.tsv"), "--pipeline"]
+    for spec in ("round:2", "round:300"):
+        assert main([*argv, spec]) == 0
+        assert capsys.readouterr().out.startswith("matched 3, unmatched 0, ambiguous 0, degenerate 0\n")
 
 
 @pytest.mark.parametrize(
@@ -685,6 +755,21 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 _TWO_COLUMNS = "feature_id\t{}\t{}\ng1\t1\t2\ng2\t3\t5\ng3\t2\t9\n"
+_PIPELINE_ERRORS = [
+    ("log:3", "log base must be e|2|10, got '3'"),
+    ("zscore:n-2", "zscore denominator must be n-1|n, got 'n-2'"),
+    ("round:x", "round digits must be a nonnegative int, got 'x'"),
+    ("cube:2", "unknown step kind 'cube'"),
+    ("exp:e|log:e", "steps must appear in log, zscore, exp, round order; got ['exp', 'log']"),
+    ("round:2|round:3", "pipeline repeats a step kind: ['round', 'round']"),
+    ("log", "malformed pipeline step 'log' (expected kind:param)"),
+]
+_MANIFEST_SHAPE_ERRORS = [
+    ("manifest-not-an-object", [], "manifest must be a JSON object"),
+    ("inputs-not-an-object", {"inputs": [], "checks": []}, "manifest needs an 'inputs' object and a 'checks' array"),
+    ("check-without-name", {"inputs": {}, "checks": [{"a": "m"}]}, "check #1 is missing its 'check' name"),
+    ("input-without-kind", {"inputs": {"r": {"path": "r.csv"}}, "checks": []}, "input 'r' needs 'path' and 'kind'"),
+]
 
 
 @pytest.mark.parametrize(
@@ -725,6 +810,43 @@ _TWO_COLUMNS = "feature_id\t{}\t{}\ng1\t1\t2\ng2\t3\t5\ng3\t2\t9\n"
             ["report", "run", "--manifest", "m.json"],
             "check 'flips' could not run: flips check needs at least one source",
             id="flips-without-sources",
+        ),
+        *(
+            pytest.param(
+                {"q.tsv": _TWO_COLUMNS.format("A", "B")},
+                ["match", "rows", "--query", "q.tsv", "--reference", "q.tsv", "--pipeline", spec],
+                f"error: {message}\n",
+                id=f"pipeline-{spec}",
+            )
+            for spec, message in _PIPELINE_ERRORS
+        ),
+        pytest.param(
+            {"m.tsv": "feature_id\tA\tB\tC\tD\nlabel\tSensitive\tResistant\ng1\t1\t2\t3\t4\n"},
+            ["audit", "dup", "--matrix", "m.tsv"],
+            "DEGENERATE_DATA: check 'dup' could not run: row 2: label row has 2 cells, expected 4\n",
+            id="label-row-of-the-wrong-width",
+        ),
+        *(
+            pytest.param({"m.json": json.dumps(doc)}, ["report", "run", "--manifest", "m.json"], f"error: {message}\n", id=name)
+            for name, doc, message in _MANIFEST_SHAPE_ERRORS
+        ),
+        pytest.param(
+            {"in.csv": "sample_id,T,F,A\np1,0.5,0.5,0.5\n"},
+            ["combo", "--rule", "tfac", "--inputs", "in.csv"],
+            "error: input file is missing drug column(s) ['C']\n",
+            id="combo-missing-drug-column",
+        ),
+        pytest.param(
+            {"in.csv": "sample_id,T,F,A,C\n"},
+            ["combo", "--rule", "tfac", "--inputs", "in.csv"],
+            "error: no input rows\n",
+            id="combo-without-rows",
+        ),
+        pytest.param(
+            {"scores.csv": "sample_id,score\na,0.9\nb,0.1\n", "labels.csv": "a,Unused\nb,0\n"},
+            ["roc", "--scores", "scores.csv", "--labels", "labels.csv"],
+            "error: row 1: label 'Unused' for 'a' is neither 0/1 nor Sensitive/Resistant\n",
+            id="roc-label-unused",
         ),
     ],
 )

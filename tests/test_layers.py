@@ -4,9 +4,10 @@ command line (``cli``) is the one module that parses arguments, no module
 depends on the command line, ingest is the one module that hands text to
 numpy's text readers, the detectors reach correlations only through the
 one scan of the kernels, rows are centered one way (``_kernels.center_rows``,
-never numpy's NaN-aware moments), no module imports scipy (numpy is the
-one runtime dependency), no ``def`` has a parameter default that is a
-bare name (a function looked up at call time can be replaced by a
+never numpy's NaN-aware moments), values are rounded one way (only
+``transform`` calls ``round`` or ``around``), no module imports scipy
+(numpy is the one runtime dependency), no ``def`` has a parameter
+default that is a bare name (a function looked up at call time can be replaced by a
 tracer), and every name the benchmark's tracer wraps still resolves but
 for the five it has yet to retire."""
 
@@ -114,6 +115,16 @@ def test_no_module_calls_nan_aware_moments():
         )
 
     assert _modules_where(calls_nan_moments) == set()
+
+
+def test_only_transform_rounds():
+    # the round step and the reuse check share transform.round_values
+    def rounds(node):
+        return isinstance(node, ast.Call) and bool(
+            {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & {"round", "around"}
+        )
+
+    assert _modules_where(rounds) == {"transform.py"}
 
 
 def test_no_parameter_default_is_a_bare_name():

@@ -73,6 +73,32 @@ def test_spec_string_round_trip():
         parse_pipeline_spec("log=e")
 
 
+@pytest.mark.parametrize("digits", ["\u00b2", "\u0663"])
+def test_round_digits_must_be_ascii(digits):
+    # a superscript two and an Arabic-Indic three are digits to str.isdigit
+    with pytest.raises(ValueError, match="round digits must be a nonnegative int"):
+        parse_pipeline_spec(f"round:{digits}")
+
+
+@pytest.mark.parametrize("digits", [0, 2, 293, 299, 300, 308, 309, 400])
+def test_round_keeps_a_value_whose_scaling_overflows(digits):
+    # numpy rounds x as rint(x * 10**d) / 10**d, which is inf or NaN once
+    # the product overflows; such an x has fewer than d decimals, so it is
+    # its own rounding, and Python's correctly rounded round() says so
+    rng = np.random.default_rng(digits)
+    values = np.array([rng.standard_normal(6), 1e10 + rng.random(6), [0.0, -0.0, -2.5, 1.7976931348623157e308, np.nan, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_pipeline(_matrix(values), TransformPipeline((round_step(digits),))).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        numpy_rounding = np.round(values, digits) + 0.0
+    kept = np.isfinite(values) & ~np.isfinite(numpy_rounding)
+    assert kept[1].all() == (digits >= 299) and kept[2, 3] == (digits > 0)
+    assert out[~kept].tobytes() == numpy_rounding[~kept].tobytes()
+    assert out[kept].tobytes() == np.array([round(x, digits) + 0.0 for x in values[kept].tolist()]).tobytes()
+    assert not np.signbit(out[values == 0]).any()
+
+
 def test_default_grid_shape():
     grid = default_candidate_grid()
     assert len(grid) == 12

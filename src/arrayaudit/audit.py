@@ -848,7 +848,7 @@ def run_audit(manifest: AuditManifest | str | Path) -> tuple[FindingsReport, int
 
     def load(name: str):
         if isinstance(values[name], Exception):
-            raise values[name]
+            raise ValueError(f"input {name!r} ({manifest.inputs[name].path}): {values[name]}")
         return values[name]
 
     for chk in manifest.checks:

@@ -11,7 +11,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -106,15 +106,6 @@ class LabeledMatrix:
 
     def sample_index(self) -> dict[str, int]:
         return {sid: i for i, sid in enumerate(self.sample_ids)}
-
-    def take_samples(self, indices: Sequence[int]) -> "LabeledMatrix":
-        sids = tuple(self.sample_ids[i] for i in indices)
-        labels = None
-        if self.labels is not None:
-            labels = {s: self.labels[s] for s in sids if s in self.labels}
-        values = np.take(self.values, indices, axis=1)  # a new array, handed over without a second copy
-        values.setflags(write=False)
-        return LabeledMatrix(self.feature_ids, sids, values, labels)
 
     def with_labels(self, labels: Mapping[str, GroupLabel]) -> "LabeledMatrix":
         return LabeledMatrix(self.feature_ids, self.sample_ids, self.values, labels)
@@ -327,48 +318,28 @@ def validate(m: LabeledMatrix) -> list[Violation]:
     return out
 
 
-def extract_submatrix(
-    m: LabeledMatrix,
-    sig: SignatureList,
-    sample_filter: Optional[Iterable[GroupLabel]] = None,
-) -> tuple[LabeledMatrix, list[str]]:
+def extract_submatrix(m: LabeledMatrix, sig: SignatureList) -> tuple[LabeledMatrix, list[str]]:
     """Restrict a matrix to the signature's features, in signature order.
 
     Returns the submatrix together with the signature ids absent from the
     matrix. An empty intersection raises PlatformMismatchError: the
     signature was almost certainly reported for a different platform.
-    ``sample_filter`` optionally keeps only samples whose label is in the
-    given set (samples without a label count as Unknown).
     """
     findex = m.feature_index()
-    rows: list[int] = []
-    kept_ids: list[str] = []
-    absent: list[str] = []
-    seen: set[str] = set()
-    for fid in sig.feature_ids:
-        if fid in seen:
-            continue
-        seen.add(fid)
-        if fid in findex:
-            rows.append(findex[fid])
-            kept_ids.append(fid)
-        else:
-            absent.append(fid)
-    if not rows:
+    ids = dict.fromkeys(sig.feature_ids)  # signature order, repeats dropped
+    kept_ids = tuple(fid for fid in ids if fid in findex)
+    absent = [fid for fid in ids if fid not in findex]
+    if not kept_ids:
         raise PlatformMismatchError(
             f"none of the {len(sig)} signature ids occur in the matrix; "
             "probable platform mismatch"
         )
-    cols = range(m.n_samples)
-    if sample_filter is not None:
-        wanted = set(sample_filter)
-        cols = [j for j, sid in enumerate(m.sample_ids) if m.label_of(sid) in wanted]
-    sids = tuple(m.sample_ids[j] for j in cols)
     labels = None
     if m.labels is not None:
-        labels = {s: m.labels[s] for s in sids if s in m.labels}
-    sub = LabeledMatrix(tuple(kept_ids), sids, m.values[np.ix_(rows, list(cols))], labels)
-    return sub, absent
+        labels = {s: m.labels[s] for s in m.sample_ids if s in m.labels}
+    values = m.values[[findex[fid] for fid in kept_ids]]  # a new array, handed over without a second copy
+    values.setflags(write=False)
+    return LabeledMatrix(kept_ids, m.sample_ids, values, labels), absent
 
 
 def label_census(m: LabeledMatrix) -> dict[GroupLabel, int]:

@@ -61,11 +61,7 @@ def _compared_values(m: LabeledMatrix, cfg: DupScanConfig) -> np.ndarray:
         fid, sid, _ = first_cell(m, np.isnan(vals))
         raise ValueError(f"missing_policy is 'fail' but the value at feature {fid!r}, sample {sid!r} is missing")
     if cfg.compare_on == "log":
-        bad = (vals <= 0) & np.isfinite(vals)
-        if bad.any():
-            fid, sid, value = first_cell(m, bad)
-            raise ValueError(f"compare_on='log' requires positive values; value {value!r} at feature {fid!r}, sample {sid!r}")
-        vals = np.log(vals)
+        vals = transform.apply_pipeline(m, transform.parse_pipeline_spec("log:e")).values
     return vals
 
 

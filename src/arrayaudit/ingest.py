@@ -69,7 +69,7 @@ _MEASURES = {m.value: m for m in Measure}
 
 def normalize_label(token: str) -> GroupLabel:
     """Map a source vocabulary token (NR, Resp, RES, SEN, ...) to a label."""
-    key = token.strip().lower()
+    key = token.strip(_PADDING).lower()
     if key in _SYNONYMS:
         return _SYNONYMS[key]
     raise ParseError(f"unknown group label token {token!r}")
@@ -550,7 +550,7 @@ def serialize_sensitivity(records: list[SensitivityRecord]) -> str:
 
 
 def parse_timestamp(token: str) -> datetime:
-    tok = token.strip()
+    tok = token.strip(_PADDING)
     if tok.endswith("Z"):
         tok = tok[:-1] + "+00:00"
     try:

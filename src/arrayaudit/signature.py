@@ -119,8 +119,9 @@ def pooled_t_statistics(m: LabeledMatrix) -> np.ndarray:
     x1 = m.values[:, idx1]
     x2 = m.values[:, idx2]
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        grouped = m.take_samples(sorted(idx1 + idx2))
-        fid, sid, _ = first_cell(grouped, ~np.isfinite(grouped.values))
+        grouped = np.zeros(m.n_samples, dtype=bool)
+        grouped[idx1 + idx2] = True
+        fid, sid, _ = first_cell(m, ~np.isfinite(m.values) & grouped)
         raise ValueError(
             f"gene ranking requires complete (non-missing) values in both groups; gene {fid!r} is missing in sample {sid!r}"
         )

@@ -196,7 +196,9 @@ def _apply_values(m: LabeledMatrix, p: TransformPipeline, path: list | None = No
 
 def apply_pipeline(m: LabeledMatrix, p: TransformPipeline) -> LabeledMatrix:
     """Transform values row-wise; ids and labels pass through unchanged."""
-    return LabeledMatrix(m.feature_ids, m.sample_ids, _apply_values(m, p), m.labels)
+    values = _apply_values(m, p)  # a new array, or m.values (read-only) for the identity
+    values.setflags(write=False)  # handed over without a second copy
+    return LabeledMatrix(m.feature_ids, m.sample_ids, values, m.labels)
 
 
 def default_candidate_grid() -> list[TransformPipeline]:

@@ -246,9 +246,7 @@ def planted_panel(
             elif truth[line] != opposite:
                 values[g, j] += 1.5 * effect
     panel = LabeledMatrix(tuple(f"g{i}" for i in range(n_features)), tuple(lines), values)
-    used = [j for j, line in enumerate(lines) if truth[line] != GroupLabel.UNUSED]
-    sub = panel.take_samples(used).with_labels({line: truth[line] for line in used_lines})
-    target = select_top_genes(sub, k)
+    target = select_top_genes(panel.with_labels({line: truth[line] for line in used_lines}), k)
     return panel, truth, target
 
 

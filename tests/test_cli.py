@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import corpus
 import fixtures_lib as fx
 from test_ingest import _HOSTILE
-from arrayaudit import ingest
+from arrayaudit import cli, ingest
 from arrayaudit.audit import (
     _INPUT_KINDS,
     CHECKS,
@@ -33,6 +33,7 @@ from arrayaudit.audit import (
 )
 from arrayaudit.cli import main
 from arrayaudit.core import GroupLabel, LabeledMatrix, LabelRoster, RosterEntry, Severity
+from arrayaudit.groupsearch import Assignment, SearchResult
 from arrayaudit.signature import auc, predict, select_top_genes
 
 REQUIRED_CORRUPTED_CODES = {
@@ -725,6 +726,21 @@ def test_cli_search_groups_with_k_beyond_gene_count_exits_1(tmp_path, capsys):
     assert "exceeds" in captured.err and "start score" not in captured.out
 
 
+def test_cli_search_groups_reports_an_exceeded_move_budget(tmp_path, monkeypatch, capsys):
+    panel, truth, target = fx.planted_panel(2025, 7, 7, 6, k=10)
+    (tmp_path / "panel.tsv").write_text(ingest.serialize_matrix(panel))
+    (tmp_path / "target.csv").write_text(ingest.serialize_signature(target))
+    (tmp_path / "start.csv").write_text("".join(f"{l},{lab.value}\n" for l, lab in truth.items()))
+    partial = SearchResult(Assignment(truth), (), 10, (), True)
+    monkeypatch.setattr(cli, "steepest_ascent", lambda *args: partial)
+    argv = ["search", "groups", "--panel", "panel.tsv", "--target", "target.csv", "--k", "10", "--start", "start.csv"]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == "move budget exceeded; trajectory is partial\n"
+    assert out.out == "start score: 10\nfinal score: 10 after 0 move(s)\n"
+
+
 def test_cli_audit_dose_and_confound(tmp_path, capsys):
     records, labels = fx.pemetrexed_reversal_records()
     (tmp_path / "gi50.csv").write_text(ingest.serialize_sensitivity(records))
@@ -784,19 +800,19 @@ _MANIFEST_SHAPE_ERRORS = [
         pytest.param(
             {"m.tsv": "feature_id\ng1\ng2\n"},
             ["audit", "dup", "--matrix", "m.tsv"],
-            "check 'dup' could not run: header row declares no sample ids",
+            "check 'dup' could not run: input 'matrix' (m.tsv): header row declares no sample ids",
             id="header-without-sample-ids",
         ),
         pytest.param(
             {"m.tsv": "feature_id\tA\tB\n"},
             ["audit", "dup", "--matrix", "m.tsv"],
-            "check 'dup' could not run: matrix has no feature rows",
+            "check 'dup' could not run: input 'matrix' (m.tsv): matrix has no feature rows",
             id="header-only-matrix",
         ),
         pytest.param(
             {"sig.csv": "feature_id\ng1\ng2\n", "ann.txt": "GPL96\n"},
             ["audit", "offset", "--reported", "sig.csv", "--generated", "sig.csv", "--annotation", "ann.txt"],
-            "check 'offset' could not run: annotation needs a platform id line and at least one feature id",
+            "check 'offset' could not run: input 'annotation' (ann.txt): annotation needs a platform id line and at least one feature id",
             id="annotation-without-feature-ids",
         ),
         pytest.param(
@@ -823,7 +839,7 @@ _MANIFEST_SHAPE_ERRORS = [
         pytest.param(
             {"m.tsv": "feature_id\tA\tB\tC\tD\nlabel\tSensitive\tResistant\ng1\t1\t2\t3\t4\n"},
             ["audit", "dup", "--matrix", "m.tsv"],
-            "DEGENERATE_DATA: check 'dup' could not run: row 2: label row has 2 cells, expected 4\n",
+            "DEGENERATE_DATA: check 'dup' could not run: input 'matrix' (m.tsv): row 2: label row has 2 cells, expected 4\n",
             id="label-row-of-the-wrong-width",
         ),
         *(
@@ -843,6 +859,24 @@ _MANIFEST_SHAPE_ERRORS = [
             id="combo-without-rows",
         ),
         pytest.param(
+            {"in.csv": "sample_id,T,F,A,C\np1,0.5,0.5,0.5,0.5\np2,0.5,0.5,0.5,0.5\n"},
+            ["combo", "--rule", "tfac", "--inputs", "in.csv", "--batch-normalize"],
+            "error: degenerate batch: all combination scores equal\n",
+            id="combo-degenerate-batch",
+        ),
+        pytest.param(
+            {"m.tsv": "feature_id\tA\tB\tC\tD\nlabel\tS\tS\tR\tR\ng1\t1\t2\t3\t4\n"},
+            ["signature", "derive", "--matrix", "m.tsv", "--k", "0"],
+            "error: k must be >= 1\n",
+            id="signature-derive-k-0",
+        ),
+        pytest.param(
+            {"train.tsv": "feature_id\tA\tB\tC\tD\nlabel\tS\tS\tI\tI\ng1\t1\t2\t3\t5\n", "test.tsv": "feature_id\tE\ng1\t1\n"},
+            ["signature", "predict", "--train", "train.tsv", "--test", "test.tsv", "--k", "1", "--out", "p.csv"],
+            "error: prediction needs Sensitive and Resistant training groups, found Sensitive and Intermediate\n",
+            id="signature-predict-without-resistant",
+        ),
+        pytest.param(
             {"scores.csv": "sample_id,score\na,0.9\nb,0.1\n", "labels.csv": "a,Unused\nb,0\n"},
             ["roc", "--scores", "scores.csv", "--labels", "labels.csv"],
             "error: row 1: label 'Unused' for 'a' is neither 0/1 nor Sensitive/Resistant\n",
@@ -850,10 +884,10 @@ _MANIFEST_SHAPE_ERRORS = [
         ),
     ],
 )
-def test_failure_paths_exit_1_with_their_message(tmp_path, capsys, files, argv, message):
+def test_failure_paths_exit_1_with_their_message(tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)  # the files are named as given, as a message names them
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert main(argv) == 1
     out = capsys.readouterr()
     assert message in out.out + out.err
@@ -1012,7 +1046,7 @@ def test_search_start_line_missing_from_panel_exits_1(tmp_path, capsys):
     assert captured.err == "error: start line 'TYPO' is not a line of the panel\n" and captured.out == ""
 
 
-def test_bom_headers_and_empty_ids_in_manifest_inputs(tmp_path, capsys):
+def test_bom_headers_and_empty_ids_in_manifest_inputs(tmp_path, monkeypatch, capsys):
     (tmp_path / "sig.csv").write_text("\ufefffeature_id,direction\ng1,UpInResistant\n", encoding="utf-8")
     (tmp_path / "ann.txt").write_text("\ufeffP\ng1\ng2\n", encoding="utf-8")
     inputs = {"sig": {"path": "sig.csv", "kind": "signature"}, "ann": {"path": "ann.txt", "kind": "annotation"}}
@@ -1024,9 +1058,31 @@ def test_bom_headers_and_empty_ids_in_manifest_inputs(tmp_path, capsys):
     assert main(["report", "run", "--manifest", str(manifest)]) == 1
     assert "row 4: duplicate feature id 'g1' (first on row 2)" in capsys.readouterr().out
 
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "r.csv").write_text("GSM1,Sensitive\n,Resistant\n")
-    assert main(["audit", "roster", "--roster", str(tmp_path / "r.csv")]) == 1
-    assert "check 'roster' could not run: row 2: empty sample id" in capsys.readouterr().out
+    assert main(["audit", "roster", "--roster", "r.csv"]) == 1
+    assert "check 'roster' could not run: input 'roster' (r.csv): row 2: empty sample id" in capsys.readouterr().out
+
+
+def test_an_input_fault_names_the_input_and_its_path(tmp_path, monkeypatch, capsys):
+    # two matrices in one check: the message says which one is at fault
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.tsv").write_text("feature_id\tA\tB\tC\ng1\t1\t2\t3\n")
+    (tmp_path / "b.tsv").write_text("feature_id\tA\tB\tC\nlabel\tSensitive\tResistant\ng1\t1\t2\t3\n")
+    inputs = {"a": {"path": "a.tsv", "kind": "matrix"}, "b": {"path": "b.tsv", "kind": "matrix"}}
+    (tmp_path / "m.json").write_text(json.dumps({"inputs": inputs, "checks": [{"check": "reuse", "a": "a", "b": "b"}]}))
+    assert main(["report", "run", "--manifest", "m.json"]) == 1
+    assert (
+        "DEGENERATE_DATA: check 'reuse' could not run: input 'b' (b.tsv): row 2: label row has 2 cells, expected 3\n"
+        in capsys.readouterr().out
+    )
+    # an unreadable input is a finding of its own, and the check names it too
+    inputs["b"]["path"] = "gone.tsv"
+    (tmp_path / "m.json").write_text(json.dumps({"inputs": inputs, "checks": [{"check": "reuse", "a": "a", "b": "b"}]}))
+    report, code = run_audit("m.json")
+    unreadable, could_not_run = (f.message for f in report.findings)
+    assert code == 1 and unreadable.startswith("input 'b' (gone.tsv) is unreadable: [Errno 2]")
+    assert could_not_run.startswith("check 'reuse' could not run: input 'b' (gone.tsv): [Errno 2]")
 
 
 def test_roc_and_search_read_predict_output_and_rosters(tmp_path, capsys):

@@ -12,6 +12,7 @@ from arrayaudit.core import (
     label_census,
     validate,
 )
+from arrayaudit.transform import apply_pipeline, parse_pipeline_spec
 
 
 def test_validate_well_formed(small_matrix):
@@ -74,19 +75,29 @@ def test_values_are_shared_when_read_only_and_owned_and_copied_otherwise(small_m
     assert not np.shares_memory(m.values, writable) and m.values[1, 1] == 0.0
 
 
-def test_take_samples_copies_the_values_once():
-    # half the columns of a paper-scale panel: the taken values are the
-    # only array made, read-only and handed to the matrix as they are
-    m = LabeledMatrix(tuple(map(str, range(22283))), tuple(map(str, range(60))), np.ones((22283, 60)))
+def _peak(fn):
+    """``fn()`` and the ``tracemalloc`` peak of the call."""
     tracemalloc.start()
     try:
-        sub = m.take_samples(range(0, 60, 2))
-        peak = tracemalloc.get_traced_memory()[1]
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sub.sample_ids == tuple(map(str, range(0, 60, 2))) and not sub.values.flags.writeable
-    np.testing.assert_array_equal(sub.values, m.values[:, ::2])
-    assert peak <= 1.2 * sub.values.nbytes
+
+
+def test_derived_matrices_are_one_array_handed_over():
+    # a paper-scale panel: a derived matrix's values are the one array made,
+    # read-only and taken by the matrix as they are; a second copy would
+    # double each peak
+    values = np.exp(np.random.default_rng(0).standard_normal((22283, 60)))
+    m = LabeledMatrix(tuple(map(str, range(22283))), tuple(map(str, range(60))), values)
+    panel = m.values.nbytes
+    for spec, bound in (("round:2", 1.3), ("exp:e", 1.1)):
+        out, peak = _peak(lambda: apply_pipeline(m, parse_pipeline_spec(spec)))
+        assert peak <= bound * panel and not out.values.flags.writeable, spec
+    assert apply_pipeline(m, parse_pipeline_spec("identity")).values is m.values
+    (sub, absent), peak = _peak(lambda: extract_submatrix(m, SignatureList(m.feature_ids[::2])))
+    assert peak <= 1.5 * sub.values.nbytes and absent == [] and not sub.values.flags.writeable
+    np.testing.assert_array_equal(sub.values, m.values[::2])
 
 
 def test_extract_submatrix_preserves_signature_order(small_matrix):
@@ -109,13 +120,6 @@ def test_extract_submatrix_reports_absent_ids():
 def test_extract_submatrix_disjoint_raises(small_matrix):
     with pytest.raises(PlatformMismatchError):
         extract_submatrix(small_matrix, SignatureList(("X", "Y")))
-
-
-def test_extract_submatrix_sample_filter(small_matrix):
-    sub, _ = extract_submatrix(
-        small_matrix, SignatureList(("A",)), sample_filter={GroupLabel.SENSITIVE}
-    )
-    assert sub.sample_ids == ("S2",)
 
 
 def test_unlabeled_sample_counts_as_unknown(small_matrix):

@@ -162,7 +162,7 @@ def test_unusable_cells_are_named_by_feature_and_sample_in_column_order():
     m = _matrix(values)
     with pytest.raises(ValueError, match=r"^missing_policy is 'fail' but the value at feature 'g2', sample 'c0' is missing$"):
         find_duplicate_columns(m, DupScanConfig(missing_policy="fail"))
-    with pytest.raises(ValueError, match=r"; value -1.5 at feature 'g3', sample 'c1'$"):
+    with pytest.raises(ValueError, match=r"^log of nonpositive value -1.5 at feature 'g3', sample 'c1'$"):
         find_duplicate_columns(m, DupScanConfig(compare_on="log"))
 
 

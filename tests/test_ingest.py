@@ -63,6 +63,9 @@ def test_parse_matrix_bad_cell_coordinates():
         ingest.parse_matrix("id\tS1\tS2\nlabel\tNR\tResp\ngene1\t1e999\t1\n")
     with pytest.raises(ParseError, match=r"^row 2, column 3: unknown group label token 'wibble'"):
         ingest.parse_matrix("id\tS1\tS2\nlabel\tNR\twibble\ngene1\t1\t2\n")
+    # a label cell loses spaces and tabs only: a form feed is not an empty (Unknown) label
+    with pytest.raises(ParseError, match=r"^row 2, column 3: unknown group label token '\\x0c'$"):
+        ingest.parse_matrix("id\tS1\tS2\nlabel\tNR\t\x0c\ngene1\t1\t2\n")
 
 
 def test_parse_matrix_ragged_row():
@@ -180,6 +183,10 @@ def test_parse_sample_meta_bad_timestamp_names_row():
         ingest.parse_sample_meta("A1,2007-01-03T10:00:00,SC01,FEC,1\nA2,yesterday,SC01,TET,1\n")
     with pytest.raises(ParseError, match="^row 1: included must be 0 or 1, got 'yes'$"):
         ingest.parse_sample_meta("A1,2007-01-03T10:00:00,SC01,FEC,yes\n")
+    # a timestamp loses spaces and tabs only
+    assert ingest.parse_sample_meta("A1, 2007-01-03T10:00:00\t,SC01,FEC,1\n")[0].run_timestamp.hour == 10
+    with pytest.raises(ParseError, match=r"^row 1: unparseable ISO-8601 timestamp '2007-01-03T10:00:00\\xa0'$"):
+        ingest.parse_sample_meta("A1,2007-01-03T10:00:00\xa0,SC01,FEC,1\n")
 
 
 def test_meta_round_trip():
@@ -591,6 +598,8 @@ def test_roster_header_is_its_first_cell_and_cells_lose_spaces_and_tabs():
     roster = ingest.parse_roster("GSM1, RES ,\tsite-a, \n")
     assert roster.entries[0].label == GroupLabel.RESISTANT
     assert (roster.entries[0].source_id, roster.entries[0].note) == ("site-a", None)
+    with pytest.raises(ParseError, match=r"^row 1: unknown group label token '\\xa0RES'$"):
+        ingest.parse_roster("GSM1,\xa0RES\n")
 
 
 @pytest.mark.parametrize(

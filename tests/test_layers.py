@@ -5,7 +5,8 @@ depends on the command line, ingest is the one module that hands text to
 numpy's text readers, the detectors reach correlations only through the
 one scan of the kernels, rows are centered one way (``_kernels.center_rows``,
 never numpy's NaN-aware moments), values are rounded one way (only
-``transform`` calls ``round`` or ``around``), no module imports scipy
+``transform`` calls ``round`` or ``around``), values are logged one way
+(only ``transform`` calls numpy's ``log``), no module imports scipy
 (numpy is the one runtime dependency), no ``def`` has a parameter
 default that is a bare name (a function looked up at call time can be replaced by a
 tracer), and every name the benchmark's tracer wraps still resolves but
@@ -125,6 +126,19 @@ def test_only_transform_rounds():
         )
 
     assert _modules_where(rounds) == {"transform.py"}
+
+
+def test_only_transform_takes_numpys_log():
+    # the dup check's compare_on="log" goes through the log step
+    def logs(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "log"
+            and getattr(node.func.value, "id", None) in ("np", "numpy")
+        )
+
+    assert _modules_where(logs) == {"transform.py"}
 
 
 def test_no_parameter_default_is_a_bare_name():

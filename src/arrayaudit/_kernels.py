@@ -6,7 +6,9 @@ correlates with at a threshold or more, over the cells both hold
 reference rows, ``dup`` and ``blocks`` the columns of one matrix against
 themselves (``correlated_components``). It keeps only each tile's hits, so
 its memory is bounded by the tile, not by the product of the row counts;
-the complete pairs' tile is one buffer, allocated once per call.
+the complete pairs' tile is one buffer, allocated once per call. A large
+grid of complete pairs is banded: each query tile meets only the
+reference rows that can reach the threshold (``cross_row_correlations``).
 Rows are centered first, by ``center_rows``: the uncentered single-pass form
 (sum x^2 - (sum x)^2 / n) cancels catastrophically on raw intensities
 (Chan, Golub & LeVeque 1983). The scan is looked up as a module attribute
@@ -31,11 +33,14 @@ def varying(centered_sq: np.ndarray, raw_sq: np.ndarray, n: int | np.ndarray) ->
     return np.sqrt(centered_sq) > 4.0 * n * _EPS * np.sqrt(raw_sq)
 
 
-#: query x reference pairs per matmul of ``cross_row_correlations``: a 4 MiB
-#: float64 tile, whatever the row counts
+#: the most complete query x reference pairs a scan multiplies in row
+#: order, every query row by every reference row; a larger grid is banded.
+#: Also the masked tiles' pairs per six products: a 4 MiB float64 tile
 _PAIR_BUDGET = 1 << 19
-#: reference rows per tile; the query rows per tile are the budget's rest
+#: reference rows per matmul
 _REF_TILE = 2048
+#: query rows per matmul of a banded scan: a tile's band spans its keys
+_QUERY_TILE = 32
 
 
 def _dot_tolerance(n: int | np.ndarray) -> float | np.ndarray:
@@ -54,7 +59,7 @@ def _dot_tolerance(n: int | np.ndarray) -> float | np.ndarray:
 
 class _Side(NamedTuple):
     values: np.ndarray  # the whole side, rows scaled as in _live_rows, for the two-pass recomputation
-    rows: np.ndarray  # row indices of the live rows, complete ones first, each kind in row order
+    rows: np.ndarray  # row indices of the live rows, complete ones first (by key when banded), others in row order
     n_complete: int
     present: np.ndarray  # their finite cells
     z: np.ndarray  # centered on the mean of their finite cells, unit norm, zero where missing
@@ -71,6 +76,11 @@ def row_exponents(*blocks: np.ndarray) -> np.ndarray | None:
     change keeps its bits."""
     with np.errstate(over="ignore"):
         raw = sum(np.einsum("ij,ij->i", b, b) for b in blocks)
+    return _exponents(raw, blocks)
+
+
+def _exponents(raw: np.ndarray, blocks: tuple[np.ndarray, ...]) -> np.ndarray | None:
+    """``row_exponents`` of ``blocks`` from their rows' sums of squares ``raw``."""
     far = ~((raw > 2.0**-800) & (raw < 2.0**800))
     if not far.any():
         return None
@@ -97,10 +107,12 @@ def center_rows(x: np.ndarray) -> Centered:
     present = np.isfinite(x)
     holes = not present.all()
     x0 = np.where(present, x, 0.0) if holes else x
-    scale = row_exponents(x0)
+    with np.errstate(over="ignore"):
+        raw = np.einsum("ij,ij->i", x0, x0)
+    scale = _exponents(raw, (x0,))
     if scale is not None:
         x, x0 = np.ldexp(x, scale), np.ldexp(x0, scale)
-    raw = np.einsum("ij,ij->i", x0, x0)
+        raw = np.einsum("ij,ij->i", x0, x0)
     k = present.sum(axis=1) if holes else np.full(len(x), x.shape[1])
     z = x0 - x0.sum(axis=1, keepdims=True) / np.maximum(k, 1)[:, None]
     if holes:
@@ -111,15 +123,36 @@ def center_rows(x: np.ndarray) -> Centered:
 
 def _live_rows(x: np.ndarray) -> _Side:
     """The rows of ``center_rows(x)`` that have at least 3 finite cells and
-    vary over them, scaled to unit norm, complete ones first."""
+    vary over them, scaled to unit norm, complete ones first, each kind in
+    row order; ``present`` and ``z`` are still in the order of ``x`` until
+    ``_gathered``."""
     x, present, z, sq, k, live = center_rows(x)
     ok = (k >= 3) & live
     z /= np.sqrt(np.where(ok, sq, 1.0))[:, None]
     complete = ok & (k == x.shape[1])
     rows = np.concatenate([np.flatnonzero(complete), np.flatnonzero(ok & ~complete)])
-    if not np.array_equal(rows, np.arange(len(x))):
-        present, z = present[rows], z[rows]
     return _Side(x, rows, int(complete.sum()), present, z)
+
+
+def _key_column(s: _Side) -> int:
+    """The column of the largest sum of squares over the complete rows of
+    ``_live_rows``: the widest spread of keys, so the narrowest bands."""
+    weight = np.zeros(len(s.z))
+    weight[s.rows[: s.n_complete]] = 1.0
+    return int(np.argmax(np.einsum("i,ij,ij->j", weight, s.z, s.z)))
+
+
+def _gathered(s: _Side, key: int | None) -> _Side:
+    """``s`` with ``present`` and ``z`` taken in the order of its rows, the
+    complete ones sorted by their value in column ``key`` when it is given:
+    the one copy of the prepared rows that the scan holds."""
+    rows = s.rows
+    if key is not None:
+        done = rows[: s.n_complete]
+        rows = np.concatenate([done[np.argsort(s.z[done, key], kind="stable")], rows[s.n_complete :]])
+    if np.array_equal(rows, np.arange(len(s.z))):
+        return s
+    return _Side(s.values, rows, s.n_complete, s.present[rows], s.z[rows])
 
 
 def _masked_keys(q: _Side, qsel: slice, r: _Side, rsel: slice, min_corr: float) -> np.ndarray:
@@ -188,29 +221,59 @@ def cross_row_correlations(
     Returns ``(live, hits)``: ``live[i]`` holds when query row ``i`` and at
     least one reference row have 3 or more finite cells and vary over them;
     ``hits[i]`` holds the indices of its hits in reference order. Each side
-    is prepared once (once in all when ``reference`` is ``query``). Pairs of
-    complete rows take ``_PAIR_BUDGET // _REF_TILE`` query rows by
-    ``_REF_TILE`` reference rows per matmul, written into one product and
-    one compare buffer sized once per call, keeping each tile's hits as
-    flat indices into the query x reference grid; the other pairs go to
-    ``_masked_keys`` once the buffers are freed. One sort puts the hits in
-    query, then reference, order.
+    is prepared once (once in all when ``reference`` is ``query``).
+
+    Pairs of complete rows are standardized (centered, unit norm), so a
+    pair's correlation is its dot product c, a hit when the BLAS product
+    reaches the floor, ``min_corr - _dot_tolerance(n)``. They are banded
+    when there are more than ``_PAIR_BUDGET`` of them. Two unit rows with
+    dot product c lie sqrt(2 - 2c) apart, and no one coordinate differs by
+    more than their distance. So the complete rows of both sides are taken
+    in the order of their value (key) in one column, the one of largest
+    sum of squares over the reference rows (``_key_column``), and each
+    tile of ``_QUERY_TILE`` query rows is multiplied only by the reference
+    rows whose keys lie within
+    w = sqrt(max(0, 2 - 2 floor) + 4 _dot_tolerance(n)) of the tile's: its
+    band, found by ``searchsorted``. No pair whose computed product passes
+    is left out: each row's squared norm errs from 1 by at most (n + 8)
+    eps and the product by n eps (``_dot_tolerance``), so such a pair lies
+    within sqrt(2 - 2 floor + 2 _dot_tolerance(n)) in exact arithmetic on
+    the stored values, and the keys are stored values; the other half of
+    the margin covers rounding w and the band's ends. A grid of at most
+    ``_PAIR_BUDGET`` pairs keeps row order in one tile whose band is every
+    reference row, since gathering it costs more than banding saves. A
+    band is multiplied ``_REF_TILE`` reference rows at a time, into one
+    product and one compare buffer sized once per call, keeping each
+    tile's hits as flat indices into the query x reference grid. The other
+    pairs go to ``_masked_keys`` once the buffers are freed. One sort puts
+    the hits in query, then reference, order.
     """
     qs = _live_rows(query)
     rs = qs if reference is query else _live_rows(reference)
+    key = _key_column(rs) if qs.n_complete * rs.n_complete > _PAIR_BUDGET else None
+    rs = _gathered(rs, key)
+    qs = rs if reference is query else _gathered(qs, key)
     q, r = qs.z[: qs.n_complete], rs.z[: rs.n_complete]
     floor = min_corr - _dot_tolerance(q.shape[1])
-    step = _PAIR_BUDGET // _REF_TILE
+    step = max(len(q), 1) if key is None else _QUERY_TILE
+    tile_starts = np.arange(0, len(q), step)
+    if key is None:
+        band_lo, band_hi = np.zeros_like(tile_starts), np.full_like(tile_starts, len(r))
+    else:
+        w = np.sqrt(max(0.0, 2.0 - 2.0 * floor) + 4.0 * _dot_tolerance(q.shape[1]))
+        ends = np.minimum(tile_starts + step, len(q)) - 1
+        band_lo = np.searchsorted(r[:, key], q[tile_starts, key] - w, "left")
+        band_hi = np.searchsorted(r[:, key], q[ends, key] + w, "right")
     n_ref = len(rs.values)
     flat = [np.zeros(0, dtype=np.intp)]
     # one tile's products and compares, allocated once: a buffer freed per
     # tile can go back to the system and fault its pages in again
     size = min(step, len(q)) * min(_REF_TILE, len(r))
     prod, ge = np.empty(size), np.empty(size, dtype=bool)
-    for lo in range(0, len(q), step):
+    for lo, blo, bhi in zip(tile_starts.tolist(), band_lo.tolist(), band_hi.tolist()):
         a = q[lo : lo + step]
-        for rlo in range(0, len(r), _REF_TILE):
-            tile = r[rlo : rlo + _REF_TILE]
+        for rlo in range(blo, bhi, _REF_TILE):
+            tile = r[rlo : min(rlo + _REF_TILE, bhi)]
             n = len(a) * len(tile)
             np.matmul(a, tile.T, out=prod[:n].reshape(len(a), len(tile)))
             np.greater_equal(prod[:n], floor, out=ge[:n])

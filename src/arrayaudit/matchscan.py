@@ -2,13 +2,21 @@
 reference panel, and detect index offsets between reported gene lists and
 platform row order.
 
-The row/column matcher is deliberately exhaustive: at the scales these
-audits run at (thousands of features by tens of samples) an O(Q x R x C)
-scan finishes in seconds, and nothing beats it for explainability. The
-scan is ``_kernels.cross_row_correlations``: BLAS matmuls over fixed-size
-tiles of the query x reference grid that keep only each tile's hits, so
-its memory is the two prepared inputs, one tile's products and the hits,
-whatever the product of the row counts. Rows with holes match too.
+The row/column matcher finds every hit an exhaustive scan would, and
+multiplies only the pairs that can reach the threshold. The scan is
+``_kernels.cross_row_correlations``: BLAS matmuls over tiles of the query
+x reference grid that keep only each tile's hits, so its memory is the
+two prepared inputs, one tile's products and the hits, whatever the
+product of the row counts. Two standardized rows at correlation c lie
+sqrt(2 - 2c) apart, so no coordinate of theirs differs by more: the
+complete rows are ordered by their value (key) in one column, and each
+tile of query rows meets only the band of reference rows whose keys lie
+within that distance at the threshold, widened by the rounding bound. At
+0.9999 that is under 5% of the pairs of a random 4,000 x 24 panel; at a
+threshold near 0 it is nearly all of them. A grid of at most
+``_kernels._PAIR_BUDGET`` complete pairs (a 72 x 72 column scan) is one
+band in row order, and rows with holes take the masked tiles, which
+score every pair: both match too.
 
 Offsets are applied in annotation row space, not list position: a shift
 of +1 replaces each reported id with the id on the next platform row.
@@ -53,11 +61,13 @@ def _match(
     ref_ids: tuple[str, ...],
     ref_values: np.ndarray,
     min_corr: float,
+    positions: str,
 ) -> MatchResult:
+    """Match the rows of ``query_values`` against those of ``ref_values``,
+    whose shared positions are the user's ``positions`` ("columns" when
+    matching rows, "rows" when matching columns)."""
     if query_values.shape[1] != ref_values.shape[1]:
-        raise ValueError(
-            f"query has {query_values.shape[1]} columns but reference has {ref_values.shape[1]}"
-        )
+        raise ValueError(f"query has {query_values.shape[1]} {positions} but reference has {ref_values.shape[1]}")
     if query_values.shape[1] < 3:
         raise ValueError("matching needs at least 3 shared positions")
     live, hits = _kernels.cross_row_correlations(query_values, ref_values, min_corr)
@@ -94,13 +104,13 @@ def _match(
 def match_rows(query: LabeledMatrix, reference: LabeledMatrix, min_corr: float = 0.9999) -> MatchResult:
     """Identify query features by correlating each query row against every
     reference row (columns must correspond by position)."""
-    return _match(query.feature_ids, query.values, reference.feature_ids, reference.values, min_corr)
+    return _match(query.feature_ids, query.values, reference.feature_ids, reference.values, min_corr, "columns")
 
 
 def match_columns(query: LabeledMatrix, reference: LabeledMatrix, min_corr: float = 0.9999) -> MatchResult:
     """Identify query samples (e.g. unnamed cell lines) against a reference
     panel; rows must correspond by position."""
-    return _match(query.sample_ids, query.values.T, reference.sample_ids, reference.values.T, min_corr)
+    return _match(query.sample_ids, query.values.T, reference.sample_ids, reference.values.T, min_corr, "rows")
 
 
 @dataclass(frozen=True)

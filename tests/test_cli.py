@@ -771,6 +771,7 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 _TWO_COLUMNS = "feature_id\t{}\t{}\ng1\t1\t2\ng2\t3\t5\ng3\t2\t9\n"
+_THREE_ROWS = "feature_id\tA\tB\tC\ng1\t1\t2\t4\ng2\t3\t5\t1\ng3\t2\t9\t7\n"
 _PIPELINE_ERRORS = [
     ("log:3", "log base must be e|2|10, got '3'"),
     ("zscore:n-2", "zscore denominator must be n-1|n, got 'n-2'"),
@@ -796,6 +797,12 @@ _MANIFEST_SHAPE_ERRORS = [
             ["match", "rows", "--query", "q.tsv", "--reference", "r.tsv"],
             "error: matching needs at least 3 shared positions",
             id="match-two-columns",
+        ),
+        pytest.param(
+            {"q.tsv": _THREE_ROWS + "g4\t7\t1\t2\n", "r.tsv": _THREE_ROWS},
+            ["match", "columns", "--query", "q.tsv", "--reference", "r.tsv"],
+            "error: query has 4 rows but reference has 3\n",
+            id="match-columns-row-count-mismatch",
         ),
         pytest.param(
             {"m.tsv": "feature_id\ng1\ng2\n"},

@@ -160,6 +160,65 @@ def test_cross_row_routes_only_pairs_with_missing_cells_to_masked_tiles(monkeypa
     assert masked_pairs == []
 
 
+@pytest.mark.parametrize("min_corr", [1.0, 0.9999, 0.8, 1e-9])
+def test_banded_scan_finds_the_hits_of_the_whole_grid(monkeypatch, min_corr):
+    # a rank-40 panel with exact, affine and noisy copies (correlating near
+    # 0.9999), against itself and a shuffled part of itself: a budget of
+    # the whole grid multiplies every query row by every reference row
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal((1500, 40)) @ rng.standard_normal((40, 48)) + 0.05 * rng.standard_normal((1500, 48))
+    x[1300:1350] = x[:50] + 0.09 * rng.standard_normal((50, 48))
+    x[1400:1450] = x[50:100]
+    x[1450:] = 2.5 * x[100:150] - 4.0
+    for query in (x, x[rng.permutation(1500)[:700]]):
+        assert len(query) * len(x) > _kernels._PAIR_BUDGET
+        live, hits = _kernels.cross_row_correlations(query, x, min_corr)
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "_PAIR_BUDGET", len(query) * len(x))
+            whole_live, whole = _kernels.cross_row_correlations(query, x, min_corr)
+        assert np.array_equal(live, whole_live)
+        assert [h.tolist() for h in hits] == [h.tolist() for h in whole]
+        assert any(len(h) > 1 for h in hits)
+
+
+def test_band_reaches_pairs_that_differ_in_the_key_column(monkeypatch):
+    # unit rows at correlation c lie sqrt(2 - 2c) apart; these query rows
+    # put all but about 0.5% of that distance from reference row 0 in
+    # column 7, the key, above and below it: one query row per band
+    rng = np.random.default_rng(200)
+    ref = rng.standard_normal((64, 200))
+    ref[1:, 7] *= 30.0
+    u = ref[0] - ref[0].mean()
+    u /= np.linalg.norm(u)
+    v = np.eye(200)[7] - 1.0 / 200
+    v -= (v @ u) * u
+    v /= np.linalg.norm(v)
+    monkeypatch.setattr(_kernels, "_QUERY_TILE", 1)
+    monkeypatch.setattr(_kernels, "_PAIR_BUDGET", 1)
+    for c, want in ((0.9999 + 1e-9, [[0], [0]]), (0.9999 - 1e-9, [[], []])):
+        s = np.sqrt(1.0 - c * c)
+        _, hits = _kernels.cross_row_correlations(np.array([c * u + s * v, c * u - s * v]), ref, 0.9999)
+        assert [h.tolist() for h in hits] == want
+
+
+def test_band_multiplies_only_pairs_that_can_reach_the_threshold(monkeypatch):
+    x = np.random.default_rng(24).standard_normal((4000, 24))
+    pairs = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        pairs.append(a.shape[0] * b.shape[1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    _kernels.cross_row_correlations(x, x, 0.9999)
+    assert 0 < sum(pairs) < 0.2 * 4000**2
+    pairs.clear()
+    # nearly every pair passes 1e-9 or lies within reach of one that does
+    _kernels.cross_row_correlations(x, x, 1e-9)
+    assert sum(pairs) == 4000**2
+
+
 def test_correlated_components_order():
     # columns built from orthogonal centered Walsh rows: 5-1, 1-3 and 6-2
     # correlate at cos 20 degrees, 5 and 3 only at cos 40 degrees, and 0 and

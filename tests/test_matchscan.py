@@ -88,8 +88,10 @@ def test_match_rows_identity_property():
 
 def test_match_rows_column_count_mismatch():
     rng = np.random.default_rng(9)
-    with pytest.raises(ValueError, match="columns"):
+    with pytest.raises(ValueError, match="query has 5 columns but reference has 6"):
         match_rows(_matrix(rng.standard_normal((4, 5))), _matrix(rng.standard_normal((4, 6))))
+    with pytest.raises(ValueError, match="query has 4 rows but reference has 3"):
+        match_columns(_matrix(rng.standard_normal((4, 5))), _matrix(rng.standard_normal((3, 5))))
 
 
 def test_match_columns_identifies_planted_lines():
@@ -159,14 +161,25 @@ def test_match_rows_memory_is_bounded_by_the_tile():
 
 
 @st.composite
-def _panel_pair(draw):
+def _panel_pair(draw, min_corr):
     """Reference and query rows of one width: random, copies or affine
     images of earlier reference rows (ties, ambiguous hits), rows with a
-    NaN or infinite value (missing cells), and constants that do not round
-    (7.3)."""
+    NaN or infinite value (missing cells), constants that do not round
+    (7.3), and rows that correlate with an earlier reference row 1e-7
+    above or below ``min_corr``, unlike it most in one column."""
     width = draw(st.integers(3, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = st.lists(st.sampled_from(["random", "copy", "affine", "bad", "constant"]), max_size=9)
+    kinds = st.lists(st.sampled_from(["random", "copy", "affine", "bad", "constant", "above", "below"]), max_size=9)
+
+    def near(row, corr):
+        # corr u + sqrt(1 - corr^2) v, u the row standardized and v a column
+        # standardized and made orthogonal to u
+        u = row - row.mean()
+        u /= np.linalg.norm(u)
+        v = np.eye(width)[rng.integers(width)] - 1.0 / width
+        v -= (v @ u) * u
+        v /= np.linalg.norm(v)
+        return rng.uniform(0.5, 3.0) * (corr * u + np.sqrt(1.0 - corr * corr) * v) + rng.uniform(-10.0, 10.0)
 
     def rows(kinds, pool):
         out = []
@@ -175,6 +188,8 @@ def _panel_pair(draw):
             if kind in ("copy", "affine") and pool:
                 row = pool[rng.integers(len(pool))]
                 row = row if kind == "copy" else rng.uniform(0.5, 3.0) * row + rng.uniform(-10.0, 10.0)
+            elif kind in ("above", "below") and pool:
+                row = near(pool[rng.integers(len(pool))], min(min_corr + (1e-7 if kind == "above" else -1e-7), 1.0))
             elif kind == "bad":
                 row[rng.integers(width)] = rng.choice([np.nan, np.inf, -np.inf])
             elif kind == "constant":
@@ -221,9 +236,9 @@ def _oracle_check(res, q_vals, ref_vals, min_corr):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_panel_pair(), st.sampled_from([1.0, 0.9999, 0.5, 1e-9]))
-def test_match_is_the_same_for_every_block_size(panels, min_corr):
-    q_vals, ref_vals = panels
+@given(st.sampled_from([1.0, 0.9999, 0.5, 1e-9]).flatmap(lambda c: st.tuples(_panel_pair(c), st.just(c))))
+def test_match_is_the_same_for_every_block_size(case):
+    (q_vals, ref_vals), min_corr = case
     query, reference = _matrix(q_vals, prefix="q"), _matrix(ref_vals, prefix="r")
     # the same panels with rows as columns, under the same ids
     query_t = LabeledMatrix(query.sample_ids, query.feature_ids, q_vals.T)
@@ -231,11 +246,14 @@ def test_match_is_the_same_for_every_block_size(panels, min_corr):
     want = match_rows(query, reference, min_corr=min_corr)
     _oracle_check(want, q_vals, ref_vals, min_corr)
     # query rows x reference rows per matmul: 1 x 1, odd x odd, a partial
-    # last tile of the one buffer on both axes, all x one tile
-    for step, tile in ((1, 1), (3, 5), (4, 7), (len(q_vals) + 1, 2048)):
+    # last tile of the one buffer on both axes, all x one tile; a budget
+    # below the complete pairs bands them, the last keeps them in one band
+    cases = ((1, 1, 1), (3, 5, 15), (4, 7, 28), (len(q_vals) + 1, 2048, 1), (32, 2048, (len(q_vals) + 1) * 2048))
+    for step, tile, budget in cases:
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_QUERY_TILE", step)
             mp.setattr(_kernels, "_REF_TILE", tile)
-            mp.setattr(_kernels, "_PAIR_BUDGET", step * tile)
+            mp.setattr(_kernels, "_PAIR_BUDGET", budget)
             assert repr(match_rows(query, reference, min_corr=min_corr)) == repr(want)
             assert repr(match_columns(query_t, reference_t, min_corr=min_corr)) == repr(want)
 

@@ -99,10 +99,18 @@ class Centered(NamedTuple):
     varying: np.ndarray  # rows that vary over their finite cells (``varying``)
 
 
-def center_rows(x: np.ndarray) -> Centered:
+#: cells per block of the centered rows squared for their sums in ``center_rows``
+_SQ_BLOCK = 8192
+
+
+def center_rows(x: np.ndarray, out: np.ndarray | None = None) -> Centered:
     """The one row rule, of the scan (``_live_rows``), the z-score step and
     the pipeline fit: each row of ``x`` over its finite cells, scaled by
-    ``row_exponents`` of them and centered on their mean."""
+    ``row_exponents`` of them and centered on their mean. The centered rows
+    are written into ``out`` when it is given, an array laid out like ``x``
+    (``np.empty_like``). Rows stored contiguously are squared a block of
+    rows at a time for their sums, so no second array of that size is
+    made."""
     x = np.asarray(x, dtype=np.float64)
     present = np.isfinite(x)
     holes = not present.all()
@@ -114,10 +122,18 @@ def center_rows(x: np.ndarray) -> Centered:
         x, x0 = np.ldexp(x, scale), np.ldexp(x0, scale)
         raw = np.einsum("ij,ij->i", x0, x0)
     k = present.sum(axis=1) if holes else np.full(len(x), x.shape[1])
-    z = x0 - x0.sum(axis=1, keepdims=True) / np.maximum(k, 1)[:, None]
+    z = np.subtract(x0, x0.sum(axis=1, keepdims=True) / np.maximum(k, 1)[:, None], out=out)
     if holes:
         z *= present
-    sq = (z * z).sum(axis=1)
+    if z.flags.c_contiguous:  # each row is summed alone, in any block of rows
+        rows = max(_SQ_BLOCK // max(z.shape[1], 1), 1)
+        squares = np.empty((min(rows, len(z)), z.shape[1]))
+        sq = np.empty(len(z))
+        for lo in range(0, len(z), rows):
+            block = z[lo : lo + rows]
+            np.multiply(block, block, out=squares[: len(block)]).sum(axis=1, out=sq[lo : lo + rows])
+    else:  # the columns are contiguous, and a sum across them runs a column at a time
+        sq = (z * z).sum(axis=1)
     return Centered(x, present, z, sq, k, varying(sq, raw, k))
 
 

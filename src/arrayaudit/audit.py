@@ -796,8 +796,10 @@ def _load_input(path: Path, decl: InputDecl, parse: bool) -> tuple[str, object]:
     if not parse:
         return digest, None
     try:
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8")
         del data  # only the text is kept while it is parsed
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         return digest, _INPUT_KINDS[decl.kind](text, decl.format)
     except _INPUT_ERRORS as exc:
         return digest, exc

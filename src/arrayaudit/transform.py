@@ -116,7 +116,9 @@ def round_values(values: np.ndarray, digits: int) -> np.ndarray:
     scaling by 10**digits overflows stays as it is: below 309 digits, its exact rounding."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.round(values, digits)
-    np.copyto(out, values, where=np.isfinite(values) & ~np.isfinite(out))
+    finite = np.isfinite(out)
+    if not finite.all():
+        np.copyto(out, values, where=np.isfinite(values) & ~finite)
     return np.add(out, 0.0, out=out)
 
 
@@ -125,11 +127,15 @@ def _step(m: LabeledMatrix, out: np.ndarray, step: Step, centered: tuple | None 
     ``step`` too, as a new array; ``centered`` is ``_kernels.center_rows(out)``
     when the caller holds it."""
     if step.kind == "log":  # always the first step: out still holds m.values
-        bad = (out <= 0) & np.isfinite(out)
+        bad = out <= 0
+        if bad.any():  # -inf is not refused: non-finite cells pass through
+            bad &= np.isfinite(out)
         if bad.any():
             fid, sid, value = first_cell(m, bad)
             raise TransformError(f"log of nonpositive value {value!r} at feature {fid!r}, sample {sid!r}")
-        return np.log(out) / math.log(_BASES[step.param])
+        logs = np.log(out)
+        logs /= math.log(_BASES[step.param])
+        return logs
     if step.kind == "zscore":
         ddof = 1 if step.param == "n-1" else 0
         scaled, present, z, sq, counts, varies = _kernels.center_rows(out) if centered is None else centered
@@ -141,7 +147,10 @@ def _step(m: LabeledMatrix, out: np.ndarray, step: Step, centered: tuple | None 
         if not varies.all():
             i = int(np.flatnonzero(~varies)[0])
             raise TransformError(f"zero-variance row under zscore: feature {m.feature_ids[i]!r}")
-        return np.where(present, z / np.sqrt(sq / (counts - ddof))[:, None], scaled)
+        values = z / np.sqrt(sq / (counts - ddof))[:, None]
+        if (counts < out.shape[1]).any():  # non-finite cells pass through
+            np.copyto(values, scaled, where=~present)
+        return values
     if step.kind == "exp":
         return np.power(_BASES[step.param], out)
     return round_values(out, int(step.param))
@@ -152,15 +161,16 @@ def _branch_point(node: list) -> bool:
     return node[0] is None or node[0].kind == "log"
 
 
-def _centered(node: list) -> tuple:
-    """``_kernels.center_rows`` of a path node's values, kept on the node
-    when it is a branch point."""
+def _centered(node: list, scratch: np.ndarray | None = None) -> tuple:
+    """``_kernels.center_rows`` of a path node's values: kept on the node
+    when it is a branch point, written into ``scratch`` (when given)
+    otherwise, so a kept centering never shares it."""
     if node[2] is not None:
         return node[2]
-    centered = _kernels.center_rows(node[1])
-    if _branch_point(node):
-        node[2] = centered
-    return centered
+    if not _branch_point(node):
+        return _kernels.center_rows(node[1], scratch)
+    node[2] = _kernels.center_rows(node[1])
+    return node[2]
 
 
 def _apply_values(m: LabeledMatrix, p: TransformPipeline, path: list | None = None) -> np.ndarray:
@@ -216,9 +226,10 @@ def default_candidate_grid() -> list[TransformPipeline]:
     return grid
 
 
-def _fit(q: tuple, t: tuple) -> float | None:
+def _fit(q: tuple, t: tuple, scratch: np.ndarray) -> float | None:
     """The mean Pearson correlation of the rows of two centerings over the
-    rows complete and varying in both; None when there are none."""
+    rows complete and varying in both; None when there are none. Their
+    product is written into ``scratch``, which may hold ``t.centered``."""
     n_cols = q.centered.shape[1]
     ok = q.varying & (q.k == n_cols) & t.varying & (t.k == n_cols)
     if not ok.any():
@@ -228,7 +239,8 @@ def _fit(q: tuple, t: tuple) -> float | None:
         qc, tc, qsq, tsq = qc[ok], tc[ok], qsq[ok], tsq[ok]
     # rows summed in C order, as a boolean index lays them out; a single
     # sqrt of the product keeps self-correlation exactly 1.0
-    r = np.multiply(qc, tc, order="C").sum(axis=1) / np.sqrt(qsq * tsq)
+    product = np.multiply(qc, tc, out=scratch.reshape(-1, order="A")[: qc.size].reshape(qc.shape))
+    r = product.sum(axis=1) / np.sqrt(qsq * tsq)
     return float(np.clip(r, -1.0, 1.0).mean())
 
 
@@ -254,7 +266,9 @@ def infer_pipeline(
     shared prefixes are adjacent, each prefix's values are computed once
     and centered at most once, for its own fit and for any zscore step
     after it. Held are the current candidate's values, the branch points
-    on its path with their centering, and the best candidate's values.
+    on its path with their centering, the best candidate's values and one
+    scratch array of the reference's shape: the centering of a candidate
+    that is not a branch point goes there, and then its fit's product.
     """
     cands = list(candidates)
     if not cands:
@@ -264,6 +278,7 @@ def infer_pipeline(
             f"shape mismatch: query {query.values.shape} vs reference {reference.values.shape}"
         )
     q = _kernels.center_rows(query.values)
+    scratch = np.empty_like(reference.values)
     best: tuple[float, int, int] | None = None  # (-fit, n_steps, position)
     best_vals: np.ndarray | None = None
     path: list[list] = [[None, reference.values, None]]
@@ -272,7 +287,9 @@ def infer_pipeline(
             _apply_values(reference, cand, path)
         except TransformError:
             continue
-        fit = _fit(q, _centered(path[-1]))
+        # no name holds the node or its centering: either would keep this
+        # candidate's arrays alive through the next one's steps
+        fit = _fit(q, _centered(path[-1], scratch), scratch)
         if fit is None:
             continue
         key = (-fit, len(cand), pos)

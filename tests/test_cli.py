@@ -1428,15 +1428,20 @@ def test_run_audit_reads_each_input_once_and_parses_only_used_ones(tmp_path, mon
 
 
 def test_cr_and_crlf_inputs_parse_as_lf_inputs(tmp_path):
-    text = "sample_id,label\nGSM1,RES\nGSM2,SEN\n\nGSM2,RES\n"
-    findings = []
-    for ending in ("\n", "\r", "\r\n"):
-        data = text.replace("\n", ending).encode()
-        (tmp_path / "roster.csv").write_bytes(data)
-        manifest = {"inputs": {"r": {"path": "roster.csv", "kind": "roster"}}, "checks": [{"check": "roster", "roster": "r"}]}
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        report, code = run_audit(tmp_path / "manifest.json")
-        assert code == 2 and report.input_digests == {"roster.csv": hashlib.sha256(data).hexdigest()}
-        findings.append(report.findings)
-    assert findings[0] == findings[1] == findings[2]
-    assert [f.code for f in findings[0]] == ["ROSTER_DUP", "ROSTER_CONFLICT"]
+    roster = "sample_id,label\nGSM1,RES\nGSM2,SEN\n\nGSM2,RES\n"
+    matrix = ingest.serialize_matrix(fx.duplicate_profile_matrix()[0])
+    for name, kind, text, check, codes in (
+        ("roster.csv", "roster", roster, "roster", ["ROSTER_DUP", "ROSTER_CONFLICT"]),
+        ("m.tsv", "matrix", matrix, "dup", ["DUP_COLUMNS", "DUP_INCONSISTENT_LABELS"]),
+    ):
+        findings = []
+        for ending in ("\n", "\r", "\r\n"):
+            data = text.replace("\n", ending).encode()
+            (tmp_path / name).write_bytes(data)
+            manifest = {"inputs": {"r": {"path": name, "kind": kind}}, "checks": [{"check": check, kind: "r"}]}
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            report, code = run_audit(tmp_path / "manifest.json")
+            assert code == 2 and report.input_digests == {name: hashlib.sha256(data).hexdigest()}
+            findings.append(report.findings)
+        assert findings[0] == findings[1] == findings[2]
+        assert [f.code for f in findings[0]] == codes

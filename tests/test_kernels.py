@@ -50,6 +50,27 @@ def _scored(values):
     return {(i, int(j)) for i, found in enumerate(hits) for j in found}
 
 
+def test_center_rows_writes_the_same_bits_into_an_output_array():
+    # complete and holed matrices with rows scaled by 2**700 and 2**-700,
+    # each taller than one block of squared rows, in either layout
+    rng = np.random.default_rng(12)
+    x = rng.normal(3.0, 2.0, (3 * _kernels._SQ_BLOCK // 24 + 5, 24))
+    x[5] *= 2.0**700
+    x[6] *= 2.0**-700
+    holed = x.copy()
+    holed[rng.random(x.shape) < 0.02] = np.nan
+    holed[7, 3], holed[6, 0] = np.inf, np.nan
+    for values in (x, holed, np.asfortranarray(x), np.asfortranarray(holed)):
+        want = _kernels.center_rows(values)
+        out = np.empty_like(values)
+        got = _kernels.center_rows(values, out)
+        assert got.centered is out
+        for field in _kernels.Centered._fields:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        # each row's sum of squares is the one a whole-array square gives
+        assert want.sq.tobytes() == (want.centered * want.centered).sum(axis=1).tobytes()
+
+
 def test_cross_row_self_scan_against_corrcoef():
     rng = np.random.default_rng(0)
     values = rng.standard_normal((30, 12))

@@ -296,6 +296,37 @@ def test_infer_centers_each_prefix_once(monkeypatch):
     assert calls.count("_apply_values") == len(grid)
 
 
+def test_infer_keeps_the_centerings_it_holds_apart_from_its_scratch():
+    # the identity's fit comes between the log branch and the zscore that
+    # starts from the reference's kept centering: a fit product written
+    # into that centering would change the zscore candidate's fit
+    rng = np.random.default_rng(19)
+    ref = _matrix(np.exp(rng.normal(1.0, 1.0, (12, 7))))
+    candidates = [parse_pipeline_spec(s) for s in ("log:2", "identity", "zscore:n-1|exp:10")]
+    query = _matrix(apply_pipeline(ref, candidates[2]).values + rng.normal(0.0, 0.05, ref.values.shape))
+    want = _outcome(_scan_each_candidate, query, ref, candidates)
+    assert want[0] == candidates[2]
+    assert _outcome(infer_pipeline, query, ref, candidates) == want
+
+
+def test_infer_holds_nothing_after_it_returns():
+    grid = default_candidate_grid()
+    ref = _matrix(np.exp(np.random.default_rng(6).normal(2.0, 1.0, (500, 20))))
+    query = apply_pipeline(ref, grid[7])
+    # a call of another shape first: a buffer kept across calls shows in the traced one
+    infer_pipeline(_matrix(query.values[:50]), _matrix(ref.values[:50]), grid)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = infer_pipeline(query, ref, grid)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the result holds a pipeline of the grid and two floats: no array
+    # survives the call, not even a block of a row sum's squares
+    assert result[0] == grid[7] and after - before < 4096
+
+
 def test_infer_holds_few_arrays():
     # the query's centering, the best values, the log branch point with its
     # centering, and the candidate being fitted with its centering: about

@@ -206,6 +206,13 @@ def _cmd_explain(args) -> int:
     return 0
 
 
+def _json_value(text: str):
+    return json.loads(text)
+
+
+_json_value.__name__ = "JSON"  # argparse names a type by it: "invalid JSON value: 'flat'"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 as any execution error: exit 2 means findings
         self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
@@ -242,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (kind, default, allowed) in spec.params.items():
             flags[name] = {"type": kind, "choices": allowed if kind is str else None, "required": default is None}
             if kind is list:  # one JSON value, which _param checks as it checks a manifest's
-                flags[name].update(type=json.loads, metavar="JSON")
+                flags[name].update(type=_json_value, metavar="JSON")
         for name, kw in flags.items():
             flag, kw = _SPELLINGS.get(name, ("--" + name.replace("_", "-"), kw))
             p.add_argument(flag, dest=name, **kw)

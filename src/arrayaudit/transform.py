@@ -5,8 +5,10 @@ circulated data exports: log-transform, per-row z-scoring, exponentiation to
 undo the log, and rounding. ``infer_pipeline`` searches a finite declared
 candidate grid for the pipeline that best explains a query matrix as a
 transformed reference: a small, auditable search instead of free-form
-program synthesis. It walks the candidates as a tree of their step
-prefixes, so candidates that share steps share their values.
+program synthesis. It screens every candidate on a sample of rows and
+fits on every row only those whose bound can still win, walking the
+candidates as a tree of their step prefixes, so candidates that share
+steps share their values.
 
 Pipelines are value-level and row-independent; applying one never changes
 ids or labels. Non-finite entries pass through elementwise. The z-score
@@ -122,7 +124,7 @@ def round_values(values: np.ndarray, digits: int) -> np.ndarray:
     return np.add(out, 0.0, out=out)
 
 
-def _step(m: LabeledMatrix, out: np.ndarray, step: Step, centered: tuple | None = None) -> np.ndarray:
+def _step(m: LabeledMatrix | _Rows, out: np.ndarray, step: Step, centered: tuple | None = None) -> np.ndarray:
     """``out``, the values of ``m`` under the steps before ``step``, under
     ``step`` too, as a new array; ``centered`` is ``_kernels.center_rows(out)``
     when the caller holds it."""
@@ -173,7 +175,7 @@ def _centered(node: list, scratch: np.ndarray | None = None) -> tuple:
     return node[2]
 
 
-def _apply_values(m: LabeledMatrix, p: TransformPipeline, path: list | None = None) -> np.ndarray:
+def _apply_values(m: LabeledMatrix | _Rows, p: TransformPipeline, path: list | None = None) -> np.ndarray:
     """The values of ``m`` under ``p``.
 
     ``path``, when given, holds nodes ``[step, values, centered]`` from the
@@ -226,14 +228,12 @@ def default_candidate_grid() -> list[TransformPipeline]:
     return grid
 
 
-def _fit(q: tuple, t: tuple, scratch: np.ndarray) -> float | None:
-    """The mean Pearson correlation of the rows of two centerings over the
-    rows complete and varying in both; None when there are none. Their
+def _correlations(q: tuple, t: tuple, scratch: np.ndarray) -> np.ndarray:
+    """The Pearson correlations, clipped to [-1, 1], of the rows of two
+    centerings that are complete and varying in both, in row order. Their
     product is written into ``scratch``, which may hold ``t.centered``."""
     n_cols = q.centered.shape[1]
     ok = q.varying & (q.k == n_cols) & t.varying & (t.k == n_cols)
-    if not ok.any():
-        return None
     qc, tc, qsq, tsq = (q.centered, t.centered, q.sq, t.sq)
     if not ok.all():
         qc, tc, qsq, tsq = qc[ok], tc[ok], qsq[ok], tsq[ok]
@@ -241,7 +241,47 @@ def _fit(q: tuple, t: tuple, scratch: np.ndarray) -> float | None:
     # sqrt of the product keeps self-correlation exactly 1.0
     product = np.multiply(qc, tc, out=scratch.reshape(-1, order="A")[: qc.size].reshape(qc.shape))
     r = product.sum(axis=1) / np.sqrt(qsq * tsq)
-    return float(np.clip(r, -1.0, 1.0).mean())
+    return np.clip(r, -1.0, 1.0, out=r)
+
+
+class _Rows:
+    """Rows ``rows`` of a matrix: what ``_step`` reads of a ``LabeledMatrix``,
+    with the values as a view, which the ``LabeledMatrix`` constructor
+    would copy."""
+
+    def __init__(self, m: LabeledMatrix, rows: slice) -> None:
+        self.feature_ids, self.sample_ids, self.values = m.feature_ids[rows], m.sample_ids, m.values[rows]
+
+
+def _fit_rows(
+    q: tuple, m: _Rows, cand: TransformPipeline, path: list, scratch: np.ndarray, before: np.ndarray | None = None
+) -> np.ndarray | None:
+    """``_correlations`` of the query's centering ``q`` and ``cand``'s
+    values of the rows ``m``, reached along ``path`` (``_apply_values``),
+    after the correlations ``before`` of the rows above them when given;
+    None when ``cand`` fails on them."""
+    try:
+        _apply_values(m, cand, path)
+    except TransformError:
+        return None
+    # no name holds the node or its centering: either would keep this
+    # candidate's arrays alive through the next one's steps
+    r = _correlations(q, _centered(path[-1], scratch), scratch)
+    return r if before is None else np.concatenate([before, r])
+
+
+def _residual(query: np.ndarray, values: np.ndarray, out: np.ndarray) -> float:
+    """The largest |query - values| over the cells both hold, computed in
+    ``out``: inf when it exceeds the float range, NaN when no cell is held
+    by both."""
+    with np.errstate(over="ignore"):
+        diff = np.subtract(query, values, out=out)
+    return float(np.fmax.reduce(np.abs(diff, out=diff), axis=None))
+
+
+#: rows on which every candidate is fitted before any is fitted on the rest
+_SAMPLE_ROWS = 128
+_EPS = np.finfo(np.float64).eps
 
 
 def infer_pipeline(
@@ -258,17 +298,45 @@ def infer_pipeline(
     fails on the reference (e.g. log of a nonpositive value) are skipped.
     Returns (best pipeline, fit, max abs residual of the best candidate):
     the residual is taken over the cells both hold, is inf when it exceeds
-    the float range, and NaN when no cell is held by both.
+    the float range, and NaN when no cell is held by both. The result is
+    that of a scan of each candidate in order.
 
-    The candidates are walked in order as a tree of their step prefixes
+    Every candidate is fitted first on the sample, the first
+    ``_SAMPLE_ROWS`` rows (every row of a smaller matrix), and then on the
+    other rows only while it can still win. Over the sample it has h rows
+    complete and varying in both matrices, whose correlations sum to S
+    (``math.fsum``); past it at most R rows count, those complete and
+    varying in the query. Each correlates at most 1, and (S + k) / (h + k)
+    grows with k since S <= h, so no completion gives a mean above
+    (S + R) / (h + R). Its rounding margin is (h + R + 4) eps, twice the
+    first-order bound, as in ``_kernels._dot_tolerance``: a computed fit
+    over m <= h + R rows sums m values of magnitude at most 1, which errs
+    by (m - 1) eps / 2 of m in any order, and divides by m, which errs by
+    eps / 2 more, so it lies within m eps / 2 of the exact mean; and the
+    bound is computed within 3 eps / 2 (S correctly rounded, then one sum
+    and one division). A candidate whose bound plus margin lies below the
+    best computed fit so far cannot reach it, and is not fitted on the
+    other rows; a tie always is.
+
+    The first candidate that fits on every row (fails on none and has a row
+    to fit) is a scan's first fit: when its fit is NaN it is the answer,
+    and otherwise no NaN fit can win. The others follow in candidate order,
+    so that they share prefixes, led by the one of the highest sample mean
+    when that mean exceeds the bound of another that the first fit does not
+    rule out: its fit is then likely to rule that one out.
+
+    Each pass walks the candidates as a tree of their step prefixes
     (``_apply_values``): each one starts from the deepest prefix it shares
     with the one before it that is still held. On the default grid, whose
-    shared prefixes are adjacent, each prefix's values are computed once
-    and centered at most once, for its own fit and for any zscore step
-    after it. Held are the current candidate's values, the branch points
-    on its path with their centering, the best candidate's values and one
-    scratch array of the reference's shape: the centering of a candidate
-    that is not a branch point goes there, and then its fit's product.
+    shared prefixes are adjacent, each prefix's values are computed once a
+    pass and centered at most once, for its own fit and for any zscore step
+    after it. A pass holds the current candidate's values, the branch
+    points on its path with their centering and one scratch array of its
+    rows' shape: the centering of a candidate that is not a branch point
+    goes there, and then its fit's product. Across them are held each
+    candidate's correlations and residual over the sample, and in the
+    second pass the best candidate's values of the other rows, whose
+    residual is computed in the scratch array at the end.
     """
     cands = list(candidates)
     if not cands:
@@ -277,28 +345,60 @@ def infer_pipeline(
         raise ValueError(
             f"shape mismatch: query {query.values.shape} vs reference {reference.values.shape}"
         )
-    q = _kernels.center_rows(query.values)
-    scratch = np.empty_like(reference.values)
+    n_rows, n_cols = reference.values.shape
+    cut = min(_SAMPLE_ROWS, n_rows)
+    head, rest = slice(cut), slice(cut, None)
+    q = _kernels.center_rows(query.values[head])
+    rows = _Rows(reference, head)
+    scratch = np.empty_like(rows.values)
+    path: list[list] = [[None, rows.values, None]]
+    screen: list[tuple[np.ndarray, float] | None] = []  # per candidate: its correlations and residual
+    for cand in cands:
+        r = _fit_rows(q, rows, cand, path, scratch)
+        screen.append(None if r is None else (r, _residual(query.values[head], path[-1][1], scratch)))
+    reach = 0
+    if cut < n_rows:
+        q = _kernels.center_rows(query.values[rest])
+        reach = int(np.count_nonzero(q.varying & (q.k == n_cols)))
+        rows = _Rows(reference, rest)
+        scratch = np.empty_like(rows.values)
+        path = [[None, rows.values, None]]
+    todo = [pos for pos, s in enumerate(screen) if s is not None and len(s[0]) + reach]
+    bound, mean = {}, {}
+    for pos in todo:
+        h, total = len(screen[pos][0]), math.fsum(screen[pos][0])
+        bound[pos] = (total + reach) / (h + reach) + (h + reach + 4) * _EPS
+        mean[pos] = total / h if h and not math.isnan(total) else -math.inf
     best: tuple[float, int, int] | None = None  # (-fit, n_steps, position)
     best_vals: np.ndarray | None = None
-    path: list[list] = [[None, reference.values, None]]
-    for pos, cand in enumerate(cands):
-        try:
-            _apply_values(reference, cand, path)
-        except TransformError:
+    while todo:
+        pos = todo.pop(0)
+        if best is not None and bound[pos] < -best[0]:
             continue
-        # no name holds the node or its centering: either would keep this
-        # candidate's arrays alive through the next one's steps
-        fit = _fit(q, _centered(path[-1], scratch), scratch)
-        if fit is None:
+        r, vals = screen[pos][0], None
+        if cut < n_rows:
+            r = _fit_rows(q, rows, cands[pos], path, scratch, r)
+            if r is None:
+                continue
+            vals = path[-1][1]
+        if not len(r):
             continue
-        key = (-fit, len(cand), pos)
-        if best is None or key < best:
-            best, best_vals = key, path[-1][1]
+        fit = float(r.mean())
+        key = (-fit, len(cands[pos]), pos)
+        if best is None:
+            best, best_vals = key, vals
+            if math.isnan(fit):
+                break  # a scan keeps its first fit when it is NaN
+            lead = max(todo, key=lambda p: (mean[p], -p), default=None)
+            if lead is not None and any(fit <= bound[p] < mean[lead] for p in todo):
+                todo.remove(lead)
+                todo.insert(0, lead)
+        elif key < best:
+            best, best_vals = key, vals
     del path
-    if best is None or best_vals is None:
+    if best is None:
         raise ValueError("no candidate pipeline was applicable to the reference")
-    with np.errstate(over="ignore"):  # a residual beyond the float range is inf
-        diff = np.abs(query.values - best_vals)
-    residual = float("nan") if np.isnan(diff).all() else float(np.nanmax(diff))
+    residual = screen[best[2]][1]
+    if cut < n_rows:
+        residual = float(np.fmax(residual, _residual(query.values[rest], best_vals, scratch)))
     return cands[best[2]], -best[0], residual

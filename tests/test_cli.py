@@ -1101,6 +1101,21 @@ def test_usage_errors_exit_1_not_the_findings_code(capsys, argv):
     assert err.startswith("usage: arrayaudit") and "error: " in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "dose", "--records", "r.csv", "--labels", "l.csv", "--drug", "d", "--measure", "GI50", "--tests", "flat"],
+        ["audit", "sentinels", "--matrix", "m.tsv", "--sentinels", "[1"],
+    ],
+    ids=["dose-tests", "sentinels"],
+)
+def test_a_list_flag_that_is_not_json_says_it_wants_json(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"error: argument {argv[-2]}: invalid JSON value: {argv[-1]!r}\n" in capsys.readouterr().err
+
+
 def test_short_csv_row_exits_1_naming_its_line(tmp_path, capsys):
     (tmp_path / "scores.csv").write_text("sample_id,score\na,0.9\nb\n")
     (tmp_path / "labels.csv").write_text("a,1\nb,0\n")

@@ -258,6 +258,90 @@ def test_infer_equals_a_scan_of_each_candidate(kind):
             assert _outcome(infer_pipeline, *args) == _outcome(_scan_each_candidate, *args), seed
 
 
+def _screened_case(kind, seed):
+    """A case of ``_SAMPLE_ROWS`` to 4 x ``_SAMPLE_ROWS`` rows, so that
+    every candidate is screened on the sample before it is fitted on every
+    row, with a defect of the given kind past the sample or in it."""
+    rng = np.random.default_rng([seed, 30])
+    sample = transform._SAMPLE_ROWS
+    rows, cols = int(rng.choice([sample, sample + 1, rng.integers(sample, 4 * sample + 1)])), int(rng.integers(3, 12))
+    past = int(rng.integers(sample, rows)) if rows > sample else rows - 1
+    ref = np.exp(rng.normal(1.0, 1.0, (rows, cols)))
+    pool = default_candidate_grid() + _EXTRA_CANDIDATES
+    candidates = [pool[i] for i in rng.integers(0, len(pool), int(rng.integers(1, 20)))]
+    if kind == "nonpositive-past":  # log fails on one row only
+        ref[past, rng.integers(cols)] = -rng.random()
+    elif kind == "constant-past":  # zscore fails on one row only
+        ref[past] = 7.3
+    elif kind == "ties":  # on integers rounding changes nothing: exact ties at fit 1.0
+        ref = rng.integers(1, 1000, (rows, cols)).astype(float)
+        candidates += [TransformPipeline((round_step(2),)), TransformPipeline(()), TransformPipeline((round_step(1),))]
+        rng.shuffle(candidates)
+    elif kind == "grid":
+        candidates = default_candidate_grid()
+    true = pool[int(rng.integers(len(pool)))]
+    try:
+        query = apply_pipeline(_matrix(ref), true).values
+    except TransformError:
+        query = ref
+    query = query + rng.normal(0.0, 0.05, query.shape) * (seed % 3) * (kind != "ties")
+    if kind == "flat-sample":  # no sample row varies in the query: nothing to bound by
+        query[:sample] = 2.0 if seed % 2 else 0.1
+    return _matrix(query[rng.permutation(rows)] if seed % 5 == 4 else query), _matrix(ref), candidates
+
+
+@pytest.mark.parametrize("kind", ["nonpositive-past", "constant-past", "flat-sample", "ties", "grid"])
+def test_screened_infer_equals_a_scan_of_each_candidate(kind):
+    with np.errstate(all="ignore"):  # exp of a large value overflows to inf
+        for seed in range(20):
+            args = _screened_case(kind, seed)
+            assert _outcome(infer_pipeline, *args) == _outcome(_scan_each_candidate, *args), seed
+
+
+def test_screened_infer_keeps_a_scans_choice_of_a_nan_fit():
+    # the orthogonal pair of the test below, past the sample, under rows
+    # that fit: the identity's and the unrounded candidate's fits are NaN
+    # only once every row is fitted, the zscore's never
+    sample = transform._SAMPLE_ROWS
+    rng = np.random.default_rng(31)
+    query, reference = np.exp(rng.normal(1.0, 1.0, (2, 2 * sample, 3)))
+    query[sample + 5], reference[sample + 5] = np.ldexp([1.0, -1.0, 0.0], -395), np.ldexp([1.0, 1.0, -2.0], -200)
+    query, reference = _matrix(query), _matrix(reference)
+    identity, unrounded, zscore = (TransformPipeline(s) for s in ((), (round_step(300),), (zscore_step(),)))
+    with np.errstate(all="ignore"):
+        for candidates in ([identity, unrounded], [unrounded, identity], [zscore, identity], [identity, zscore]):
+            got = _outcome(infer_pipeline, query, reference, candidates)
+            assert got == _outcome(_scan_each_candidate, query, reference, candidates)
+            assert got[0] == candidates[0]
+            assert math.isnan(np.frombuffer(got[1])[0]) == (candidates[0] != zscore)
+
+
+def test_screened_infer_fits_two_candidates_on_every_row(monkeypatch):
+    calls = []
+
+    def spy(fn):
+        def counted(*args):
+            calls.append((fn.__name__, len(getattr(args[0], "values", args[0]))))  # the rows it is given
+            return fn(*args)
+
+        return counted
+
+    grid = default_candidate_grid()
+    ref = _matrix(np.exp(np.random.default_rng(7).standard_normal((2000, 24))))
+    query = apply_pipeline(ref, grid[7])  # log:2|zscore:n|exp:2|round:2
+    monkeypatch.setattr(_kernels, "center_rows", spy(_kernels.center_rows))
+    monkeypatch.setattr(transform, "_apply_values", spy(transform._apply_values))
+    assert infer_pipeline(query, ref, grid) == (grid[7], 1.0, 0.0)
+    rest = 2000 - transform._SAMPLE_ROWS
+    applied = [n for name, n in calls if name == "_apply_values"]
+    # every candidate on the sample; on the other rows the first one, for
+    # a scan's first fit, and grid[7], which rules out the other ten
+    assert [n == rest for n in applied] == [False] * 12 + [True] * 2
+    # on the sample: the query, each log and each candidate's fit; on the
+    # other rows: the query, and the log and the fit of each of the two
+    assert [name for name, _ in calls].count("center_rows") == (1 + 3 + 12) + (1 + 2 + 2)
+
+
 def test_infer_keeps_a_scans_choice_of_a_nan_fit():
     # an orthogonal pair whose product of sums of squares underflows: its
     # fit is 0 / 0, and a scan in candidate order keeps it when it comes

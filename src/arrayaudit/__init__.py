@@ -27,7 +27,6 @@ from .core import (
     SignatureList,
     Violation,
     extract_submatrix,
-    label_census,
     validate,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "SignatureList",
     "Violation",
     "extract_submatrix",
-    "label_census",
     "validate",
 ]

@@ -177,17 +177,17 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_combo(args) -> int:
-    rule = _integ.COMBINATION_RULES[args.rule]
     columns, rows = ingest.parse_table(_read(args.inputs))
-    missing = [k for k in rule.drug_keys if k not in columns]
+    missing = [k for k in _integ.COMBINATION_RULES[args.rule].drug_keys if k not in columns]
     if missing:
         raise ValueError(f"input file is missing drug column(s) {missing}")
     if not rows:
         raise ValueError("no input rows")
-    raw = [_integ.raw_combination_score(dict(zip(columns, values)), rule) for _, values in rows]
-    scores = [raw, _integ.renormalize_batch(raw, rule)] if args.batch_normalize else [raw]
+    probs = {sid: dict(zip(columns, values)) for sid, values in rows}
+    norms = ("raw", "batch") if args.batch_normalize else ("raw",)
+    scores = [_integ.combination_scores(probs, args.rule, n) for n in norms]
     table = [["sample_id", "raw", "normalized"][: 1 + len(scores)]]
-    table += [[sid, *(format(col[i], ".17g") for col in scores)] for i, (sid, _) in enumerate(rows)]
+    table += [[sid, *(format(col[i], ".17g") for col in scores)] for i, sid in enumerate(probs)]
     _output(ingest.format_rows(table), args.out, f"{len(rows)} combination scores")
     return 0
 

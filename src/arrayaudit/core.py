@@ -134,9 +134,6 @@ class LabelRoster:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def ids(self) -> list[str]:
-        return [e.sample_id for e in self.entries]
-
 
 @dataclass(frozen=True)
 class SignatureList:
@@ -338,11 +335,3 @@ def extract_submatrix(m: LabeledMatrix, sig: SignatureList) -> tuple[LabeledMatr
     values.setflags(write=False)
     return LabeledMatrix(kept_ids, m.sample_ids, values, labels), absent
 
-
-def label_census(m: LabeledMatrix) -> dict[GroupLabel, int]:
-    """Count samples per group label (unlabeled samples count as Unknown)."""
-    out: dict[GroupLabel, int] = {}
-    for sid in m.sample_ids:
-        lab = m.label_of(sid)
-        out[lab] = out.get(lab, 0) + 1
-    return out

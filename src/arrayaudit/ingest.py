@@ -245,13 +245,17 @@ def number_cell(token: str, row: int, column: int) -> float:
 
 def parse_table(text: str) -> tuple[list[str], list[tuple[str, list[float]]]]:
     """A comma-separated table under a required header row: an id column,
-    then numeric columns whose cells follow ``parse_number``. Returns the
-    numeric column names and ``(id, values)`` per row."""
+    then named numeric columns whose cells follow ``parse_number``. A
+    repeated or empty column name, and a repeated id, raise ParseError
+    naming both places. Returns the numeric column names and
+    ``(id, values)`` per row."""
     lines = _nonblank_lines(text)
     if not lines:
         raise ParseError("empty table file")
     width = lines[0][1].count(",") + 1
-    (_, header), *rows = read_csv_rows(text, width, width)
+    (lineno, header), *rows = read_csv_rows(text, width, width)
+    _check_header(header[1:], "column name", lineno)
+    _first_rows(((row, cells[0]) for row, cells in rows), "id")
     return header[1:], [
         (cells[0], [number_cell(tok, row, j) for j, tok in enumerate(cells[1:], start=2)]) for row, cells in rows
     ]
@@ -335,18 +339,17 @@ def _convert_body(rests: list[str], lineno: int, sep: str, missing: str) -> np.n
     return values
 
 
-def _check_sample_ids(sample_ids: Sequence[str]) -> None:
-    """The header rule of a matrix: at least one sample id, none empty or
-    repeated; a ParseError names the column of the first bad one."""
-    if not sample_ids:
-        raise ParseError("header row declares no sample ids")
+def _check_header(names: Sequence[str], what: str, row: int = 1) -> None:
+    """The header rule of a matrix's sample ids and a table's numeric
+    columns, the header's cells from column 2 on: none empty or repeated; a
+    ParseError names the column of the first bad one."""
     first_column: dict[str, int] = {}
-    for j, sid in enumerate(sample_ids, start=2):
-        if not sid:
-            raise ParseError(f"row 1, column {j}: empty sample id")
-        if sid in first_column:
-            raise ParseError(f"row 1, column {j}: duplicate sample id {sid!r} (first in column {first_column[sid]})")
-        first_column[sid] = j
+    for j, name in enumerate(names, start=2):
+        if not name:
+            raise ParseError(f"row {row}, column {j}: empty {what}")
+        if name in first_column:
+            raise ParseError(f"row {row}, column {j}: duplicate {what} {name!r} (first in column {first_column[name]})")
+        first_column[name] = j
 
 
 def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix:
@@ -374,7 +377,9 @@ def parse_matrix(text: str, fmt: MatrixFormat = MatrixFormat()) -> LabeledMatrix
         raise ParseError("empty matrix file")
     sep = fmt.sep
     sample_ids = [c.strip(_PADDING) for c in header.split(sep)[1:]]
-    _check_sample_ids(sample_ids)
+    if not sample_ids:
+        raise ParseError("header row declares no sample ids")
+    _check_header(sample_ids, "sample id")
     ncol = len(sample_ids)
 
     body_start = 1
@@ -445,7 +450,9 @@ def serialize_matrix(m: LabeledMatrix, fmt: MatrixFormat = MatrixFormat()) -> st
     matrix without feature rows or whose values do not fit its ids."""
     if not m.n_features or m.values.shape != (m.n_features, m.n_samples):
         raise ValueError(f"{m.values.shape} values under {m.n_features} feature and {m.n_samples} sample ids")
-    _check_sample_ids(m.sample_ids)
+    if not m.sample_ids:
+        raise ParseError("header row declares no sample ids")
+    _check_header(m.sample_ids, "sample id")
     if m.labels is not None and not fmt.has_label_row:
         raise ValueError("row 2, column 1: the matrix has labels but the format has no label row")
     if m.labels is None and fmt.has_label_row and m.feature_ids[:1] == (fmt.label_row_key,):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -228,76 +228,69 @@ def test_confounding(
 
 @dataclass(frozen=True)
 class CombinationRule:
-    name: str
-    kind: str  # sum_minus_product | max | affine_mean
     drug_keys: tuple[str, ...]
+    combine: Callable[[list[float]], float]  # of the probabilities in key order
+    renormalization: str | None  # batch (min-max) | clip | None
 
 
 COMBINATION_RULES = {
-    "tfac": CombinationRule("tfac", "sum_minus_product", ("T", "F", "A", "C")),
-    "tet": CombinationRule("tet", "max", ("E", "T")),
-    "fec": CombinationRule("fec", "affine_mean", ("F", "E", "C")),
+    "tfac": CombinationRule(("T", "F", "A", "C"), lambda p: sum(p) - math.prod(p), "batch"),
+    "tet": CombinationRule(("E", "T"), max, None),
+    "fec": CombinationRule(("F", "E", "C"), lambda p: 5.0 / 8.0 * sum(p) - 0.25, "clip"),
 }
 
-_AFFINE_COEF = 5.0 / 8.0
-_AFFINE_OFFSET = -0.25
+
+def combination_scores(
+    rows: Mapping[str, Mapping[str, float]], rule: str, normalization: str
+) -> list[float]:
+    """Each sample's score under the named rule, in the order of ``rows``
+    (sample id to its probability per drug key). Every probability must lie
+    in [0, 1]; a raw score may leave it, which is what the rule's
+    renormalization repairs. ``normalization`` is "raw", "sample" (only the
+    per-sample part: fec's clip) or "batch" (``renormalize_batch`` over the
+    rows, so a tfac score depends on every other row's inputs)."""
+    if normalization not in ("raw", "sample", "batch"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    r = COMBINATION_RULES[rule]
+    raw = []
+    for sid, inputs in rows.items():
+        probs = []
+        for key in r.drug_keys:
+            if key not in inputs:
+                raise KeyError(f"sample {sid!r}: rule {rule!r} needs drug key {key!r}")
+            v = float(inputs[key])
+            if not (0.0 <= v <= 1.0):
+                raise ValueError(f"sample {sid!r}: P({key}) = {v} is outside [0, 1]")
+            probs.append(v)
+        raw.append(r.combine(probs))
+    if normalization == "raw" or (normalization == "sample" and r.renormalization != "clip"):
+        return raw
+    return renormalize_batch(raw, rule)
 
 
-def _validated_inputs(inputs: Mapping[str, float], r: CombinationRule) -> list[float]:
-    vals = []
-    for key in r.drug_keys:
-        if key not in inputs:
-            raise KeyError(f"rule {r.name!r} needs drug key {key!r}")
-        v = float(inputs[key])
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"P({key}) = {v} is outside [0, 1]")
-        vals.append(v)
-    return vals
+def raw_combination_score(inputs: Mapping[str, float], rule: str) -> float:
+    """One sample's ``combination_scores`` under "raw"."""
+    return combination_scores({"": inputs}, rule, "raw")[0]
 
 
-def raw_combination_score(inputs: Mapping[str, float], rule: str | CombinationRule) -> float:
-    """Combination score before any renormalization (fec unclipped).
-
-    tfac: sum of the four inputs minus their product. tet: max of the two
-    inputs. fec: (5/8) * sum of the three inputs - 1/4. Inputs must be
-    probabilities in [0, 1]; outputs may leave [0, 1], which is what the
-    renormalization step exists to repair.
-    """
-    r = COMBINATION_RULES[rule] if isinstance(rule, str) else rule
-    vals = _validated_inputs(inputs, r)
-    if r.kind == "sum_minus_product":
-        return sum(vals) - math.prod(vals)
-    if r.kind == "max":
-        return max(vals)
-    if r.kind == "affine_mean":
-        return _AFFINE_COEF * sum(vals) + _AFFINE_OFFSET
-    raise ValueError(f"unknown rule kind {r.kind!r}")
+def combine_probabilities(inputs: Mapping[str, float], rule: str) -> float:
+    """One sample's ``combination_scores`` under "sample"."""
+    return combination_scores({"": inputs}, rule, "sample")[0]
 
 
-def combine_probabilities(inputs: Mapping[str, float], rule: str | CombinationRule) -> float:
-    """Combination score for one sample, with the per-sample part of the
-    rule's renormalization applied (fec clips to [0, 1]; tfac and tet pass
-    through, their normalizations being batch-level or absent)."""
-    r = COMBINATION_RULES[rule] if isinstance(rule, str) else rule
-    raw = raw_combination_score(inputs, r)
-    if r.kind == "affine_mean":
-        return min(1.0, max(0.0, raw))
-    return raw
-
-
-def renormalize_batch(raw_scores: Sequence[float], rule: str | CombinationRule) -> list[float]:
-    """Batch renormalization as used per rule: sum_minus_product maps the
-    batch min to 0 and max to 1 by linear interpolation; affine_mean clips
-    to [0, 1]; max is left untouched."""
-    r = COMBINATION_RULES[rule] if isinstance(rule, str) else rule
+def renormalize_batch(raw_scores: Sequence[float], rule: str) -> list[float]:
+    """The rule's renormalization of a batch of raw scores: tfac maps the
+    batch min to 0 and max to 1 by linear interpolation; fec clips to
+    [0, 1]; tet is left untouched."""
+    renormalization = COMBINATION_RULES[rule].renormalization
     scores = [float(v) for v in raw_scores]
-    if r.kind == "sum_minus_product":
+    if renormalization == "batch":
         if not scores:
             raise ValueError("empty batch")
         lo, hi = min(scores), max(scores)
         if hi == lo:
             raise ValueError("degenerate batch: all combination scores equal")
         return [(v - lo) / (hi - lo) for v in scores]
-    if r.kind == "affine_mean":
+    if renormalization == "clip":
         return [min(1.0, max(0.0, v)) for v in scores]
     return scores

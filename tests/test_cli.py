@@ -102,6 +102,19 @@ def test_report_bytes_match_golden(tmp_path):
         assert (tmp_path / name / "report.json").read_bytes() == (golden / f"{name}_report.json").read_bytes(), name
 
 
+@pytest.mark.parametrize("write", [corpus.write_corrupted_corpus, corpus.write_clean_corpus], ids=["corrupted", "clean"])
+def test_each_check_alone_gives_its_findings_of_the_full_run(tmp_path, write):
+    # a check's findings do not depend on which other checks share its
+    # manifest: the one-check runs, in manifest order, give the full run's
+    manifest_path = write(tmp_path)
+    doc = json.loads(manifest_path.read_text())
+    alone = []
+    for i, chk in enumerate(doc["checks"]):
+        (tmp_path / f"check{i}.json").write_text(json.dumps({"inputs": doc["inputs"], "checks": [chk]}))
+        alone += run_audit(tmp_path / f"check{i}.json")[0].findings
+    assert alone == list(run_audit(manifest_path)[0].findings)
+
+
 def _confound_manifest(root: Path, rows: list[str], **params) -> Path:
     """A manifest of one confound check, with ``params``, over metadata ``rows``."""
     root.mkdir()
@@ -871,6 +884,24 @@ _MANIFEST_SHAPE_ERRORS = [
             ["combo", "--rule", "tfac", "--inputs", "in.csv", "--batch-normalize"],
             "error: degenerate batch: all combination scores equal\n",
             id="combo-degenerate-batch",
+        ),
+        pytest.param(
+            {"in.csv": "sample_id,T,F,A,C\np1,0.5,0.5,0.5,0.5\np2,0.5,1.5,0.5,0.5\n"},
+            ["combo", "--rule", "tfac", "--inputs", "in.csv"],
+            "error: sample 'p2': P(F) = 1.5 is outside [0, 1]\n",
+            id="combo-probability-out-of-range",
+        ),
+        pytest.param(
+            {"in.csv": "sample_id,T,F,A,C\np1,0.5,0.5,0.5,0.5\np1,0.1,0.2,0.3,0.4\n"},
+            ["combo", "--rule", "tfac", "--inputs", "in.csv", "--batch-normalize"],
+            "error: row 3: duplicate id 'p1' (first on row 2)\n",
+            id="combo-repeated-sample-id",
+        ),
+        pytest.param(
+            {"in.csv": "sample_id,T,T,F,A,C\np1,0.9,0.1,0.5,0.5,0.5\n"},
+            ["combo", "--rule", "tfac", "--inputs", "in.csv"],
+            "error: row 1, column 3: duplicate column name 'T' (first in column 2)\n",
+            id="combo-repeated-drug-column",
         ),
         pytest.param(
             {"m.tsv": "feature_id\tA\tB\tC\tD\nlabel\tS\tS\tR\tR\ng1\t1\t2\t3\t4\n"},

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from arrayaudit.core import (
     PlatformMismatchError,
     SignatureList,
     extract_submatrix,
-    label_census,
     validate,
 )
 from arrayaudit.transform import apply_pipeline, parse_pipeline_spec
@@ -124,7 +124,7 @@ def test_extract_submatrix_disjoint_raises(small_matrix):
 
 def test_unlabeled_sample_counts_as_unknown(small_matrix):
     assert small_matrix.label_of("S3") == GroupLabel.UNKNOWN
-    census = label_census(small_matrix)
+    census = Counter(map(small_matrix.label_of, small_matrix.sample_ids))
     assert census[GroupLabel.UNKNOWN] == 1
     assert census[GroupLabel.RESISTANT] == 1
 

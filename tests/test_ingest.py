@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from collections import Counter
 from datetime import timezone
 from unittest import mock
 
@@ -21,7 +22,6 @@ from arrayaudit.core import (
     SampleMeta,
     SensitivityRecord,
     SignatureList,
-    label_census,
 )
 from arrayaudit.ingest import MatrixFormat, ParseError
 
@@ -50,7 +50,7 @@ def test_parse_matrix_label_census_structure():
     lines = ["id\t" + "\t".join(sids), "label\t" + "\t".join(labels)]
     lines.append("g1\t" + "\t".join(["1"] * 122))
     m = ingest.parse_matrix("\n".join(lines) + "\n")
-    census = label_census(m)
+    census = Counter(map(m.label_of, m.sample_ids))
     assert census[GroupLabel.RESISTANT] == 99
     assert census[GroupLabel.SENSITIVE] == 23
 
@@ -110,7 +110,7 @@ def test_parse_roster_duplicates_kept():
     text = "GSM0007,RES\nGSM0008,RES\nGSM0008,SEN\nGSM0009,RES\n"
     roster = ingest.parse_roster(text)
     assert len(roster) == 4
-    assert len(set(roster.ids())) == 3
+    assert len({e.sample_id for e in roster.entries}) == 3
 
 
 def test_parse_roster_95_rows():
@@ -593,8 +593,8 @@ def test_every_kind_parses_the_same_with_and_without_a_bom(kind):
 
 
 def test_roster_header_is_its_first_cell_and_cells_lose_spaces_and_tabs():
-    assert ingest.parse_roster("Sample_ID,group\nGSM1,RES\n").ids() == ["GSM1"]
-    assert ingest.parse_roster("GSM1\xa0,RES\n").ids() == ["GSM1\xa0"]
+    assert [e.sample_id for e in ingest.parse_roster("Sample_ID,group\nGSM1,RES\n").entries] == ["GSM1"]
+    assert [e.sample_id for e in ingest.parse_roster("GSM1\xa0,RES\n").entries] == ["GSM1\xa0"]
     roster = ingest.parse_roster("GSM1, RES ,\tsite-a, \n")
     assert roster.entries[0].label == GroupLabel.RESISTANT
     assert (roster.entries[0].source_id, roster.entries[0].note) == ("site-a", None)

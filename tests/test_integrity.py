@@ -13,6 +13,7 @@ from arrayaudit.integrity import (
     check_flat_response,
     check_reversal,
     check_separation,
+    combination_scores,
     combine_probabilities,
     cramers_v,
     detect_blocks,
@@ -370,6 +371,64 @@ def test_combination_missing_key_and_range_errors():
         combine_probabilities({"T": 0.5, "F": 0.5, "A": 0.5}, "tfac")
     with pytest.raises(ValueError):
         combine_probabilities({"E": 1.3, "T": 0.5}, "tet")
+    rows = {"p1": {"E": 0.5, "T": 0.5}, "p2": {"E": 0.5, "T": -0.0625}}
+    with pytest.raises(ValueError, match=r"^sample 'p2': P\(T\) = -0.0625 is outside \[0, 1\]$"):
+        combination_scores(rows, "tet", "raw")
+    with pytest.raises(KeyError, match=r"sample 'p1': rule 'fec' needs drug key 'F'"):
+        combination_scores(rows, "fec", "sample")
+    with pytest.raises(ValueError, match=r"^unknown normalization 'clip'$"):
+        combination_scores(rows, "tet", "clip")
+
+
+def _min_max(scores):
+    lo, hi = min(scores), max(scores)
+    return [(v - lo) / (hi - lo) for v in scores]
+
+
+def _clipped(scores):
+    return [min(1.0, max(0.0, v)) for v in scores]
+
+
+# each rule's drug keys, its raw score as a formula of one sample's
+# probabilities in key order, and each normalization of a batch of raw scores
+_COMBINATION_ORACLES = {
+    "tfac": (("T", "F", "A", "C"), lambda t, f, a, c: t + f + a + c - t * f * a * c,
+             {"raw": list, "sample": list, "batch": _min_max}),
+    "tet": (("E", "T"), lambda e, t: e if e >= t else t, {"raw": list, "sample": list, "batch": list}),
+    "fec": (("F", "E", "C"), lambda f, e, c: 5 / 8 * (f + e + c) - 1 / 4,
+            {"raw": list, "sample": _clipped, "batch": _clipped}),
+}
+
+
+def _probability_rows(keys, n, seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0, 1, size=(n, len(keys)))
+    probs[rng.uniform(size=probs.shape) < 0.1] = 0.0
+    probs[rng.uniform(size=probs.shape) < 0.1] = 1.0
+    return {f"p{i}": dict(zip(keys, map(float, row))) for i, row in enumerate(probs)}
+
+
+@pytest.mark.parametrize("normalization", ["raw", "sample", "batch"])
+@pytest.mark.parametrize("rule", ["tfac", "tet", "fec"])
+def test_combination_scores_match_each_oracle(rule, normalization):
+    keys, formula, normalizations = _COMBINATION_ORACLES[rule]
+    rows = _probability_rows(keys, 300, 17)
+    expect = normalizations[normalization]([formula(*(row[k] for k in keys)) for row in rows.values()])
+    assert combination_scores(rows, rule, normalization) == expect
+    if normalization != "batch":
+        single = raw_combination_score if normalization == "raw" else combine_probabilities
+        assert [single(row, rule) for row in rows.values()] == expect
+
+
+@pytest.mark.parametrize("rule", ["tfac", "tet", "fec"])
+def test_only_the_tfac_batch_score_depends_on_other_samples(rule):
+    keys = _COMBINATION_ORACLES[rule][0]
+    rows = _probability_rows(keys, 50, 23)
+    other = {**rows, "p49": dict.fromkeys(keys, 1.0)}  # tfac's largest raw score, 3
+    for normalization in ("raw", "sample", "batch"):
+        before = combination_scores(rows, rule, normalization)[:49]
+        after = combination_scores(other, rule, normalization)[:49]
+        assert (after != before) == ((rule, normalization) == ("tfac", "batch"))
 
 
 def test_affine_mean_always_in_unit_interval():

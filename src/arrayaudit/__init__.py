@@ -25,9 +25,7 @@ from .core import (
     SensitivityRecord,
     Severity,
     SignatureList,
-    Violation,
     extract_submatrix,
-    validate,
 )
 
 __all__ = [
@@ -47,7 +45,5 @@ __all__ = [
     "SensitivityRecord",
     "Severity",
     "SignatureList",
-    "Violation",
     "extract_submatrix",
-    "validate",
 ]

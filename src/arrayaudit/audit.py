@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import __version__
-from .core import Finding, FindingsReport, GroupLabel, LabeledMatrix, Measure, Severity, validate
+from .core import Finding, FindingsReport, GroupLabel, LabeledMatrix, Measure, Severity
 from . import dupscan as _dup
 from . import ingest
 from . import integrity as _integ
@@ -153,6 +153,9 @@ class InputDecl:
     kind: str
     format: ingest.MatrixFormat = ingest.MatrixFormat()
 
+    def parse(self, text: str):
+        return _INPUT_KINDS[self.kind](text, self.format)
+
 
 @dataclass(frozen=True)
 class AuditManifest:
@@ -165,9 +168,17 @@ class AuditManifest:
         return self.base_dir / decl.path
 
 
+def _known_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Refuse a key the runner would ignore, such as a misspelt ``output``."""
+    for key in doc:
+        if key not in allowed:
+            raise ManifestError(f"{where} has unknown key {key!r}; allowed: {', '.join(allowed)}")
+
+
 def _input_decl(name: str, spec) -> InputDecl:
     if not isinstance(spec, dict) or "path" not in spec or "kind" not in spec:
         raise ManifestError(f"input {name!r} needs 'path' and 'kind'")
+    _known_keys(spec, ("path", "kind", "format"), f"input {name!r}")
     if not isinstance(spec["kind"], str) or spec["kind"] not in _INPUT_KINDS:
         raise ManifestError(f"input {name!r} has unknown kind {spec['kind']!r}")
     if not isinstance(spec["path"], str):
@@ -175,6 +186,8 @@ def _input_decl(name: str, spec) -> InputDecl:
     fmt = spec.get("format", {})
     if not isinstance(fmt, dict):
         raise ManifestError(f"input {name!r}: format must be an object, got {fmt!r}")
+    if fmt and spec["kind"] != "matrix":
+        raise ManifestError(f"input {name!r}: format applies to a matrix input, not a {spec['kind']} one")
     try:
         return InputDecl(name, spec["path"], spec["kind"], ingest.MatrixFormat(**fmt))
     except (TypeError, ValueError) as exc:
@@ -204,6 +217,7 @@ def _validate_manifest(doc: dict, base_dir: Path) -> AuditManifest:
     checks_doc = doc.get("checks")
     if not isinstance(inputs_doc, dict) or not isinstance(checks_doc, list):
         raise ManifestError("manifest needs an 'inputs' object and a 'checks' array")
+    _known_keys(doc, ("inputs", "checks", "output", "schema_version"), "manifest")
     inputs = {name: _input_decl(name, spec) for name, spec in inputs_doc.items()}
     checks = []
     for i, chk in enumerate(checks_doc):
@@ -331,12 +345,9 @@ def _degenerate(severity: Severity, subject: str, message: str) -> Finding:
 
 
 def _check_validate(load: Loader, chk: dict) -> list[Finding]:
-    """matrix invariant violations (repeated ids, bad values)"""
-    m: LabeledMatrix = load(chk["matrix"])
-    return [
-        _degenerate(Severity.WARNING, v.subject, f"{chk['matrix']}: invalid {v.field}: {v.message}")
-        for v in validate(m)
-    ]
+    """parse a matrix: a fault is named by its row and column"""
+    load(chk["matrix"])  # the parse refuses repeated ids, ragged rows and bad cells
+    return []
 
 
 def _check_dup(load: Loader, chk: dict) -> list[Finding]:
@@ -798,23 +809,42 @@ CHECKS: dict[str, CheckSpec] = {
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _load_input(path: Path, decl: InputDecl, parse: bool) -> tuple[str, object]:
-    """One read of an input: the SHA-256 of its bytes and, when ``parse``,
-    the value parsed from the same bytes (decoded as ``Path.read_text``
-    decodes a file: UTF-8, universal newlines) or the error parsing
-    raised. An OSError from the read propagates."""
+def _load_input(path: Path, parse: Optional[Callable[[str], object]]) -> tuple[str, object]:
+    """One read of an input: the SHA-256 of its bytes and, unless ``parse``
+    is None, the value ``parse`` makes of the same bytes (decoded as
+    ``Path.read_text`` decodes a file: UTF-8, universal newlines) or the
+    error parsing raised. An OSError from the read propagates."""
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
-    if not parse:
+    if parse is None:
         return digest, None
     try:
         text = data.decode("utf-8")
         del data  # only the text is kept while it is parsed
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return digest, _INPUT_KINDS[decl.kind](text, decl.format)
+        return digest, parse(text)
     except _INPUT_ERRORS as exc:
         return digest, exc
+
+
+def _input_value(name: str, path, value):
+    """``value``, unless it is the error reading or parsing input ``name``
+    raised: that is raised again in the one wording of an input fault."""
+    if isinstance(value, Exception):
+        raise ValueError(f"input {name!r} ({path}): {value}")
+    return value
+
+
+def read_input(name: str, path: str, parse: Callable[[str], object]):
+    """The value ``parse`` makes of the file at ``path``, read as a manifest
+    input is; a fault reading or parsing it raises ValueError naming the
+    input ``name`` and the path, as a check names its input."""
+    try:
+        _, value = _load_input(Path(path), parse)
+    except OSError as exc:
+        value = exc
+    return _input_value(name, path, value)
 
 
 def report_to_json(report: FindingsReport) -> str:
@@ -854,16 +884,14 @@ def run_audit(manifest: AuditManifest | str | Path) -> tuple[FindingsReport, int
     values: dict[str, object] = {}  # parsed input, or the error reading or parsing it raised
     for name, decl in manifest.inputs.items():
         try:
-            digests[decl.path], values[name] = _load_input(manifest.resolve(decl), decl, name in used)
+            digests[decl.path], values[name] = _load_input(manifest.resolve(decl), decl.parse if name in used else None)
         except OSError as exc:
             had_error = True
             findings.append(_degenerate(Severity.WARNING, name, f"input {name!r} ({decl.path}) is unreadable: {exc}"))
             values[name] = exc
 
     def load(name: str):
-        if isinstance(values[name], Exception):
-            raise ValueError(f"input {name!r} ({manifest.inputs[name].path}): {values[name]}")
-        return values[name]
+        return _input_value(name, manifest.inputs[name].path, values[name])
 
     for chk in manifest.checks:
         try:

@@ -1,8 +1,10 @@
-"""The command-line interface: each subcommand reads its files, calls the
-manifest runner in ``audit`` or one detector, and prints or writes the
-result. ``audit <check>`` runs a one-check manifest, and its flags are
-built from the check's ``CHECKS`` entry; ``main`` prints a bad input as
-``error: ...`` and exits 1, as a usage error does.
+"""The command-line interface: each subcommand reads its files through the
+runner's reader (``audit.read_input``, so a fault names the flag and the
+file as a check's names its input), calls the manifest runner in ``audit``
+or one detector, and prints or writes the result. ``audit <check>`` runs a
+one-check manifest, and its flags are built from the check's ``CHECKS``
+entry; ``main`` prints a bad input as ``error: ...`` and exits 1, as a
+usage error does.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .core import FindingsReport, GroupLabel, LabeledMatrix
@@ -23,24 +25,26 @@ from . import matchscan as _match
 from . import signature as _sig
 from .groupsearch import Assignment, steepest_ascent
 from .transform import apply_pipeline, parse_pipeline_spec
-from .audit import _INPUT_ERRORS, CHECKS, FINDING_CODES, SCHEMA_VERSION, Bounds, explain, run_audit
+from .audit import _INPUT_ERRORS, CHECKS, FINDING_CODES, SCHEMA_VERSION, Bounds, explain, read_input, run_audit
 from .audit import _output, _param, _strict_roster_labeling, _validate_manifest
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _input(args, dest: str, parse: Callable[[str], object]):
+    """The file named by flag ``dest``, read and parsed as a manifest input."""
+    return read_input(dest, getattr(args, dest), parse)
 
 
-def _load_matrix(path: str, delimiter: str = "tab") -> LabeledMatrix:
-    return ingest.parse_matrix(_read(path), ingest.MatrixFormat(delimiter=delimiter))
+def _matrix(args, dest: str) -> LabeledMatrix:
+    fmt = ingest.MatrixFormat(delimiter=args.delimiter)
+    return _input(args, dest, lambda text: ingest.parse_matrix(text, fmt))
 
 
-def _read_classes(path: str) -> dict[str, int]:
+def _read_classes(text: str) -> dict[str, int]:
     """``roc --labels``: per id a class, written as its number or as a label
     that ``signature.CLASS_OF`` maps."""
     numbers = {str(c): c for c in _sig.CLASS_OF.values()}
     out: dict[str, int] = {}
-    for row, (sid, tok, *_) in ingest.read_csv_rows(_read(path), 2, None, ("sample_id", "id"), unique=True):
+    for row, (sid, tok, *_) in ingest.read_csv_rows(text, 2, None, ("sample_id", "id"), unique=True):
         with ingest.row_context(row):
             cls = numbers[tok] if tok in numbers else _sig.CLASS_OF.get(ingest.normalize_label(tok))
             if cls is None:
@@ -49,9 +53,15 @@ def _read_classes(path: str) -> dict[str, int]:
     return out
 
 
-def _parse_assignment_csv(path: str) -> Assignment:
+def _read_scores(text: str) -> dict[str, float]:
+    """``roc --scores``: per id a number, from the first two cells of a row."""
+    rows = ingest.read_csv_rows(text, 2, None, ("sample_id", "id"), unique=True)
+    return {sid: ingest.number_cell(tok, row, 2) for row, (sid, tok, *_) in rows}
+
+
+def _parse_assignment_csv(text: str) -> Assignment:
     state: dict[str, GroupLabel] = {}
-    rows = ingest.read_csv_rows(_read(path), 2, None, ("cell_line", "sample_id", "id"), unique=True)
+    rows = ingest.read_csv_rows(text, 2, None, ("cell_line", "sample_id", "id"), unique=True)
     for row, (line, tok, *_) in rows:
         with ingest.row_context(row):  # the one-line Assignment checks the search state
             state.update(Assignment({line: ingest.normalize_label(tok)}).state)
@@ -63,9 +73,11 @@ def _cmd_audit_check(args) -> int:
     references and parameters are the flags of the same dest (a flag left
     out takes the registry default), and print the report summary."""
     spec = CHECKS[args.audit_command]
-    fmt = {"delimiter": args.delimiter} if "delimiter" in args else {}
     params = {k: getattr(args, k) for k in spec.params if getattr(args, k) is not None}
-    inputs = {ref: {"path": getattr(args, ref), "kind": kind, "format": fmt} for ref, kind in spec.inputs.items()}
+    inputs = {  # a view with a matrix input has --delimiter, and only a matrix reads a format
+        ref: {"path": getattr(args, ref), "kind": kind, "format": {"delimiter": args.delimiter} if kind == "matrix" else {}}
+        for ref, kind in spec.inputs.items()
+    }
     doc = {"inputs": inputs, "checks": [{"check": args.audit_command, **{ref: ref for ref in inputs}, **params}]}
     return _print_run(_validate_manifest(doc, Path()))
 
@@ -82,20 +94,17 @@ def summarize_report(report: FindingsReport, exit_code: int) -> str:
 
 
 def _cmd_audit_crosstab(args) -> int:
-    roster_a = ingest.parse_roster(_read(args.a))
-    roster_b = ingest.parse_roster(_read(args.b))
-    a = _dup.roster_labeling(roster_a)
-    b_strict = _strict_roster_labeling(roster_b)
-    b = {sid: lab.value for sid, lab in b_strict.items()}
-    table = _dup.cross_tabulate(a, b)
+    a = _dup.roster_labeling(_input(args, "a", ingest.parse_roster))
+    b_strict = _strict_roster_labeling(_input(args, "b", ingest.parse_roster))
+    table = _dup.cross_tabulate(a, {sid: lab.value for sid, lab in b_strict.items()})
     print(table.as_text())
     return 0
 
 
 def _cmd_match(args, by_rows: bool) -> int:
     _param("min_corr", args.min_corr, float, Bounds(0, 1, lo_open=True))
-    query = _load_matrix(args.query, args.delimiter)
-    reference = _load_matrix(args.reference, args.delimiter)
+    query = _matrix(args, "query")
+    reference = _matrix(args, "reference")
     if args.pipeline:
         reference = apply_pipeline(reference, parse_pipeline_spec(args.pipeline))
     fn = _match.match_rows if by_rows else _match.match_columns
@@ -115,9 +124,9 @@ def _cmd_match(args, by_rows: bool) -> int:
 
 
 def _cmd_search_groups(args) -> int:
-    panel = _load_matrix(args.panel, args.delimiter)
-    target = ingest.parse_signature(_read(args.target))
-    start = _parse_assignment_csv(args.start)
+    panel = _matrix(args, "panel")
+    target = _input(args, "target", ingest.parse_signature)
+    start = _input(args, "start", _parse_assignment_csv)
     result = steepest_ascent(start, panel, target, args.k)
     print(f"start score: {result.start_score}")
     for mv in result.trajectory:
@@ -142,14 +151,13 @@ def _cmd_search_groups(args) -> int:
 
 
 def _cmd_signature_derive(args) -> int:
-    m = _load_matrix(args.matrix, args.delimiter)
-    sig = _sig.select_top_genes(m, args.k)
+    sig = _sig.select_top_genes(_matrix(args, "matrix"), args.k)
     _output(ingest.serialize_signature(sig), args.out, f"signature ({len(sig)} genes)")
     return 0
 
 
 def _cmd_signature_predict(args) -> int:
-    pred = _sig.predict(_load_matrix(args.train, args.delimiter), _load_matrix(args.test, args.delimiter), args.k)
+    pred = _sig.predict(_matrix(args, "train"), _matrix(args, "test"), args.k)
     if pred.hard_calls:
         print("warning: perfect separation; emitting hard 0/1 calls", file=sys.stderr)
     rows = [("sample_id", "metagene_score", "p_sensitive")]
@@ -160,9 +168,8 @@ def _cmd_signature_predict(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    rows = ingest.read_csv_rows(_read(args.scores), 2, None, ("sample_id", "id"), unique=True)
-    scores = {sid: ingest.number_cell(tok, row, 2) for row, (sid, tok, *_) in rows}
-    labels = _read_classes(args.labels)
+    scores = _input(args, "scores", _read_scores)
+    labels = _input(args, "labels", _read_classes)
     shared = [sid for sid in scores if sid in labels]
     if not shared:
         raise ValueError("scores and labels share no sample ids")
@@ -177,7 +184,7 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_combo(args) -> int:
-    columns, rows = ingest.parse_table(_read(args.inputs))
+    columns, rows = _input(args, "inputs", ingest.parse_table)
     missing = [k for k in _integ.COMBINATION_RULES[args.rule].drug_keys if k not in columns]
     if missing:
         raise ValueError(f"input file is missing drug column(s) {missing}")

@@ -8,7 +8,6 @@ own missing-value policy and this module never imputes.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Mapping, Optional
@@ -64,9 +63,9 @@ class LabeledMatrix:
     ``values`` is coerced to a read-only float64 array of shape
     (n_features, n_samples): a read-only float64 array that owns its data
     is taken as it is, any other input is copied. Missing entries are NaN.
-    The constructor is deliberately permissive (duplicate ids, dangling
-    labels are allowed so that defective files can be represented);
-    ``validate`` reports such states as violations.
+    Files parse strictly: ``ingest.parse_matrix`` refuses a repeated id and
+    labels that are not the sample ids. In memory the constructor is
+    permissive, because ``groupsearch`` lets one line hold several columns.
     """
 
     feature_ids: tuple[str, ...]
@@ -217,13 +216,6 @@ class SampleMeta:
 
 
 @dataclass(frozen=True)
-class Violation:
-    field: str
-    subject: str
-    message: str
-
-
-@dataclass(frozen=True)
 class Finding:
     code: str
     severity: Severity
@@ -282,34 +274,6 @@ def first_cell(m: LabeledMatrix, bad: np.ndarray) -> tuple[str, str, float]:
     mask shaped like ``m.values``, in column order; one must exist."""
     j, i = np.argwhere(bad.T)[0]
     return m.feature_ids[i], m.sample_ids[j], float(m.values[i, j])
-
-
-def validate(m: LabeledMatrix) -> list[Violation]:
-    """Report every invariant violation in a matrix.
-
-    Violations are data, not errors: a forensic audit has to be able to
-    describe a broken input without refusing to hold it.
-    """
-    out: list[Violation] = []
-    for axis, ids in (("feature", m.feature_ids), ("sample", m.sample_ids)):
-        for name, n in Counter(ids).items():  # in order of first appearance
-            if n > 1:
-                out.append(Violation(f"{axis}_ids", name, f"{axis} id {name!r} appears {n} times"))
-    if m.values.shape != (m.n_features, m.n_samples):
-        out.append(
-            Violation(
-                "values",
-                f"{m.values.shape[0]}x{m.values.shape[1]}",
-                f"values shape {m.values.shape} does not match "
-                f"{m.n_features} features x {m.n_samples} samples",
-            )
-        )
-    if m.labels:
-        known = set(m.sample_ids)
-        for sid in m.labels:
-            if sid not in known:
-                out.append(Violation("labels", sid, f"label refers to unknown sample {sid!r}"))
-    return out
 
 
 def extract_submatrix(m: LabeledMatrix, sig: SignatureList) -> tuple[LabeledMatrix, list[str]]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -113,6 +114,38 @@ def test_each_check_alone_gives_its_findings_of_the_full_run(tmp_path, write):
         (tmp_path / f"check{i}.json").write_text(json.dumps({"inputs": doc["inputs"], "checks": [chk]}))
         alone += run_audit(tmp_path / f"check{i}.json")[0].findings
     assert alone == list(run_audit(manifest_path)[0].findings)
+
+
+def _finding_keys(report) -> Counter:
+    """Each finding as its code, severity, metrics and set of subjects."""
+    return Counter((f.code, f.severity, tuple(sorted(f.metrics.items())), frozenset(f.subjects)) for f in report.findings)
+
+
+@pytest.mark.parametrize("write", [corpus.write_corrupted_corpus, corpus.write_clean_corpus], ids=["corrupted", "clean"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_findings_do_not_depend_on_the_order_of_rows_or_columns(tmp_path_factory, write, data):
+    # every matrix input with its rows and its columns permuted gives the same
+    # exit code and the same findings; a reuse check's two matrices share one
+    # permutation, because it compares them position by position
+    root = tmp_path_factory.mktemp("order")
+    manifest_path = write(root)
+    expected, expected_code = run_audit(manifest_path)
+    doc = json.loads(manifest_path.read_text())
+    shared = {chk["b"]: chk["a"] for chk in doc["checks"] if chk["check"] == "reuse"}
+    orders = {}
+    for name in sorted((n for n, spec in doc["inputs"].items() if spec["kind"] == "matrix"), key=lambda n: n in shared):
+        path = root / doc["inputs"][name]["path"]
+        m = ingest.parse_matrix(path.read_text())
+        if name in shared:
+            rows, cols = orders[name] = orders[shared[name]]
+        else:
+            rows, cols = orders[name] = data.draw(st.permutations(range(m.n_features))), data.draw(st.permutations(range(m.n_samples)))
+        ids = (tuple(m.feature_ids[i] for i in rows), tuple(m.sample_ids[j] for j in cols))
+        path.write_text(ingest.serialize_matrix(LabeledMatrix(*ids, m.values[np.ix_(rows, cols)], m.labels)))
+    report, code = run_audit(manifest_path)
+    assert code == expected_code
+    assert _finding_keys(report) == _finding_keys(expected)
 
 
 def _confound_manifest(root: Path, rows: list[str], **params) -> Path:
@@ -786,6 +819,7 @@ def test_cli_error_paths(tmp_path, capsys):
 
 _TWO_COLUMNS = "feature_id\t{}\t{}\ng1\t1\t2\ng2\t3\t5\ng3\t2\t9\n"
 _THREE_ROWS = "feature_id\tA\tB\tC\ng1\t1\t2\t4\ng2\t3\t5\t1\ng3\t2\t9\t7\n"
+_RAGGED_ROW_3 = "feature_id\tA\tB\tC\ng1\t1\t2\t3\ng2\t4\t5\n"
 _PIPELINE_ERRORS = [
     ("log:3", "log base must be e|2|10, got '3'"),
     ("zscore:n-2", "zscore denominator must be n-1|n, got 'n-2'"),
@@ -800,6 +834,21 @@ _MANIFEST_SHAPE_ERRORS = [
     ("inputs-not-an-object", {"inputs": [], "checks": []}, "manifest needs an 'inputs' object and a 'checks' array"),
     ("check-without-name", {"inputs": {}, "checks": [{"a": "m"}]}, "check #1 is missing its 'check' name"),
     ("input-without-kind", {"inputs": {"r": {"path": "r.csv"}}, "checks": []}, "input 'r' needs 'path' and 'kind'"),
+    (
+        "misspelt-output",
+        {"inputs": {}, "checks": [], "ouput": "report.json"},
+        "manifest has unknown key 'ouput'; allowed: inputs, checks, output, schema_version",
+    ),
+    (
+        "misspelt-format",
+        {"inputs": {"m": {"path": "m.tsv", "kind": "matrix", "fromat": {"delimiter": "comma"}}}, "checks": []},
+        "input 'm' has unknown key 'fromat'; allowed: path, kind, format",
+    ),
+    (
+        "format-on-a-roster",
+        {"inputs": {"r": {"path": "r.csv", "kind": "roster", "format": {"delimiter": "tab"}}}, "checks": []},
+        "input 'r': format applies to a matrix input, not a roster one",
+    ),
 ]
 
 
@@ -894,13 +943,13 @@ _MANIFEST_SHAPE_ERRORS = [
         pytest.param(
             {"in.csv": "sample_id,T,F,A,C\np1,0.5,0.5,0.5,0.5\np1,0.1,0.2,0.3,0.4\n"},
             ["combo", "--rule", "tfac", "--inputs", "in.csv", "--batch-normalize"],
-            "error: row 3: duplicate id 'p1' (first on row 2)\n",
+            "error: input 'inputs' (in.csv): row 3: duplicate id 'p1' (first on row 2)\n",
             id="combo-repeated-sample-id",
         ),
         pytest.param(
             {"in.csv": "sample_id,T,T,F,A,C\np1,0.9,0.1,0.5,0.5,0.5\n"},
             ["combo", "--rule", "tfac", "--inputs", "in.csv"],
-            "error: row 1, column 3: duplicate column name 'T' (first in column 2)\n",
+            "error: input 'inputs' (in.csv): row 1, column 3: duplicate column name 'T' (first in column 2)\n",
             id="combo-repeated-drug-column",
         ),
         pytest.param(
@@ -918,8 +967,63 @@ _MANIFEST_SHAPE_ERRORS = [
         pytest.param(
             {"scores.csv": "sample_id,score\na,0.9\nb,0.1\n", "labels.csv": "a,Unused\nb,0\n"},
             ["roc", "--scores", "scores.csv", "--labels", "labels.csv"],
-            "error: row 1: label 'Unused' for 'a' is neither 0/1 nor Sensitive/Resistant\n",
+            "error: input 'labels' (labels.csv): row 1: label 'Unused' for 'a' is neither 0/1 nor Sensitive/Resistant\n",
             id="roc-label-unused",
+        ),
+        # a fault in any command's file flag names the flag's dest and the file
+        pytest.param(
+            {"q.tsv": _THREE_ROWS, "r.tsv": _RAGGED_ROW_3},
+            ["match", "rows", "--query", "q.tsv", "--reference", "r.tsv"],
+            "error: input 'reference' (r.tsv): row 3: ragged row (2 cells, expected 3)\n",
+            id="match-rows-ragged-reference",
+        ),
+        pytest.param(
+            {"q.tsv": _RAGGED_ROW_3, "r.tsv": _THREE_ROWS},
+            ["match", "columns", "--query", "q.tsv", "--reference", "r.tsv"],
+            "error: input 'query' (q.tsv): row 3: ragged row (2 cells, expected 3)\n",
+            id="match-columns-ragged-query",
+        ),
+        pytest.param(
+            {"p.tsv": _THREE_ROWS, "t.csv": "g1,UpInResistant\ng2,Sideways\n"},
+            ["search", "groups", "--panel", "p.tsv", "--target", "t.csv", "--k", "1", "--start", "s.csv"],
+            "error: input 'target' (t.csv): row 2: unknown direction token 'Sideways'\n",
+            id="search-groups-bad-target",
+        ),
+        pytest.param(
+            {"m.tsv": "feature_id\tA\tB\ng1\t1\tx\n"},
+            ["signature", "derive", "--matrix", "m.tsv", "--k", "1"],
+            "error: input 'matrix' (m.tsv): row 2, column 3: unparseable numeric cell 'x'\n",
+            id="signature-derive-bad-cell",
+        ),
+        pytest.param(
+            {"train.tsv": _THREE_ROWS, "test.tsv": _RAGGED_ROW_3},
+            ["signature", "predict", "--train", "train.tsv", "--test", "test.tsv", "--k", "1", "--out", "p.csv"],
+            "error: input 'test' (test.tsv): row 3: ragged row (2 cells, expected 3)\n",
+            id="signature-predict-ragged-test",
+        ),
+        pytest.param(
+            {"s.csv": "sample_id,score\na,0.9\nb,high\n", "l.csv": "a,1\nb,0\n"},
+            ["roc", "--scores", "s.csv", "--labels", "l.csv"],
+            "error: input 'scores' (s.csv): row 3, column 2: unparseable numeric cell 'high'\n",
+            id="roc-bad-score",
+        ),
+        pytest.param(
+            {"in.csv": "sample_id,T,F,A,C\np1,0.5,0.5,0.5\n"},
+            ["combo", "--rule", "tfac", "--inputs", "in.csv"],
+            "error: input 'inputs' (in.csv): row 2: expected 5 cells, got 4\n",
+            id="combo-short-row",
+        ),
+        pytest.param(
+            {"a.csv": "S1,Sensitive\n", "b.csv": "S1,wibble\n"},
+            ["audit", "crosstab", "--a", "a.csv", "--b", "b.csv"],
+            "error: input 'b' (b.csv): row 1: unknown group label token 'wibble'\n",
+            id="audit-crosstab-bad-label",
+        ),
+        pytest.param(
+            {"q.tsv": _THREE_ROWS},
+            ["match", "rows", "--query", "q.tsv", "--reference", "gone.tsv"],
+            "error: input 'reference' (gone.tsv): [Errno 2] No such file or directory: 'gone.tsv'\n",
+            id="match-rows-unreadable-reference",
         ),
     ],
 )
@@ -1172,7 +1276,7 @@ def test_search_start_state_errors_name_their_row(tmp_path, capsys):
     for state, message in (("wibble", "unknown group label token 'wibble'"), ("INT", f"{line!r} has non-search state")):
         (tmp_path / "start.csv").write_text(f"cell_line,state\n{other},Sensitive\n\n{line},{state}\n")
         assert main([*argv, "--k", "10", "--start", str(tmp_path / "start.csv")]) == 1
-        assert f"error: row 4: {message}" in capsys.readouterr().err
+        assert f"error: input 'start' ({tmp_path / 'start.csv'}): row 4: {message}" in capsys.readouterr().err
 
 
 def test_search_start_line_missing_from_panel_exits_1(tmp_path, capsys):
@@ -1409,10 +1513,12 @@ def _run_on_files(files, argv, tmp: str):
 def test_main_on_hostile_files_exits_0_1_or_2_and_names_the_bad_cell(command, fault, token, where):
     """One fault in otherwise valid inputs: no exception escapes ``main``,
     exit 1 ends in an ``error:`` line, and a bad numeric cell is exit 1
-    naming that cell. A byte-order mark changes nothing; an extra cell in
-    the last row changes nothing for a two-cell reader and is exit 1
-    naming that row for every other reader, and so is an empty id."""
+    naming its flag, its file and that cell. A byte-order mark changes
+    nothing; an extra cell in the last row changes nothing for a two-cell
+    reader and is exit 1 naming that row for every other reader, and so is
+    an empty id."""
     files, argv = _valid_inputs(command)
+    flag_of = {a[1:-1]: argv[i - 1][2:] for i, a in enumerate(argv) if a.startswith("{")}
     numeric = [
         (name, i, j)
         for name, (_, rows, first) in files.items()
@@ -1458,10 +1564,10 @@ def test_main_on_hostile_files_exits_0_1_or_2_and_names_the_bad_cell(command, fa
     if bad_cell is not None:
         _, i, j = bad_cell
         assert code == 1
-        assert f"error: row {i + 1}, column {j + 1}: " in err
+        assert f"error: input '{flag_of[name]}' ({Path(tmp) / name}): row {i + 1}, column {j + 1}: " in err
     if bad_row is not None:
         assert code == 1
-        assert f"error: row {bad_row}: " in err
+        assert f"error: input '{flag_of[name]}' ({Path(tmp) / name}): row {bad_row}: " in err
 
 
 # --- what the tool writes reads back ------------------------------------------
@@ -1512,6 +1618,7 @@ def test_match_out_bytes_are_unchanged_on_valid_ids(tmp_path, capsys):
 def test_two_column_readers_refuse_a_repeated_id(tmp_path, capsys, reader):
     files = {"scores.csv": "sample_id,score\nA,0.9\nB,0.2\n", "labels.csv": "A,1\nB,0\n"}
     argv = ["roc", "--scores", "{scores.csv}", "--labels", "{labels.csv}"]
+    flag = reader.split("--")[1]
     if reader == "roc --scores":
         files["scores.csv"] += "A,0.2\n"
         message = "row 4: duplicate sample id 'A' (first on row 2)"
@@ -1532,7 +1639,7 @@ def test_two_column_readers_refuse_a_repeated_id(tmp_path, capsys, reader):
         (tmp_path / name).write_text(text)
     assert main([str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert captured.err == f"error: input '{flag}' ({tmp_path / flag}.csv): {message}\n" and captured.out == ""
 
 
 def test_run_audit_reads_each_input_once_and_parses_only_used_ones(tmp_path, monkeypatch):

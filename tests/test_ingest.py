@@ -649,6 +649,60 @@ def test_matrix_ids_lose_spaces_and_tabs_only():
     assert ingest.parse_matrix(text, MatrixFormat(delimiter="comma")).feature_ids == ("g1",)
 
 
+@st.composite
+def _matrix_texts(draw):
+    """A matrix text whose ids are drawn from a few names, some padded, so
+    that ids repeat, some only once their padding is stripped; with or
+    without a label row and with missing cells. Returns the text, its
+    format, the stripped sample and feature ids and whether it has labels."""
+    delimiter = draw(st.sampled_from(["tab", "comma"]))
+    fmt = MatrixFormat(delimiter=delimiter, missing_token=draw(st.sampled_from(["NA", "", "-999"])))
+    pad = st.sampled_from(["", " ", "  "] + (["\t"] if delimiter == "comma" else []))
+
+    def ids(prefix: str, n: int) -> tuple[list[str], list[str]]:
+        names = draw(st.lists(st.sampled_from([f"{prefix}{k}" for k in range(5)]), min_size=n, max_size=n))
+        return names, [draw(pad) + name + draw(pad) for name in names]
+
+    samples, header = ids("S", draw(st.integers(1, 4)))
+    features, heads = ids("g", draw(st.integers(1, 5)))
+    cell = st.one_of(st.integers(-9, 9).map(str), st.sampled_from([fmt.missing_token, f" {fmt.missing_token} "]))
+    row = st.lists(cell, min_size=len(samples), max_size=len(samples))
+    lines = [["id", *header]]
+    has_labels = draw(st.booleans())
+    if has_labels:
+        lines.append(["label", *draw(st.lists(st.sampled_from(["Sensitive", "R", ""]), min_size=len(samples), max_size=len(samples)))])
+    lines += [[head, *draw(row)] for head in heads]
+    return "".join(fmt.sep.join(cells) + "\n" for cells in lines), fmt, samples, features, has_labels
+
+
+def _first_repeat(ids: list[str]):
+    """(index, index of its first appearance) of the first repeated id, or None."""
+    return next(((k, ids.index(name)) for k, name in enumerate(ids) if name in ids[:k]), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_texts())
+def test_an_accepted_matrix_has_unique_ids_and_labels_of_exactly_its_samples(case):
+    # the guarantee the ``validate`` check stands on: what parses is well formed
+    text, fmt, samples, features, has_labels = case
+    sample_repeat, feature_repeat = _first_repeat(samples), _first_repeat(features)
+    if sample_repeat is not None:
+        j, first = sample_repeat
+        message = f"row 1, column {j + 2}: duplicate sample id {samples[j]!r} (first in column {first + 2})"
+    elif feature_repeat is not None:
+        i, first = (k + 2 + has_labels for k in feature_repeat)
+        message = f"row {i}: duplicate feature id {features[feature_repeat[0]]!r} (first on row {first})"
+    else:
+        m = ingest.parse_matrix(text, fmt)
+        assert (m.feature_ids, m.sample_ids) == (tuple(features), tuple(samples))
+        assert len(set(m.feature_ids)) == m.n_features and len(set(m.sample_ids)) == m.n_samples
+        assert m.values.shape == (m.n_features, m.n_samples)
+        assert list(m.labels) == list(m.sample_ids) if has_labels else m.labels is None
+        return
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        ingest.parse_matrix(text, fmt)
+
+
 # --- the one writer -----------------------------------------------------------
 
 

@@ -2,8 +2,9 @@
 the runner (``audit``) is the one module that builds a ``Finding``, the
 command line (``cli``) is the one module that parses arguments, no module
 depends on the command line, ingest is the one module that hands text to
-numpy's text readers, the detectors reach correlations only through the
-one scan of the kernels, rows are centered one way (``_kernels.center_rows``,
+numpy's text readers, only the runner (``audit``, and ``ingest`` for its
+packaged synonym table) reads a file, the detectors reach correlations
+only through the one scan of the kernels, rows are centered one way (``_kernels.center_rows``,
 never numpy's NaN-aware moments), values are rounded one way (only
 ``transform`` calls ``round`` or ``around``), values are logged one way
 (only ``transform`` calls numpy's ``log``), no module imports scipy
@@ -64,6 +65,17 @@ def test_no_module_imports_scipy():
         return any(name.split(".")[0] == "scipy" for name in _imported(node))
 
     assert _modules_where(imports_scipy) == set()
+
+
+def test_only_the_runner_reads_input_files():
+    # every command reads its files through audit.read_input, so a fault is
+    # worded one way; ingest reads only its packaged synonym table
+    def reads_a_file(node):
+        return isinstance(node, ast.Call) and bool(
+            {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & {"read_text", "read_bytes", "open"}
+        )
+
+    assert _modules_where(reads_a_file) == {"audit.py", "ingest.py"}
 
 
 def test_only_ingest_calls_numpys_text_readers():

@@ -237,9 +237,14 @@ def _validate_manifest(doc: dict, base_dir: Path) -> AuditManifest:
                     f"{inputs[ref].kind!r}, needs {kind!r}"
                 )
         checks.append(dict(chk))
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ManifestError(f"schema_version {version!r} is not supported; this runner reads {SCHEMA_VERSION!r}")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ManifestError(f"output must be a string, got {output!r}")
+    if output == "":
+        raise ManifestError("output is empty; name the report's path or leave output out")
     return AuditManifest(inputs, tuple(checks), output, base_dir)
 
 
@@ -257,12 +262,6 @@ def load_manifest(path: str | Path) -> AuditManifest:
 #: What a check adapter gets its inputs from: the parsed value of a
 #: declared input, by name.
 Loader = Callable[[str], object]
-
-
-def _strict_roster_labeling(roster) -> dict[str, GroupLabel]:
-    """First claim per id wins; internal conflicts are the roster check's
-    business, not this adapter's."""
-    return {sid: labs[0] for sid, labs in _dup.claims_by_id(roster).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +352,7 @@ def _check_validate(load: Loader, chk: dict) -> list[Finding]:
 def _check_dup(load: Loader, chk: dict) -> list[Finding]:
     """duplicate-column scan"""
     m: LabeledMatrix = load(chk["matrix"])
-    cfg = _dup.DupScanConfig(
-        corr_threshold=chk["threshold"],
-        compare_on=chk["compare_on"],
-        missing_policy=chk["missing_policy"],
-    )
-    comps = _dup.find_duplicate_columns(m, cfg)
+    comps = _dup.find_duplicate_columns(m, chk["threshold"], chk["compare_on"], chk["missing_policy"])
     findings = [
         _degenerate(
             Severity.INFO, sid, f"{chk['matrix']}: column {sid!r} is degenerate (zero variance or too much missing data)"
@@ -378,7 +372,7 @@ def _check_dup(load: Loader, chk: dict) -> list[Finding]:
                     "n_components": len(comps.components),
                 },
                 f"{chk['matrix']}: only {comps.n_distinct} of {comps.n_samples} samples are "
-                f"distinct at correlation >= {cfg.corr_threshold}",
+                f"distinct at correlation >= {chk['threshold']}",
             )
         )
         labels = m.labels or {}
@@ -486,7 +480,7 @@ def _check_dose(load: Loader, chk: dict) -> list[Finding]:
     """dose-response label sanity checks"""
     records = load(chk["sensitivity"])
     roster = load(chk["labels"])
-    labels = _strict_roster_labeling(roster)
+    labels = _dup.first_claims(roster)
     drug = chk["drug"]
     measure = chk["measure"]
     recs = [
@@ -496,6 +490,11 @@ def _check_dose(load: Loader, chk: dict) -> list[Finding]:
     ]
     if not recs:
         raise ValueError(f"no sensitivity records for drug={drug!r} measure={measure!r}")
+    # potencies of two drugs, or two measures, are not on one scale
+    for param, kept in (("drug", {r.drug_id for r in recs}), ("measure", {r.measure.value for r in recs})):
+        if chk[param] is None and len(kept) > 1:
+            named = ", ".join(repr(v) for v in sorted(kept))
+            raise ValueError(f"sensitivity input {chk['sensitivity']!r} holds {param}s {named}: name one with {param!r}")
     tests = chk["tests"]
     findings: list[Finding] = []
     subject = drug or "all-drugs"
@@ -602,17 +601,17 @@ def _check_blocks(load: Loader, chk: dict) -> list[Finding]:
     """high-correlation block structure among columns"""
     m = load(chk["matrix"])
     threshold = chk["threshold"]
-    report = _integ.detect_blocks(m, corr_threshold=threshold)
-    if len(report.components) < chk["min_blocks"]:
+    blocks = _integ.detect_blocks(m, corr_threshold=threshold).components
+    if len(blocks) < chk["min_blocks"]:
         return []
+    sizes = [len(c) for c in blocks]
     return [
         Finding(
             "BLOCK_STRUCTURE",
             Severity.WARNING,
-            tuple(sid for c in report.components for sid in c),
-            {"n_blocks": len(report.components), "largest_block": max(report.sizes)},
-            f"{chk['matrix']}: {len(report.components)} high-correlation blocks of sizes "
-            f"{list(report.sizes)} at threshold {threshold}",
+            tuple(sid for c in blocks for sid in c),
+            {"n_blocks": len(blocks), "largest_block": max(sizes)},
+            f"{chk['matrix']}: {len(blocks)} high-correlation blocks of sizes {sizes} at threshold {threshold}",
         )
     ]
 
@@ -657,7 +656,7 @@ def _check_flips(load: Loader, chk: dict) -> list[Finding]:
     sources = []
     for src in chk["sources"]:
         roster = load(src["roster"])
-        sources.append((src["source_id"], src["drug_id"], _strict_roster_labeling(roster)))
+        sources.append((src["source_id"], src["drug_id"], _dup.first_claims(roster)))
     if not sources:
         raise ValueError("flips check needs at least one source")
     report = _dup.compare_labelings(sources)

@@ -26,7 +26,7 @@ from . import signature as _sig
 from .groupsearch import Assignment, steepest_ascent
 from .transform import apply_pipeline, parse_pipeline_spec
 from .audit import _INPUT_ERRORS, CHECKS, FINDING_CODES, SCHEMA_VERSION, Bounds, explain, read_input, run_audit
-from .audit import _output, _param, _strict_roster_labeling, _validate_manifest
+from .audit import _output, _param, _validate_manifest
 
 
 def _input(args, dest: str, parse: Callable[[str], object]):
@@ -95,8 +95,7 @@ def summarize_report(report: FindingsReport, exit_code: int) -> str:
 
 def _cmd_audit_crosstab(args) -> int:
     a = _dup.roster_labeling(_input(args, "a", ingest.parse_roster))
-    b_strict = _strict_roster_labeling(_input(args, "b", ingest.parse_roster))
-    table = _dup.cross_tabulate(a, {sid: lab.value for sid, lab in b_strict.items()})
+    table = _dup.cross_tabulate(a, _dup.first_claims(_input(args, "b", ingest.parse_roster)))
     print(table.as_text())
     return 0
 

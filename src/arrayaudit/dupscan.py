@@ -23,23 +23,10 @@ from .core import ContingencyTable, Direction, GroupLabel, LabeledMatrix, LabelR
 
 
 @dataclass(frozen=True)
-class DupScanConfig:
-    corr_threshold: float = 0.9999
-    compare_on: str = "raw"  # raw | log
-    missing_policy: str = "pairwise_complete"  # pairwise_complete | fail
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.corr_threshold <= 1.0):
-            raise ValueError(f"corr_threshold must be in (0, 1], got {self.corr_threshold}")
-        if self.compare_on not in ("raw", "log"):
-            raise ValueError(f"compare_on must be raw|log, got {self.compare_on!r}")
-        if self.missing_policy not in ("pairwise_complete", "fail"):
-            raise ValueError(f"missing_policy must be pairwise_complete|fail, got {self.missing_policy!r}")
-
-
-@dataclass(frozen=True)
 class DupComponents:
-    """Connected components (size >= 2) of the duplicate graph.
+    """Connected components (size >= 2) of a column-correlation graph: the
+    duplicates of ``find_duplicate_columns`` or the blocks of
+    ``integrity.detect_blocks``.
 
     ``multiplicity_histogram`` counts distinct samples at each observed
     multiplicity, singletons included at multiplicity 1, so the identity
@@ -55,21 +42,12 @@ class DupComponents:
     degenerate_columns: tuple[str, ...] = ()
 
 
-def _compared_values(m: LabeledMatrix, cfg: DupScanConfig) -> np.ndarray:
-    vals = m.values
-    if cfg.missing_policy == "fail" and np.isnan(vals).any():
-        fid, sid, _ = first_cell(m, np.isnan(vals))
-        raise ValueError(f"missing_policy is 'fail' but the value at feature {fid!r}, sample {sid!r} is missing")
-    if cfg.compare_on == "log":
-        vals = transform.apply_pipeline(m, transform.parse_pipeline_spec("log:e")).values
-    return vals
-
-
-def find_duplicate_columns(m: LabeledMatrix, cfg: DupScanConfig = DupScanConfig()) -> DupComponents:
-    """Group samples into duplicate components: those of the correlation
-    graph at ``corr_threshold`` (``_kernels.correlated_components``), in
+def column_components(m: LabeledMatrix, values: np.ndarray, threshold: float) -> DupComponents:
+    """The components of the correlation graph of the columns of ``values``
+    (``m``'s, or a transform of them) at ``threshold``
+    (``_kernels.correlated_components``), named by ``m``'s sample ids, in
     order of their smallest column index with members in column order."""
-    comps, degenerate = _kernels.correlated_components(_compared_values(m, cfg), cfg.corr_threshold)
+    comps, degenerate = _kernels.correlated_components(values, threshold)
     histogram = dict(Counter(len(c) for c in comps))
     singletons = m.n_samples - sum(len(c) for c in comps)
     if singletons:
@@ -81,6 +59,29 @@ def find_duplicate_columns(m: LabeledMatrix, cfg: DupScanConfig = DupScanConfig(
         n_samples=m.n_samples,
         degenerate_columns=tuple(sid for sid, d in zip(m.sample_ids, degenerate) if d),
     )
+
+
+def find_duplicate_columns(
+    m: LabeledMatrix, threshold: float = 0.9999, compare_on: str = "raw", missing_policy: str = "pairwise_complete"
+) -> DupComponents:
+    """Group samples into duplicate components: ``column_components`` at
+    ``threshold`` over the raw values or, with ``compare_on`` "log", their
+    natural log. With ``missing_policy`` "fail" a missing value is an error
+    naming its cell; "pairwise_complete" correlates each pair over the
+    features both hold."""
+    if not (0.0 < threshold <= 1.0):
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    if compare_on not in ("raw", "log"):
+        raise ValueError(f"compare_on must be raw|log, got {compare_on!r}")
+    if missing_policy not in ("pairwise_complete", "fail"):
+        raise ValueError(f"missing_policy must be pairwise_complete|fail, got {missing_policy!r}")
+    vals = m.values
+    if missing_policy == "fail" and np.isnan(vals).any():
+        fid, sid, _ = first_cell(m, np.isnan(vals))
+        raise ValueError(f"missing_policy is 'fail' but the value at feature {fid!r}, sample {sid!r} is missing")
+    if compare_on == "log":
+        vals = transform.apply_pipeline(m, transform.parse_pipeline_spec("log:e")).values
+    return column_components(m, vals, threshold)
 
 
 def conflicting(labels: Iterable[GroupLabel]) -> bool:
@@ -95,6 +96,12 @@ def claims_by_id(r: LabelRoster) -> dict[str, list[GroupLabel]]:
     for e in r.entries:
         claims.setdefault(e.sample_id, []).append(e.label)
     return claims
+
+
+def first_claims(r: LabelRoster) -> dict[str, GroupLabel]:
+    """Each id's first label in roster order: a repeated id's conflicts are
+    the ``roster`` check's business (``roster_duplicates``)."""
+    return {sid: labs[0] for sid, labs in claims_by_id(r).items()}
 
 
 def classify_duplicate_labels(

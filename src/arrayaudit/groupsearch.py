@@ -62,14 +62,13 @@ class UnscorableAssignmentError(ValueError):
 def score_assignment(a: Assignment, panel: LabeledMatrix, target: SignatureList, k: int) -> int:
     """Number of distinct ids among the top-k genes of ``a`` that hit the
     target list. The genes are ranked on ``panel`` itself, labeled with
-    the Sensitive and Resistant lines of ``a`` only, as the ranking leaves
-    unlabeled columns out."""
+    ``a``; the ranking leaves its Unused lines out, as it does unlabeled
+    columns."""
     if not a.scorable():
         raise UnscorableAssignmentError(
             "assignment needs >= 2 Sensitive and >= 2 Resistant lines"
         )
-    grouped = {line: lab for line, lab in a.state.items() if lab != GroupLabel.UNUSED}
-    generated = signature.select_top_genes(panel.with_labels(grouped), k)
+    generated = signature.select_top_genes(panel.with_labels(a.state), k)
     return len(set(generated.feature_ids) & set(target.feature_ids))
 
 

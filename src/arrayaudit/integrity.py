@@ -16,7 +16,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .core import (
     ContingencyTable,
     GroupLabel,
@@ -24,7 +23,7 @@ from .core import (
     SampleMeta,
     SensitivityRecord,
 )
-from .dupscan import cross_tabulate
+from .dupscan import DupComponents, column_components, cross_tabulate
 from .signature import auc
 
 
@@ -163,24 +162,11 @@ def infer_batches(
     return batches
 
 
-@dataclass(frozen=True)
-class BlockReport:
-    components: tuple[tuple[str, ...], ...]  # size >= 2, loose-threshold blocks
-    singletons: tuple[str, ...]
-    sizes: tuple[int, ...]
-
-
-def detect_blocks(m: LabeledMatrix, corr_threshold: float = 0.8) -> BlockReport:
+def detect_blocks(m: LabeledMatrix, corr_threshold: float = 0.8) -> DupComponents:
     """Components of the sample-correlation graph at a loose threshold
-    (``_kernels.correlated_components``); multi-sample components are the
+    (``dupscan.column_components``); multi-sample components are the
     'blocks' that betray batch structure."""
-    blocks, _ = _kernels.correlated_components(m.values, corr_threshold)
-    in_block = {i for c in blocks for i in c}
-    return BlockReport(
-        components=tuple(tuple(m.sample_ids[i] for i in c) for c in blocks),
-        singletons=tuple(sid for i, sid in enumerate(m.sample_ids) if i not in in_block),
-        sizes=tuple(len(c) for c in blocks),
-    )
+    return column_components(m, m.values, corr_threshold)
 
 
 @dataclass(frozen=True)

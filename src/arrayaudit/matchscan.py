@@ -143,7 +143,7 @@ def detect_offset(
         raise ValueError("offset detection needs nonempty signatures")
     gen = set(generated.feature_ids)
     rep = list(dict.fromkeys(reported.feature_ids))
-    foreign = tuple(fid for fid in rep if fid not in ann)
+    foreign = tuple(check_platform_membership(reported, ann))
     reach = min(max_shift, len(ann.feature_ids) - 1)
     shifts = sorted(range(-reach, reach + 1), key=lambda s: (abs(s), s > 0))
     overlap_by_shift: dict[int, int] = {}

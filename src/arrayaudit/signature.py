@@ -64,11 +64,11 @@ def _two_groups(m: LabeledMatrix) -> tuple[GroupLabel, list[int], GroupLabel, li
     groups: dict[GroupLabel, list[int]] = {}
     for j, sid in enumerate(m.sample_ids):
         g = m.label_of(sid)
-        if g != GroupLabel.UNKNOWN:
+        if g not in (GroupLabel.UNKNOWN, GroupLabel.UNUSED):
             groups.setdefault(g, []).append(j)
     if len(groups) != 2:
         raise DegenerateGroupsError(
-            f"need exactly two non-Unknown groups, found {sorted(g.value for g in groups)}"
+            f"need exactly two groups other than Unknown and Unused, found {sorted(g.value for g in groups)}"
         )
     # first group by enum declaration order (Sensitive before Resistant)
     (g1, idx1), (g2, idx2) = sorted(groups.items(), key=lambda kv: list(GroupLabel).index(kv[0]))

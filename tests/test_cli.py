@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import signal
 import subprocess
 import sys
 import tempfile
@@ -125,13 +126,20 @@ def _finding_keys(report) -> Counter:
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_findings_do_not_depend_on_the_order_of_rows_or_columns(tmp_path_factory, write, data):
-    # every matrix input with its rows and its columns permuted gives the same
-    # exit code and the same findings; a reuse check's two matrices share one
-    # permutation, because it compares them position by position
+    # every matrix input with its rows and its columns permuted, and every
+    # roster, meta and sensitivity table with its records permuted, gives the
+    # same exit code and the same findings; a reuse check's two matrices share
+    # one permutation, because it compares them position by position. An
+    # annotation's row order is its meaning, so it stays.
     root = tmp_path_factory.mktemp("order")
     manifest_path = write(root)
     expected, expected_code = run_audit(manifest_path)
     doc = json.loads(manifest_path.read_text())
+    for name in sorted(n for n, spec in doc["inputs"].items() if spec["kind"] in ("roster", "meta", "sensitivity")):
+        path = root / doc["inputs"][name]["path"]
+        header, *records = path.read_text().splitlines()
+        order = data.draw(st.permutations(range(len(records))))
+        path.write_text("\n".join([header, *(records[i] for i in order)]) + "\n")
     shared = {chk["b"]: chk["a"] for chk in doc["checks"] if chk["check"] == "reuse"}
     orders = {}
     for name in sorted((n for n, spec in doc["inputs"].items() if spec["kind"] == "matrix"), key=lambda n: n in shared):
@@ -146,6 +154,65 @@ def test_findings_do_not_depend_on_the_order_of_rows_or_columns(tmp_path_factory
     report, code = run_audit(manifest_path)
     assert code == expected_code
     assert _finding_keys(report) == _finding_keys(expected)
+
+
+#: what the contract property puts in a cell: a missing and an infinite
+#: token, a number past the float range and one of 400 digits, either
+#: delimiter, a label and an invalid date
+_MUTANT_CELLS = ("NA", "inf", "1e999", "9" * 400, "\t", ",", "Sensitive", "2008-13-45T25:61:00+00:00")
+
+
+class _Hung(Exception):
+    """A run outlived its time limit."""
+
+
+@pytest.fixture(scope="module")
+def corrupted_inputs(tmp_path_factory):
+    """The corrupted corpus's manifest path and the text of each of its inputs."""
+    manifest_path = corpus.write_corrupted_corpus(tmp_path_factory.mktemp("contract"))
+    paths = {manifest_path.parent / spec["path"] for spec in json.loads(manifest_path.read_text())["inputs"].values()}
+    return manifest_path, {p: p.read_text() for p in sorted(paths)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_input_ends_in_findings_and_an_exit_code(corrupted_inputs, data):
+    # one line of one input deleted, repeated or cut short, or one of its
+    # cells replaced: the run still reports its findings and exits, with no
+    # other exception, no warning and no hang
+    manifest_path, originals = corrupted_inputs
+    path = data.draw(st.sampled_from(sorted(originals)))
+    lines = originals[path].splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(("delete", "repeat", "cut", "cell")))
+    if op == "delete":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(i, lines[i])
+    elif op == "cut":
+        lines[i] = lines[i][: data.draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+    else:
+        delimiter = "\t" if "\t" in lines[i] else ","
+        cells = lines[i].split(delimiter)
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(_MUTANT_CELLS))
+        lines[i] = delimiter.join(cells)
+    path.write_text("".join(line + "\n" for line in lines))
+
+    def expire(signum, frame):
+        raise _Hung("run_audit took over 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, code = run_audit(manifest_path)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        path.write_text(originals[path])
+    # the untouched inputs still hold their planted defects
+    assert report.findings and code in (1, 2)
 
 
 def _confound_manifest(root: Path, rows: list[str], **params) -> Path:
@@ -692,6 +759,27 @@ def test_cli_signature_derive_and_predict(tmp_path, capsys):
         assert calls == ["1"] * 5 + ["0"] * 5, seed
 
 
+def test_unused_lines_rank_as_unlabeled_ones(tmp_path, capsys):
+    # derive and predict leave Unused lines out of both groups, as they
+    # leave lines without a label out: the outputs are the same bytes
+    values = np.random.default_rng(8).standard_normal((12, 7))
+    values[:3, :3] += 1.0
+    ids = tuple(f"s{j}" for j in range(7))
+    test_m = LabeledMatrix(tuple(f"g{i}" for i in range(12)), ids, values)
+    (tmp_path / "test.tsv").write_text(ingest.serialize_matrix(test_m))
+    outputs = []
+    for absent in ("Unused", ""):
+        labels = ["Sensitive"] * 3 + ["Resistant"] * 3 + [absent]
+        header, *rows = ingest.serialize_matrix(test_m).splitlines()
+        (tmp_path / "train.tsv").write_text("\n".join([header, "\t".join(["label", *labels]), *rows]) + "\n")
+        derive_argv = ["signature", "derive", "--matrix", str(tmp_path / "train.tsv")]
+        predict_argv = ["signature", "predict", "--train", str(tmp_path / "train.tsv"), "--test", str(tmp_path / "test.tsv")]
+        assert main([*derive_argv, "--k", "3", "--out", str(tmp_path / "sig.csv")]) == 0
+        assert main([*predict_argv, "--k", "3", "--out", str(tmp_path / "p.csv")]) == 0
+        outputs.append(((tmp_path / "sig.csv").read_bytes(), (tmp_path / "p.csv").read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_roc(tmp_path, capsys):
     (tmp_path / "scores.csv").write_text("sample_id,score\na,0.9\nb,0.8\nc,0.4\nd,0.3\n")
     (tmp_path / "labels.csv").write_text("a,1\nb,1\nc,0\nd,0\n")
@@ -812,6 +900,46 @@ def test_cli_audit_dose_and_confound(tmp_path, capsys):
     assert "[Critical] CONFOUND_PERFECT" in out
 
 
+def _dose_run(tmp_path, rows: list[str], **params):
+    """Findings and exit code of one dose check, with ``params``, over the
+    sensitivity ``rows`` of six lines, L1-L3 labeled Sensitive."""
+    (tmp_path / "s.csv").write_text("cell_line,drug_id,measure,value\n" + "".join(f"{r}\n" for r in rows))
+    (tmp_path / "l.csv").write_text("sample_id,label\n" + "".join(f"L{i},{'Sensitive' if i <= 3 else 'Resistant'}\n" for i in range(1, 7)))
+    inputs = {"s": {"path": "s.csv", "kind": "sensitivity"}, "l": {"path": "l.csv", "kind": "roster"}}
+    (tmp_path / "m.json").write_text(json.dumps({"inputs": inputs, "checks": [{"check": "dose", "sensitivity": "s", "labels": "l", **params}]}))
+    report, code = run_audit(tmp_path / "m.json")
+    return [(f.code, f.subjects, f.message) for f in report.findings], code
+
+
+# sensitive lines less potent than resistant ones: reversed and overlapping
+_REVERSED_GI50 = [f"L{i},drugA,GI50,{3.9 + 0.1 * i + (2 if i > 3 else 0):.1f}" for i in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "rows,params,message",
+    [
+        (["L1,drugB,GI50,5"], {}, "holds drugs 'drugA', 'drugB': name one with 'drug'"),
+        (["L1,drugB,GI50,5"], {"measure": "GI50"}, "holds drugs 'drugA', 'drugB': name one with 'drug'"),
+        (["L1,drugA,TGI,5"], {}, "holds measures 'GI50', 'TGI': name one with 'measure'"),
+        (["L1,drugB,GI50,5", "L1,drugA,TGI,5"], {"drug": "drugA"}, "holds measures 'GI50', 'TGI': name one with 'measure'"),
+    ],
+    ids=["two-drugs", "two-drugs-one-measure-named", "two-measures", "two-measures-drug-named"],
+)
+def test_dose_refuses_to_pool_drugs_or_measures(tmp_path, rows, params, message):
+    # potencies of two drugs, or of two measures, are not on one scale
+    findings, code = _dose_run(tmp_path, _REVERSED_GI50 + rows, **params)
+    assert findings == [("DEGENERATE_DATA", ("dose",), f"check 'dose' could not run: sensitivity input 's' {message}")]
+    assert code == 1
+
+
+def test_dose_over_one_drug_and_measure_needs_neither_named(tmp_path):
+    findings, code = _dose_run(tmp_path, _REVERSED_GI50)
+    assert [f[:2] for f in findings] == [("LABEL_REVERSAL", ("all-drugs",)), ("SEPARATION_OVERLAP", ("all-drugs",))]
+    assert code == 2
+    named, _ = _dose_run(tmp_path, _REVERSED_GI50, drug="drugA", measure="GI50")
+    assert [m.replace("drugA", "all-drugs") for *_, m in named] == [m for *_, m in findings]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["audit", "dup", "--matrix", str(tmp_path / "missing.tsv")]) == 1
     assert main(["report", "run", "--manifest", str(tmp_path / "none.json")]) == 1
@@ -839,6 +967,12 @@ _MANIFEST_SHAPE_ERRORS = [
         {"inputs": {}, "checks": [], "ouput": "report.json"},
         "manifest has unknown key 'ouput'; allowed: inputs, checks, output, schema_version",
     ),
+    (
+        "unsupported-schema-version",
+        {"schema_version": 99, "inputs": {}, "checks": []},
+        "schema_version 99 is not supported; this runner reads '1'",
+    ),
+    ("empty-output", {"inputs": {}, "checks": [], "output": ""}, "output is empty; name the report's path or leave output out"),
     (
         "misspelt-format",
         {"inputs": {"m": {"path": "m.tsv", "kind": "matrix", "fromat": {"delimiter": "comma"}}}, "checks": []},

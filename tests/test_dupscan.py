@@ -7,7 +7,6 @@ import fixtures_lib as fx
 from arrayaudit.core import Direction, GroupLabel, LabeledMatrix, LabelRoster, RosterEntry, SignatureList
 from arrayaudit.dupscan import (
     BOTH,
-    DupScanConfig,
     check_signature_directions,
     classify_duplicate_labels,
     compare_labelings,
@@ -131,7 +130,7 @@ def test_bitwise_duplicates_detected_at_threshold_one():
     a = rng.standard_normal(9)
     noisy = a + 1e-6 * rng.standard_normal(9)
     values = np.column_stack([a, a, rng.standard_normal(9), noisy, 2.5 * a - 4])
-    comps = find_duplicate_columns(_matrix(values), DupScanConfig(corr_threshold=1.0))
+    comps = find_duplicate_columns(_matrix(values), threshold=1.0)
     # at threshold 1 the exact and the affine copy are found, the near-copy is not
     assert comps.components == (("c0", "c1", "c4"),)
     # the near-copy still shows up at the default forensic threshold
@@ -150,7 +149,7 @@ def test_missing_policy():
     values = np.random.default_rng(2).standard_normal((10, 3))
     values[0, 0] = np.nan
     with pytest.raises(ValueError, match="missing"):
-        find_duplicate_columns(_matrix(values), DupScanConfig(missing_policy="fail"))
+        find_duplicate_columns(_matrix(values), missing_policy="fail")
     comps = find_duplicate_columns(_matrix(values))  # pairwise_complete default
     assert comps.n_distinct == 3
 
@@ -162,9 +161,24 @@ def test_unusable_cells_are_named_by_feature_and_sample_in_column_order():
     values[0, 2] = 0.0
     m = _matrix(values)
     with pytest.raises(ValueError, match=r"^missing_policy is 'fail' but the value at feature 'g2', sample 'c0' is missing$"):
-        find_duplicate_columns(m, DupScanConfig(missing_policy="fail"))
+        find_duplicate_columns(m, missing_policy="fail")
     with pytest.raises(ValueError, match=r"^log of nonpositive value -1.5 at feature 'g3', sample 'c1'$"):
-        find_duplicate_columns(m, DupScanConfig(compare_on="log"))
+        find_duplicate_columns(m, compare_on="log")
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"threshold": 0.0}, r"^threshold must be in \(0, 1\], got 0.0$"),
+        ({"threshold": 1.5}, r"^threshold must be in \(0, 1\], got 1.5$"),
+        ({"compare_on": "logged"}, r"^compare_on must be raw\|log, got 'logged'$"),
+        ({"missing_policy": "impute"}, r"^missing_policy must be pairwise_complete\|fail, got 'impute'$"),
+    ],
+)
+def test_scan_arguments_outside_their_range_are_refused(kwargs, message):
+    # a misspelt compare_on is refused, not read as raw
+    with pytest.raises(ValueError, match=message):
+        find_duplicate_columns(_matrix(np.random.default_rng(5).standard_normal((6, 3))), **kwargs)
 
 
 def test_compare_on_log_detects_scaled_copies():
@@ -173,7 +187,7 @@ def test_compare_on_log_detects_scaled_copies():
     values = np.column_stack([base, base * 7.0, np.exp(rng.standard_normal(12))])
     raw = find_duplicate_columns(_matrix(values))
     assert raw.components == (("c0", "c1"),)  # scaling preserves correlation anyway
-    logged = find_duplicate_columns(_matrix(values), DupScanConfig(compare_on="log"))
+    logged = find_duplicate_columns(_matrix(values), compare_on="log")
     assert logged.components == (("c0", "c1"),)
 
 

@@ -82,6 +82,12 @@ def test_separation_single_group_errors():
         check_separation(records, labels)
 
 
+def test_separation_refuses_an_unknown_orientation():
+    records, labels = _records([5, 6], [3, 4])
+    with pytest.raises(ValueError, match=r"^unknown orientation 'sensitive_up'$"):
+        check_separation(records, labels, orientation="sensitive_up")
+
+
 def test_separation_matches_oracle_on_random_instances():
     rng = np.random.default_rng(404)
     for _ in range(300):
@@ -242,7 +248,7 @@ def test_detect_blocks_three_planted():
     m = fx.block_structured_matrix(sizes=(10, 8, 12))
     report = detect_blocks(m, corr_threshold=0.8)
     assert len(report.components) == 3
-    assert sorted(report.sizes) == [8, 10, 12]
+    assert sorted(len(c) for c in report.components) == [8, 10, 12]
 
 
 def test_detect_blocks_independent_columns_all_singletons():
@@ -254,14 +260,14 @@ def test_detect_blocks_independent_columns_all_singletons():
     )
     report = detect_blocks(m, corr_threshold=0.8)
     assert report.components == ()
-    assert len(report.singletons) == 20
+    assert report.multiplicity_histogram == {1: 20}
 
 
 def test_detect_blocks_one_block():
     m = fx.block_structured_matrix(sizes=(9,))
     report = detect_blocks(m, corr_threshold=0.8)
     assert len(report.components) == 1
-    assert report.sizes == (9,)
+    assert [len(c) for c in report.components] == [9]
 
 
 def test_detect_blocks_refuses_two_rows():

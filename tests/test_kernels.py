@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from arrayaudit import _kernels
 from arrayaudit.core import LabeledMatrix
-from arrayaudit.dupscan import DupScanConfig, find_duplicate_columns
+from arrayaudit.dupscan import find_duplicate_columns
 from arrayaudit.integrity import detect_blocks
 from arrayaudit.matchscan import match_columns, match_rows
 
@@ -339,7 +339,7 @@ def test_dup_blocks_and_match_apply_one_hit_rule(missing, data):
     m = LabeledMatrix(tuple(f"g{i}" for i in range(rows)), tuple(f"c{j}" for j in range(n)), values)
     index = {sid: i for i, sid in enumerate(m.sample_ids)}
     expected = [tuple(m.sample_ids[i] for i in c) for c in _components(hits, n)]
-    dup = find_duplicate_columns(m, DupScanConfig(corr_threshold=threshold))
+    dup = find_duplicate_columns(m, threshold=threshold)
     assert list(dup.components) == expected
     assert dup.degenerate_columns == tuple(sid for sid, d in zip(m.sample_ids, degenerate) if d)
     assert list(detect_blocks(m, corr_threshold=threshold).components) == expected
@@ -422,7 +422,7 @@ def test_one_scan_against_exact_arithmetic_with_holes_and_far_values(panel):
     m = LabeledMatrix(tuple(f"g{i}" for i in range(rows)), tuple(f"c{j}" for j in range(n)), values)
     index = {sid: i for i, sid in enumerate(m.sample_ids)}
     expected = [tuple(m.sample_ids[i] for i in c) for c in _components(hits, n)]
-    dup = find_duplicate_columns(m, DupScanConfig(corr_threshold=threshold))
+    dup = find_duplicate_columns(m, threshold=threshold)
     assert list(dup.components) == expected
     assert dup.degenerate_columns == tuple(sid for sid, d in zip(m.sample_ids, degenerate) if d)
     assert list(detect_blocks(m, corr_threshold=threshold).components) == expected
@@ -446,7 +446,7 @@ def test_copy_lacking_its_columns_far_cell_is_a_duplicate_at_threshold_one():
         values[:, 3] = values[:, 0]
         values[far, 3] = np.nan
         m = LabeledMatrix(tuple(f"g{i}" for i in range(rows)), ("a", "b", "c", "copy"), values)
-        comps = find_duplicate_columns(m, DupScanConfig(corr_threshold=1.0)).components
+        comps = find_duplicate_columns(m, threshold=1.0).components
         found += comps == (("a", "copy"),) and detect_blocks(m, corr_threshold=1.0).components == comps
     assert found == 200
 
@@ -473,7 +473,7 @@ def test_live_rows_of_huge_and_tiny_magnitude_vary_and_match_their_copies():
         rows[31] = rows[12]
         assert len(_kernels._live_rows(rows).rows) == 50
         m = LabeledMatrix(tuple(f"g{i}" for i in range(20)), tuple(f"c{j}" for j in range(50)), rows.T)
-        dup = find_duplicate_columns(m, DupScanConfig(corr_threshold=1.0))
+        dup = find_duplicate_columns(m, threshold=1.0)
         assert dup.components == (("c12", "c31"),) and dup.degenerate_columns == ()
 
 

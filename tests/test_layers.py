@@ -103,7 +103,7 @@ def test_detectors_reach_correlations_only_through_the_one_scan():
     names = ("dupscan.py", "integrity.py", "matchscan.py", "transform.py")
     assert {name: kernel_names(name) for name in names} == {
         "dupscan.py": {"correlated_components"},
-        "integrity.py": {"correlated_components"},
+        "integrity.py": set(),
         "matchscan.py": {"cross_row_correlations"},
         "transform.py": {"center_rows"},
     }
